@@ -109,15 +109,20 @@ def _check_dims(tx_cb, rx_cb, ch):
         )
     if tx_cb.m != rx_cb.m:
         raise ValueError("tx and rx codebooks must share the hierarchical factor")
+    if ch.n_r > ch.n_t:
+        raise ValueError(
+            f"hierarchical search needs N_r <= N_t, got {ch.n_r} > {ch.n_t}"
+        )
 
 
 def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     """Layer-by-layer descent using measured powers only.
 
     The first floor(log_M N_r) layers test all M x M child pairs jointly;
-    the remaining transmit layers test M transmit children with the
-    receive beam fixed at its selected bottom codeword.  The measurement
-    total equals training_test_count(N_t, N_r, M).
+    the remaining transmit layers test M transmit children against the
+    single receive beam selected at the receive bottom layer.  Ties keep
+    the first pair measured.  The measurement total equals
+    training_test_count(N_t, N_r, M); N_r must not exceed N_t.
 
     Returns (tx_index, rx_index, measurements) with 0-based bottom-layer
     indices.
@@ -129,28 +134,20 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     ti = ri = 0  # selected entry (0-based) at the current layer
     count = 0
     for s in range(1, s_t + 1):
-        tx_children = range(m * ti, m * ti + m)
-        if s <= s_r:
-            best = None
-            for a in tx_children:
+        # a transmit-only layer keeps the selected receive beam as its one child
+        joint = s <= s_r
+        rx_layer = rx_cb.layers[s - 1 if joint else s_r - 1]
+        rx_children = range(m * ri, m * ri + m) if joint else (ri,)
+        rx_beams = [(b, rx_layer[b].codeword(use_practical)) for b in rx_children]
+        best = None
+        for a in range(m * ti, m * ti + m):
+            for b, wb in rx_beams:
                 va = tx_cb.layers[s - 1][a].codeword(use_practical)
-                for bidx in range(m * ri, m * ri + m):
-                    wb = rx_cb.layers[s - 1][bidx].codeword(use_practical)
-                    power = measure(va, wb, ch, snr_db, rng)
-                    count += 1
-                    if best is None or power > best[0]:
-                        best = (power, a, bidx)
-            _, ti, ri = best
-        else:
-            w = rx_cb.layers[s_r - 1][ri].codeword(use_practical)
-            best = None
-            for a in tx_children:
-                va = tx_cb.layers[s - 1][a].codeword(use_practical)
-                power = measure(va, w, ch, snr_db, rng)
+                power = measure(va, wb, ch, snr_db, rng)
                 count += 1
                 if best is None or power > best[0]:
-                    best = (power, a)
-            _, ti = best
+                    best = (power, a, b)
+        _, ti, ri = best
     return ti, ri, count
 
 
@@ -178,9 +175,6 @@ class TrainingConfig:
     seed: int = 0
     paths: int = 1
     use_practical: bool = False
-    gains: np.ndarray = None  # optional pinned path gains (test hook)
-    aod: np.ndarray = None  # optional pinned departure directions
-    aoa: np.ndarray = None  # optional pinned arrival directions
 
     def __post_init__(self):
         if self.trials < 1:
@@ -203,15 +197,8 @@ def success_rate(cfg):
     records = []
     for t in range(cfg.trials):
         ch_ss, noise_ss = streams[t].spawn(2)
-        ch = draw_channel(
-            n_t,
-            n_r,
-            cfg.paths,
-            rng=np.random.default_rng(ch_ss),
-            gains=cfg.gains,
-            aod=cfg.aod,
-            aoa=cfg.aoa,
-        )
+        ch = draw_channel(n_t, n_r, cfg.paths,
+                          rng=np.random.default_rng(ch_ss))
         noise_rng = np.random.default_rng(noise_ss)
         ti, ri, n_meas = hierarchical_search(
             cfg.tx_codebook, cfg.rx_codebook, ch, cfg.snr_db, noise_rng,

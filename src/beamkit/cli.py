@@ -94,7 +94,6 @@ def cmd_design_practical(args):
     v = load_codeword(args.input)
     nrfs = _parse_ints(str(args.nrf))
     seeds = [args.seed + i for i in range(args.seeds)]
-    medians = []
     for n_rf in nrfs:
         devs = []
         for seed in seeds:
@@ -105,9 +104,7 @@ def cmd_design_practical(args):
             if len(nrfs) == 1 and len(seeds) == 1:
                 save_hybrid(hybrid, args.out)
                 print("trace " + " ".join(f"{e:.12g}" for e in trace))
-        med = statistics.median(devs)
-        medians.append(med)
-        print(f"nrf {n_rf} median_deviation {med:.12g}")
+        print(f"nrf {n_rf} median_deviation {statistics.median(devs):.12g}")
     return 0
 
 
@@ -168,8 +165,10 @@ def cmd_table1(args):
     target = make_target("rect", (-1.0, 0.0))
     print("n_t,ps_icd_mse,ls_icd_mse")
     for n in sizes:
-        vp = ps_icd(target, n, args.k, args.rmax, args.seed)
-        vl = ls_icd(target, n, args.k)
+        # K = N would make the grid orthogonal, leaving PS-ICD nothing to do
+        k = args.k if args.k is not None else max(128, 2 * n)
+        vp = ps_icd(target, n, k, args.rmax, args.seed)
+        vl = ls_icd(target, n, k)
         print(f"{n},{main_lobe_mse(vp, target):.12g},"
               f"{main_lobe_mse(vl, target):.12g}")
     return 0
@@ -248,10 +247,10 @@ def build_parser():
     p.add_argument("--points", type=int)
     p.add_argument("--out")
 
-    p = add("table1", cmd_table1, sizes="16,32,64,128", k=128, rmax=2000,
+    p = add("table1", cmd_table1, sizes="16,32,64,128", rmax=2000,
             seed=_default_seed())
     p.add_argument("--sizes")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="grid size (default max(128, 2N))")
     p.add_argument("--rmax", type=int)
     p.add_argument("--seed", type=int)
 

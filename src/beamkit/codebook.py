@@ -49,10 +49,12 @@ def training_test_count(n_t, n_r, m):
     """Number of beam-training measurements for one hierarchical descent.
 
     M * floor(log_M N_t) + (M^2 - M) * floor(log_M N_r), versus N_t * N_r
-    for the exhaustive sweep.
+    for the exhaustive sweep.  The descent needs N_r <= N_t.
     """
     if n_t < 1 or n_r < 1 or m < 2:
         raise ValueError("antenna counts must be positive and m >= 2")
+    if n_r > n_t:
+        raise ValueError(f"N_r must not exceed N_t, got {n_r} > {n_t}")
     return m * floor_log(n_t, m) + (m * m - m) * floor_log(n_r, m)
 
 
@@ -127,6 +129,8 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
         hw = dict(hw)
         hw.setdefault("t_max", 50)
         phase_set(hw["b"])  # validate early
+        if not 1 <= hw["n_rf"] <= n:
+            raise ValueError(f"n_rf must be in [1, {n}], got {hw['n_rf']}")
     s_total = layer_count(n, m)
     layers = []
     for s in range(1, s_total + 1):

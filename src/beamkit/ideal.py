@@ -15,7 +15,6 @@ from .targets import TargetPattern
 __all__ = [
     "SynthesisError",
     "PhaseOptimizer",
-    "update_phase",
     "lifted_quadratic",
     "ps_icd",
     "ls_icd",
@@ -87,11 +86,6 @@ class PhaseOptimizer:
             return self.phases[k]
         self.phases[k] = np.angle(c)
         return self.phases[k]
-
-
-def update_phase(optimizer, k):
-    """Functional alias for PhaseOptimizer.update."""
-    return optimizer.update(k)
 
 
 def lifted_quadratic(gram, gains):

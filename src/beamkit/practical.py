@@ -34,6 +34,10 @@ __all__ = [
 _FBB_TOL = 1e-10
 # Safety cap on inner search cycles; the primary stop is an unchanged cycle.
 _ROW_CAP_PER_PHASE = 64
+# Index offsets (d1, d2) searched around each rounded two-phasor branch.
+_NEIGHBORHOOD = np.array(
+    [(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
+)
 
 
 @dataclass(frozen=True)
@@ -199,15 +203,15 @@ def _two_rf_branches(gamma, f1, f2):
     return th1a, th2a, th1b, th2b
 
 
-def _two_rf_solve(gamma, f1, f2, pset=None, refine=False):
+def _two_rf_solve(gamma, f1, f2, pset=None):
     """Solve the two-phasor match for an array of targets.
 
-    With a phase set, both continuous branches are quantized and the one
-    with the smaller residual wins; returns (idx1, idx2, residual).
-    Without one, returns (th1, th2, residual) with continuous phases.
-    refine additionally evaluates the 3x3 index neighborhood around each
-    rounded branch, which recovers pairs that nearest-member rounding of
-    the two coupled phases misses.
+    With a phase set, both continuous branches are rounded to the nearest
+    members and the 3x3 index neighborhood around each rounded pair is
+    searched, which recovers pairs that nearest-member rounding of the two
+    coupled phases misses; returns (idx1, idx2, residual) of the best of
+    the 18 candidates.  Without one, returns (th1, th2, residual) with
+    continuous phases.
     """
     th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
     gamma = np.asarray(gamma, dtype=complex)
@@ -219,30 +223,26 @@ def _two_rf_solve(gamma, f1, f2, pset=None, refine=False):
         th2 = np.where(pick_a, th2a, th2b)
         return th1, th2, np.where(pick_a, ra, rb)
     vals = pset.values
-    offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
-               (1, -1), (1, 0), (1, 1)) if refine else ((0, 0),)
-    pairs = []
-    for th1, th2 in ((th1a, th2a), (th1b, th2b)):
-        i1 = quantize_index(th1, pset.bits)
-        i2 = quantize_index(th2, pset.bits)
-        for d1, d2 in offsets:
-            pairs.append(((i1 + d1) % pset.size, (i2 + d2) % pset.size))
-    residuals = np.stack([
-        np.abs(gamma - f1 * np.exp(1j * vals[j1]) - f2 * np.exp(1j * vals[j2]))
-        for j1, j2 in pairs
-    ])
+    # candidates branch-major (a before b), offsets in _NEIGHBORHOOD order
+    r1 = quantize_index(np.stack([th1a, th1b]), pset.bits)[:, None]
+    r2 = quantize_index(np.stack([th2a, th2b]), pset.bits)[:, None]
+    j1 = ((r1 + _NEIGHBORHOOD[:, 0, None]) % pset.size).reshape(18, -1)
+    j2 = ((r2 + _NEIGHBORHOOD[:, 1, None]) % pset.size).reshape(18, -1)
+    residuals = np.abs(
+        gamma - f1 * np.exp(1j * vals[j1]) - f2 * np.exp(1j * vals[j2])
+    )
     best = np.argmin(residuals, axis=0)  # first minimum wins ties
     cols = np.arange(gamma.size)
-    i1 = np.stack([p[0] for p in pairs])[best, cols]
-    i2 = np.stack([p[1] for p in pairs])[best, cols]
-    return i1, i2, residuals[best, cols]
+    return j1[best, cols], j2[best, cols], residuals[best, cols]
 
 
 def solve_two_rf(inst, pset=None):
     """Match one target entry with two phasors; see TwoRfInstance.
 
     Returns (theta1, theta2, residual).  With a phase set the phases are
-    set members; otherwise they are continuous.
+    the set members that fs_altmin itself would pick (the best pair in the
+    3x3 index neighborhoods of both rounded branches); otherwise they are
+    continuous.
     """
     f1, f2 = inst.fbb
     th1, th2, res = _two_rf_solve(np.array([inst.target]), f1, f2, pset)
@@ -289,8 +289,7 @@ def fs_row(target, fbb, pset, init_indices, history=None):
             1j * vals[idx[p]]
         )
         resid_targets = target - fixed - fbb[p] * candidates
-        i1, i2, errs = _two_rf_solve(resid_targets, fbb[0], fbb[1], pset,
-                                     refine=True)
+        i1, i2, errs = _two_rf_solve(resid_targets, fbb[0], fbb[1], pset)
         best = int(np.argmin(errs))
         # keep the incumbent row when no candidate improves on it, so the
         # residual sequence is non-increasing
@@ -347,12 +346,8 @@ def _design_rows(v, fbb, pset, idx):
     vals = pset.values
     n_rf = fbb.size
     idx = idx.copy()
-    if n_rf == 1:
-        # single phasor: the circularly nearest member is exactly optimal
-        idx[:, 0] = quantize_index(np.angle(v) - np.angle(fbb[0]), pset.bits)
-        return idx
     if n_rf == 2:
-        i1, i2, new_res = _two_rf_solve(v, fbb[0], fbb[1], pset, refine=True)
+        i1, i2, new_res = _two_rf_solve(v, fbb[0], fbb[1], pset)
         old = np.abs(
             v
             - fbb[0] * np.exp(1j * vals[idx[:, 0]])
@@ -393,22 +388,21 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     idx = rng.integers(0, pset.size, size=(v.size, n_rf))
     vals = pset.values
 
-    fbb = ls_fbb(np.exp(1j * vals[idx]), v)
+    analog = np.exp(1j * vals[idx])
+    fbb = ls_fbb(analog, v)
     if trace is not None:
-        trace.append(float(np.linalg.norm(v - np.exp(1j * vals[idx]) @ fbb)))
+        trace.append(float(np.linalg.norm(v - analog @ fbb)))
     for _ in range(int(t_max)):
         idx = _design_rows(v, fbb, pset, idx)
-        new_fbb = ls_fbb(np.exp(1j * vals[idx]), v)
+        analog = np.exp(1j * vals[idx])
+        new_fbb = ls_fbb(analog, v)
         if trace is not None:
-            trace.append(
-                float(np.linalg.norm(v - np.exp(1j * vals[idx]) @ new_fbb))
-            )
+            trace.append(float(np.linalg.norm(v - analog @ new_fbb)))
         converged = np.linalg.norm(new_fbb - fbb) < _FBB_TOL
         fbb = new_fbb
         if converged:
             break
 
-    analog = np.exp(1j * vals[idx])
     fbb = fbb / np.linalg.norm(analog @ fbb)
     return HybridCodeword(idx, pset.bits, fbb)
 

@@ -92,6 +92,37 @@ def test_noiseless_search_finds_on_grid_path(small_codebooks):
     assert exhaustive_best_pair(tx, rx, ch) == (5, 2)
 
 
+def test_transmit_only_layers_find_on_grid_path():
+    # N_t = 32, N_r = 8: layers 4 and 5 descend the transmit side alone
+    tx = build_codebook(32, m=2, k=64, r_max=600, seed=0)
+    rx = build_codebook(8, m=2, k=64, r_max=600, seed=1)
+    for ti, ri in ((0, 0), (13, 6), (31, 3)):
+        ch = draw_channel(32, 8, 1, seed=0, gains=[1.0],
+                          aod=[tx.bottom[ti].midpoint],
+                          aoa=[rx.bottom[ri].midpoint])
+        found = hierarchical_search(tx, rx, ch, np.inf, np.random.default_rng(0))
+        assert found == (ti, ri, training_test_count(32, 8, 2)) == (ti, ri, 16)
+
+
+def test_search_ties_keep_first_pair(small_codebooks):
+    # a zero-gain channel measures 0 everywhere: every layer is a full tie
+    tx, rx = small_codebooks
+    ch = draw_channel(16, 8, 1, seed=0, gains=[0.0])
+    assert hierarchical_search(tx, rx, ch, np.inf,
+                               np.random.default_rng(0)) == (0, 0, 14)
+
+
+def test_receive_larger_than_transmit_raises(small_codebooks):
+    # the descent stops at the transmit bottom layer, so N_r > N_t would
+    # compare a receive beam from an upper layer with the bottom optimum
+    tx, rx = small_codebooks
+    ch = draw_channel(8, 16, 1, seed=0)
+    with pytest.raises(ValueError, match="N_r <= N_t"):
+        hierarchical_search(rx, tx, ch, np.inf, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        training_test_count(8, 16, 2)
+
+
 def test_exhaustive_best_pair_is_argmax(small_codebooks):
     tx, rx = small_codebooks
     ch = draw_channel(16, 8, 1, seed=11)

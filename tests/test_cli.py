@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd
 from beamkit.cli import main
 from beamkit.serialization import load_codebook, load_codeword, load_hybrid
 
@@ -84,6 +85,28 @@ def test_pattern_command(tmp_path):
     assert len(csv.read_text().strip().split("\n")) == 65
 
 
+def test_simulate_rejects_receive_larger_than_transmit(tmp_path, capsys):
+    paths = {}
+    for n in (4, 8):
+        paths[n] = tmp_path / f"cb{n}.json"
+        assert main(["build-codebook", "--n", str(n), "--k", "32",
+                     "--rmax", "100", "--out", str(paths[n])]) == 0
+    rc = main(["simulate", "--tx-codebook", str(paths[4]),
+               "--rx-codebook", str(paths[8]), "--trials", "2",
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert not (tmp_path / "sim.csv").exists()
+    assert "N_r <= N_t" in capsys.readouterr().err
+
+
+def test_build_codebook_more_chains_than_antennas_is_usage_error(tmp_path,
+                                                                capsys):
+    rc = main(["build-codebook", "--n", "4", "--nrf", "5",
+               "--out", str(tmp_path / "cb.json")])
+    assert rc == 2
+    assert "n_rf must be in [1, 4]" in capsys.readouterr().err
+
+
 def test_table1_command(capsys):
     rc = main(["table1", "--sizes", "16", "--rmax", "200"])
     assert rc == 0
@@ -91,6 +114,23 @@ def test_table1_command(capsys):
     assert out[0] == "n_t,ps_icd_mse,ls_icd_mse"
     n, ps, ls = out[1].split(",")
     assert n == "16" and float(ps) > 0 and float(ls) > 0
+
+
+def test_table1_default_grid_is_twice_n_at_128(capsys):
+    # with --k omitted, N = 128 runs on K = 256, not the degenerate K = N
+    rc = main(["table1", "--sizes", "128", "--rmax", "200", "--seed", "1"])
+    assert rc == 0
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    rect = make_target("rect", (-1.0, 0.0))
+    ps = main_lobe_mse(ps_icd(rect, 128, 256, 200, 1), rect)
+    ls = main_lobe_mse(ls_icd(rect, 128, 256), rect)
+    assert row == f"128,{ps:.12g},{ls:.12g}"
+    # an explicit --k still wins
+    main(["table1", "--sizes", "128", "--k", "128", "--rmax", "200",
+          "--seed", "1"])
+    row = capsys.readouterr().out.strip().split("\n")[1]
+    ps = main_lobe_mse(ps_icd(rect, 128, 128, 200, 1), rect)
+    assert row.split(",")[1] == f"{ps:.12g}"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -5,12 +5,7 @@ import pytest
 
 from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd, steering_matrix
 from beamkit.arrays import beam_gain
-from beamkit.ideal import (
-    PhaseOptimizer,
-    SynthesisError,
-    lifted_quadratic,
-    update_phase,
-)
+from beamkit.ideal import PhaseOptimizer, SynthesisError, lifted_quadratic
 
 
 def _optimizer(n, k, target, seed=0):
@@ -32,7 +27,7 @@ def test_single_update_is_coordinate_optimal():
     target = make_target("rect", (-1.0, 0.0))
     _, opt = _optimizer(4, 8, target, seed=5)
     k = 2
-    update_phase(opt, k)
+    opt.update(k)
     best = opt.objective()
     for phi in np.linspace(-np.pi, np.pi, 721):
         trial = PhaseOptimizer(opt.gram, opt.magnitudes, opt.phases)

@@ -19,6 +19,7 @@ from beamkit import (
     wrap_phase,
 )
 from beamkit import make_target
+from beamkit.practical import _two_rf_branches, _two_rf_solve
 
 
 def test_phase_set_values():
@@ -162,6 +163,51 @@ def test_two_rf_quantized_near_exhaustive():
         hits += res <= best + 1e-9
     # quantizing the continuous optimum should usually hit the 16-cell optimum
     assert hits >= 150
+
+
+def _two_rf_reference(gamma, f1, f2, ps):
+    """Plain loop over the 18 candidate pairs: branch a then b, each rounded
+    pair with index offsets (d1, d2) in row-major order; only a strict
+    improvement replaces the incumbent, so ties keep the earliest candidate.
+    Also counts later distinct pairs that tie the incumbent exactly."""
+    th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
+    best = [(np.inf, -1, -1)] * gamma.size
+    ties = 0
+    for th1, th2 in ((th1a, th2a), (th1b, th2b)):
+        r1 = quantize_index(th1, ps.bits)
+        r2 = quantize_index(th2, ps.bits)
+        for d1 in (-1, 0, 1):
+            for d2 in (-1, 0, 1):
+                j1 = (r1 + d1) % ps.size
+                j2 = (r2 + d2) % ps.size
+                res = np.abs(gamma - f1 * np.exp(1j * ps.values[j1])
+                             - f2 * np.exp(1j * ps.values[j2]))
+                for g in range(gamma.size):
+                    if res[g] < best[g][0]:
+                        best[g] = (res[g], j1[g], j2[g])
+                    elif res[g] == best[g][0] and (j1[g], j2[g]) != best[g][1:]:
+                        ties += 1
+    return best, ties
+
+
+@pytest.mark.parametrize("bits", [1, 2, 6])
+def test_two_rf_solve_matches_candidate_loop(bits):
+    ps = phase_set(bits)
+    rng = np.random.default_rng(bits)
+    ties = 0
+    for trial in range(40):
+        f1, f2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        if trial % 4 == 0:
+            f2 = f1  # equal phasors: swapped pairs tie exactly at gamma = 0
+        gamma = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        gamma[:5] = 0.0
+        i1, i2, res = _two_rf_solve(gamma, f1, f2, ps)
+        ref, n = _two_rf_reference(gamma, f1, f2, ps)
+        ties += n
+        np.testing.assert_array_equal(res, [r for r, _, _ in ref])
+        np.testing.assert_array_equal(i1, [j for _, j, _ in ref])
+        np.testing.assert_array_equal(i2, [j for _, _, j in ref])
+    assert ties > 0  # the first-minimum rule was exercised
 
 
 def _row_exhaustive(target, fbb, ps):

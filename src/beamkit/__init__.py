@@ -7,10 +7,8 @@ beam-training simulator.
 """
 
 from .arrays import (
-    as_codeword,
     beam_gain,
     main_lobe_mse,
-    normalize,
     pattern_csv,
     sample_pattern,
     steering_matrix,
@@ -36,7 +34,6 @@ from .ideal import PhaseOptimizer, SynthesisError, ls_icd, ps_icd
 from .practical import (
     HybridCodeword,
     PhaseSet,
-    TwoRfInstance,
     design_nrf1,
     deviation,
     fs_altmin,
@@ -44,7 +41,6 @@ from .practical import (
     ls_fbb,
     phase_set,
     quantize_index,
-    quantize_phase,
     solve_two_rf,
     wrap_phase,
 )

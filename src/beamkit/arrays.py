@@ -18,8 +18,6 @@ __all__ = [
     "main_lobe_mse",
     "SteeringMatrix",
     "steering_matrix",
-    "as_codeword",
-    "normalize",
 ]
 
 
@@ -113,20 +111,3 @@ def steering_matrix(n, k):
     """Build the sqrt(n)-scaled steering matrix with K grid columns."""
     return SteeringMatrix(n, k)
 
-
-def normalize(v):
-    """Scale v to unit l2 norm."""
-    v = np.asarray(v, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-12:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return v / nrm
-
-
-def as_codeword(v, tol=1e-9):
-    """Validate that v is a unit-norm codeword and return it as an array."""
-    v = np.asarray(v, dtype=complex)
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"codeword norm {nrm} deviates from 1 by more than {tol}")
-    return v

@@ -70,6 +70,9 @@ def draw_channel(n_t, n_r, l, seed=None, rng=None, gains=None, aod=None, aoa=Non
     gains = np.asarray(gains, dtype=complex)
     aod = rng.uniform(-1, 1, l) if aod is None else np.asarray(aod, dtype=float)
     aoa = rng.uniform(-1, 1, l) if aoa is None else np.asarray(aoa, dtype=float)
+    for name, pinned in (("gains", gains), ("aod", aod), ("aoa", aoa)):
+        if pinned.shape != (l,):
+            raise ValueError(f"{name} must have length {l}, got shape {pinned.shape}")
     return Channel(_channel_matrix(n_t, n_r, gains, aod, aoa), gains, aod, aoa)
 
 
@@ -179,6 +182,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if np.isnan(self.snr_db):
+            raise ValueError("snr_db must not be NaN")
 
 
 def success_rate(cfg):

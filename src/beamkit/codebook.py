@@ -97,14 +97,6 @@ class HierarchicalCodebook:
     def bottom(self):
         return self.layers[-1]
 
-    def entry(self, layer, index):
-        """Entry by 1-based layer and index."""
-        return self.layers[layer - 1][index - 1]
-
-    def children(self, layer, index):
-        """1-based indices of the child entries at the next layer."""
-        return range(self.m * (index - 1) + 1, self.m * index + 1)
-
 
 def _entry_seed(master, layer, index):
     ss = np.random.SeedSequence([int(master), int(layer), int(index)])
@@ -120,18 +112,23 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     steering vector at the sector midpoint (quantized per entry phase when
     hw is set) instead of a synthesized codeword.
 
-    Per-entry seeds derive from the master seed and the layer/index, so any
-    single codeword is reproducible in isolation.
+    n must be m^s for some s >= 1, and the grid size k at least n.  Per-entry
+    seeds derive from the master seed and the layer/index, so any single
+    codeword is reproducible in isolation.
     """
     if method not in ("ps-icd", "ls-icd"):
         raise ValueError(f"unknown ideal design method {method!r}")
+    s_total = layer_count(n, m)
+    if m**s_total != n:
+        raise ValueError(f"antenna count {n} must be m^s with s >= 1 (m = {m})")
+    if k < n:
+        raise ValueError(f"grid size {k} must be >= antenna count {n}")
     if hw is not None:
         hw = dict(hw)
         hw.setdefault("t_max", 50)
         phase_set(hw["b"])  # validate early
         if not 1 <= hw["n_rf"] <= n:
             raise ValueError(f"n_rf must be in [1, {n}], got {hw['n_rf']}")
-    s_total = layer_count(n, m)
     layers = []
     for s in range(1, s_total + 1):
         width = 2.0 / m**s

@@ -15,7 +15,6 @@ from .targets import TargetPattern
 __all__ = [
     "SynthesisError",
     "PhaseOptimizer",
-    "lifted_quadratic",
     "ps_icd",
     "ls_icd",
 ]
@@ -29,7 +28,8 @@ _DEGENERATE_RTOL = 1e-10
 
 
 class SynthesisError(RuntimeError):
-    """Raised when a design collapses to a zero vector."""
+    """Raised when a design collapses to a zero vector, or is asked to
+    factor a zero or non-finite codeword."""
 
 
 class PhaseOptimizer:
@@ -37,8 +37,7 @@ class PhaseOptimizer:
 
     Maximizes g^H (A^H A) g over the phases of g, with |g_k| fixed to the
     target magnitude at grid direction k.  Only the K x K Gram matrix
-    A^H A is stored; the equivalent 2K x 2K real-lifted form is available
-    through lifted_quadratic for verification.
+    A^H A is stored.
     """
 
     def __init__(self, gram, magnitudes, phases):
@@ -86,21 +85,6 @@ class PhaseOptimizer:
             return self.phases[k]
         self.phases[k] = np.angle(c)
         return self.phases[k]
-
-
-def lifted_quadratic(gram, gains):
-    """Real 2K-dimensional lifting (R, t) of the quadratic g^H (A^H A) g.
-
-    R stacks Re/Im blocks of the Gram matrix, t stacks Re/Im parts of the
-    gains; t^T R t equals the complex quadratic form.  Used for structure
-    checks and brute-force verification, never in the hot path.
-    """
-    gram = np.asarray(gram, dtype=complex)
-    gains = np.asarray(gains, dtype=complex)
-    re, im = gram.real, gram.imag
-    r = np.block([[re, -im], [im, re]])
-    t = np.concatenate([gains.real, gains.imag])
-    return r, t
 
 
 def _target_gains(target, grid):

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ideal import SynthesisError
+
 __all__ = [
     "PhaseSet",
     "phase_set",
     "wrap_phase",
     "quantize_index",
-    "quantize_phase",
     "HybridCodeword",
-    "TwoRfInstance",
     "design_nrf1",
     "solve_two_rf",
     "fs_row",
@@ -54,10 +54,6 @@ class PhaseSet:
     def size(self):
         return 2**self.bits
 
-    @property
-    def spacing(self):
-        return 2.0 * np.pi / self.size
-
 
 def phase_set(bits):
     """Build the b-bit quantized phase set."""
@@ -84,12 +80,6 @@ def quantize_index(theta, bits):
     x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
     idx = np.ceil(x).astype(int) - 1
     return np.clip(idx, 0, size - 1)
-
-
-def quantize_phase(theta, pset):
-    """Phase-set member closest to theta (value, not index)."""
-    out = pset.values[quantize_index(theta, pset.bits)]
-    return float(out) if np.isscalar(theta) else out
 
 
 @dataclass
@@ -123,31 +113,13 @@ class HybridCodeword:
         return self.analog @ self.digital
 
 
-@dataclass(frozen=True)
-class TwoRfInstance:
-    """One antenna-row matching problem with two free phasors.
-
-    alpha, beta: magnitude and phase of the complex target entry.
-    zeta1/psi1, zeta2/psi2: magnitudes and phases of the two digital entries.
-    """
-
-    alpha: float
-    beta: float
-    zeta1: float
-    psi1: float
-    zeta2: float
-    psi2: float
-
-    @property
-    def target(self):
-        return self.alpha * np.exp(1j * self.beta)
-
-    @property
-    def fbb(self):
-        return (
-            self.zeta1 * np.exp(1j * self.psi1),
-            self.zeta2 * np.exp(1j * self.psi2),
-        )
+def _design_input(v):
+    """v as a complex array, rejected unless its norm is finite and nonzero."""
+    v = np.asarray(v, dtype=complex)
+    nrm = np.linalg.norm(v)
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        raise SynthesisError(f"codeword to factor has norm {nrm}")
+    return v
 
 
 def design_nrf1(v, pset):
@@ -156,7 +128,7 @@ def design_nrf1(v, pset):
     The digital scalar 1/sqrt(n) makes the realized codeword unit-norm
     exactly, since every analog entry has unit modulus.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _design_input(v)
     idx = quantize_index(np.angle(v), pset.bits)[:, None]
     digital = np.array([1.0 / np.sqrt(v.size)], dtype=complex)
     return HybridCodeword(idx, pset.bits, digital)
@@ -203,8 +175,11 @@ def _two_rf_branches(gamma, f1, f2):
     return th1a, th2a, th1b, th2b
 
 
-def _two_rf_solve(gamma, f1, f2, pset=None):
-    """Solve the two-phasor match for an array of targets.
+def solve_two_rf(gamma, f1, f2, pset=None):
+    """Solve the two-phasor match gamma ~ f1 e^{j th1} + f2 e^{j th2}.
+
+    gamma is an array of complex targets; f1, f2 are the complex digital
+    entries of the two free phasors.
 
     With a phase set, both continuous branches are rounded to the nearest
     members and the 3x3 index neighborhood around each rounded pair is
@@ -236,25 +211,6 @@ def _two_rf_solve(gamma, f1, f2, pset=None):
     return j1[best, cols], j2[best, cols], residuals[best, cols]
 
 
-def solve_two_rf(inst, pset=None):
-    """Match one target entry with two phasors; see TwoRfInstance.
-
-    Returns (theta1, theta2, residual).  With a phase set the phases are
-    the set members that fs_altmin itself would pick (the best pair in the
-    3x3 index neighborhoods of both rounded branches); otherwise they are
-    continuous.
-    """
-    f1, f2 = inst.fbb
-    th1, th2, res = _two_rf_solve(np.array([inst.target]), f1, f2, pset)
-    if pset is not None:
-        th1, th2 = pset.values[th1], pset.values[th2]
-    return float(th1[0]), float(th2[0]), float(res[0])
-
-
-def _row_residual(target, fbb, vals, idx):
-    return abs(target - np.sum(fbb * np.exp(1j * vals[idx])))
-
-
 def fs_row(target, fbb, pset, init_indices, history=None):
     """Cyclic search for one antenna row with at least three RF chains.
 
@@ -275,13 +231,11 @@ def fs_row(target, fbb, pset, init_indices, history=None):
     vals = pset.values
     candidates = np.exp(1j * vals)
     idx = np.asarray(init_indices, dtype=int).copy()
-    init = idx.copy()
-    init_res = _row_residual(target, fbb, vals, init)
+    res = abs(target - np.sum(fbb * np.exp(1j * vals[idx])))
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = 0
     t = 0
-    res = init_res
     while t < cap:
         p = t % (n_rf - 2) + 2
         # residual targets for every candidate value of phase p
@@ -289,7 +243,7 @@ def fs_row(target, fbb, pset, init_indices, history=None):
             1j * vals[idx[p]]
         )
         resid_targets = target - fixed - fbb[p] * candidates
-        i1, i2, errs = _two_rf_solve(resid_targets, fbb[0], fbb[1], pset)
+        i1, i2, errs = solve_two_rf(resid_targets, fbb[0], fbb[1], pset)
         best = int(np.argmin(errs))
         # keep the incumbent row when no candidate improves on it, so the
         # residual sequence is non-increasing
@@ -311,9 +265,6 @@ def fs_row(target, fbb, pset, init_indices, history=None):
         unchanged = 0 if moved else unchanged + 1
         if unchanged >= n_rf - 2:
             break
-
-    if init_res < res:
-        return init, float(init_res), t
     return idx, res, t
 
 
@@ -347,7 +298,7 @@ def _design_rows(v, fbb, pset, idx):
     n_rf = fbb.size
     idx = idx.copy()
     if n_rf == 2:
-        i1, i2, new_res = _two_rf_solve(v, fbb[0], fbb[1], pset)
+        i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
         old = np.abs(
             v
             - fbb[0] * np.exp(1j * vals[idx[:, 0]])
@@ -373,8 +324,10 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     every least-squares step (non-increasing).
 
     A single RF chain needs no alternation and dispatches to design_nrf1.
+    A zero or non-finite v, or a realized codeword that collapses to zero,
+    raises SynthesisError.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _design_input(v)
     if not 1 <= n_rf <= v.size:
         raise ValueError(f"n_rf must be in [1, {v.size}], got {n_rf}")
     pset = phase_set(b)
@@ -403,8 +356,11 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
         if converged:
             break
 
-    fbb = fbb / np.linalg.norm(analog @ fbb)
-    return HybridCodeword(idx, pset.bits, fbb)
+    # v orthogonal to every analog column leaves nothing to rescale
+    nrm = np.linalg.norm(analog @ fbb)
+    if not nrm > 0.0:
+        raise SynthesisError("realized codeword collapsed to zero")
+    return HybridCodeword(idx, pset.bits, fbb / nrm)
 
 
 def deviation(v, vp):

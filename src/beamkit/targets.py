@@ -19,7 +19,7 @@ class TargetPattern:
     Evaluate by calling the instance with a scalar or array of directions.
     """
 
-    def __init__(self, kind, coverage, evaluate, amplitude=None, params=None):
+    def __init__(self, kind, coverage, evaluate, amplitude=None):
         lo, hi = float(coverage[0]), float(coverage[1])
         if not hi > lo:
             raise ValueError(f"coverage [{lo}, {hi}] must have positive width")
@@ -27,14 +27,8 @@ class TargetPattern:
             raise ValueError(f"coverage [{lo}, {hi}] must lie within [-1, 1]")
         self.kind = kind
         self.coverage = (lo, hi)
-        self.params = dict(params or {})
         self.amplitude = amplitude
         self._evaluate = evaluate
-
-    @property
-    def width(self):
-        lo, hi = self.coverage
-        return hi - lo
 
     def __call__(self, omega):
         om = np.asarray(omega, dtype=float)
@@ -102,9 +96,7 @@ def make_target(kind, coverage, **params):
         def step(om):
             return np.where(om < edge, scale * h1, scale * h2)
 
-        return TargetPattern(
-            "step", coverage, step, params={"heights": (h1, h2), "split": frac}
-        )
+        return TargetPattern("step", coverage, step)
 
     if kind == "custom":
         omegas = np.asarray(params["omegas"], dtype=float)

@@ -13,7 +13,6 @@ import pytest
 
 from beamkit import (
     TrainingConfig,
-    TwoRfInstance,
     build_codebook,
     deviation,
     draw_channel,
@@ -125,20 +124,18 @@ def test_criterion_05_two_rf_oracle():
     worst_cont = 0.0
     for _ in range(1000):
         z1, z2 = rng.uniform(0.1, 2.0, 2)
-        inst = TwoRfInstance(
-            rng.uniform(abs(z1 - z2), z1 + z2), rng.uniform(-np.pi, np.pi),
-            z1, rng.uniform(-np.pi, np.pi), z2, rng.uniform(-np.pi, np.pi),
-        )
-        _, _, res = solve_two_rf(inst, pset)
+        alpha, beta = rng.uniform(abs(z1 - z2), z1 + z2), rng.uniform(-np.pi, np.pi)
+        target = np.array([alpha * np.exp(1j * beta)])
+        f1 = z1 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        f2 = z2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        _, _, res = solve_two_rf(target, f1, f2, pset)
         best = min(
-            abs(inst.target
-                - inst.fbb[0] * np.exp(1j * t1)
-                - inst.fbb[1] * np.exp(1j * t2))
+            abs(target[0] - f1 * np.exp(1j * t1) - f2 * np.exp(1j * t2))
             for t1, t2 in itertools.product(pset.values, repeat=2)
         )
-        worst_gap = max(worst_gap, res - best - (z1 + z2) * np.pi / 4)
-        _, _, cont = solve_two_rf(inst)
-        worst_cont = max(worst_cont, cont)
+        worst_gap = max(worst_gap, res[0] - best - (z1 + z2) * np.pi / 4)
+        _, _, cont = solve_two_rf(target, f1, f2)
+        worst_cont = max(worst_cont, cont[0])
     ok = worst_gap <= 1e-12 and worst_cont < 1e-10
     _report(5, "two-rf-oracle", ok,
             f"worst bound slack {worst_gap:.3g}, "

@@ -39,6 +39,14 @@ def test_draw_channel_validates():
         draw_channel(4, 4, 0)
 
 
+@pytest.mark.parametrize("name", ["gains", "aod", "aoa"])
+def test_draw_channel_rejects_pinned_length_mismatch(name):
+    pins = {"gains": [1.0, 1.0], "aod": [0.1, -0.3], "aoa": [0.2, 0.6]}
+    pins[name] = pins[name][:1]
+    with pytest.raises(ValueError, match=f"{name} must have length 2"):
+        draw_channel(8, 8, 2, seed=0, **pins)
+
+
 def test_measure_noiseless():
     ch = draw_channel(4, 4, 1, seed=0, gains=[1.0], aod=[0.0], aoa=[0.0])
     v = np.ones(4, dtype=complex) / 2
@@ -171,3 +179,5 @@ def test_training_config_validation(small_codebooks):
     tx, rx = small_codebooks
     with pytest.raises(ValueError):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=0)
+    with pytest.raises(ValueError, match="NaN"):
+        TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=np.nan, trials=5)

@@ -107,6 +107,42 @@ def test_build_codebook_more_chains_than_antennas_is_usage_error(tmp_path,
     assert "n_rf must be in [1, 4]" in capsys.readouterr().err
 
 
+def test_build_codebook_grid_smaller_than_array_is_usage_error(tmp_path,
+                                                               capsys):
+    rc = main(["build-codebook", "--n", "16", "--k", "8",
+               "--out", str(tmp_path / "cb.json")])
+    assert rc == 2
+    assert "grid size 8" in capsys.readouterr().err
+    rc = main(["build-codebook", "--n", "12",
+               "--out", str(tmp_path / "cb.json")])
+    assert rc == 2
+    assert "must be m^s" in capsys.readouterr().err
+    assert not (tmp_path / "cb.json").exists()
+
+
+def test_simulate_nan_snr_is_usage_error(tmp_path, capsys):
+    cb = tmp_path / "cb.json"
+    assert main(["build-codebook", "--n", "4", "--k", "32", "--rmax", "100",
+                 "--out", str(cb)]) == 0
+    rc = main(["simulate", "--codebook", str(cb), "--snr", "nan",
+               "--trials", "2", "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("nrf", ["1", "2"])
+def test_design_practical_nan_codeword_is_numerical_failure(tmp_path, capsys,
+                                                            nrf):
+    v = tmp_path / "nan.json"
+    v.write_text(json.dumps({"n": 4, "entries": [[float("nan"), 0.0]] * 4}))
+    out = tmp_path / "h.json"
+    rc = main(["design-practical", "--input", str(v), "--nrf", nrf,
+               "--out", str(out)])
+    assert rc == 4
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_table1_command(capsys):
     rc = main(["table1", "--sizes", "16", "--rmax", "200"])
     assert rc == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import beamkit.codebook
 from beamkit import (
+    SynthesisError,
     build_codebook,
     layer_count,
     steering_vector,
@@ -111,13 +113,26 @@ def test_hw_codebook_carries_hybrids():
 
 def test_entry_and_children_accessors():
     cb = build_codebook(8, m=2, k=64, r_max=400, seed=0)
-    assert cb.entry(1, 1) is cb.layers[0][0]
-    assert list(cb.children(1, 2)) == [3, 4]
     with pytest.raises(ValueError):
-        cb.entry(1, 1).codeword(practical=True)
+        cb.layers[0][0].codeword(practical=True)
 
 
-def test_build_failure_reports_location():
-    # k < n makes every synthesis call invalid
+def test_build_failure_reports_location(monkeypatch):
+    def collapse(*args, **kwargs):
+        raise SynthesisError("designed vector collapsed to zero")
+
+    monkeypatch.setattr(beamkit.codebook, "ps_icd", collapse)
     with pytest.raises(RuntimeError, match="layer 1, index 1"):
+        build_codebook(16, m=2, k=128, r_max=100, seed=0)
+
+
+def test_build_rejects_grid_smaller_than_array():
+    with pytest.raises(ValueError, match="grid size 8"):
         build_codebook(16, m=2, k=8, r_max=100, seed=0)
+
+
+@pytest.mark.parametrize("n, m", [(12, 2), (8, 3), (1, 2)])
+def test_build_rejects_antenna_count_not_power_of_m(n, m):
+    # n = 12 would otherwise get a fourth layer of beams narrower than 2/n
+    with pytest.raises(ValueError, match=r"m\^s with s >= 1"):
+        build_codebook(n, m=m, k=128, r_max=100, seed=0)

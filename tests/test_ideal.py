@@ -5,7 +5,19 @@ import pytest
 
 from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd, steering_matrix
 from beamkit.arrays import beam_gain
-from beamkit.ideal import PhaseOptimizer, SynthesisError, lifted_quadratic
+from beamkit.ideal import PhaseOptimizer, SynthesisError
+
+
+def lifted_quadratic(gram, gains):
+    """Real 2K-dimensional lifting (R, t) of the quadratic g^H (A^H A) g.
+
+    R stacks Re/Im blocks of the Gram matrix, t stacks Re/Im parts of the
+    gains; t^T R t equals the complex quadratic form.
+    """
+    re, im = gram.real, gram.imag
+    r = np.block([[re, -im], [im, re]])
+    t = np.concatenate([gains.real, gains.imag])
+    return r, t
 
 
 def _optimizer(n, k, target, seed=0):

@@ -5,7 +5,6 @@ import pytest
 
 from beamkit import (
     HybridCodeword,
-    TwoRfInstance,
     design_nrf1,
     deviation,
     fs_altmin,
@@ -14,12 +13,19 @@ from beamkit import (
     phase_set,
     ps_icd,
     quantize_index,
-    quantize_phase,
     solve_two_rf,
     wrap_phase,
 )
-from beamkit import make_target
-from beamkit.practical import _two_rf_branches, _two_rf_solve
+from beamkit import SynthesisError, make_target
+from beamkit.practical import _two_rf_branches
+
+
+def _solve_one(alpha, beta, z1, p1, z2, p2):
+    """Continuous match of one target alpha e^{j beta} with digital entries
+    z1 e^{j p1} and z2 e^{j p2}; returns (theta1, theta2, residual)."""
+    th1, th2, res = solve_two_rf(np.array([alpha * np.exp(1j * beta)]),
+                                 z1 * np.exp(1j * p1), z2 * np.exp(1j * p2))
+    return float(th1[0]), float(th2[0]), float(res[0])
 
 
 def test_phase_set_values():
@@ -28,7 +34,6 @@ def test_phase_set_values():
         ps.values, [-0.75 * np.pi, -0.25 * np.pi, 0.25 * np.pi, 0.75 * np.pi]
     )
     assert ps.size == 4
-    assert ps.spacing == pytest.approx(np.pi / 2)
     with pytest.raises(ValueError):
         phase_set(0)
 
@@ -37,16 +42,17 @@ def test_quantize_member_maps_to_itself():
     # members of Phi_6 are odd multiples of pi/64 with spacing pi/32
     ps = phase_set(6)
     assert ps.size == 64
-    assert ps.spacing == pytest.approx(np.pi / 32)
-    assert quantize_phase(np.pi / 64, ps) == pytest.approx(np.pi / 64, abs=1e-12)
+    assert ps.values[quantize_index(np.pi / 64, ps.bits)] == pytest.approx(
+        np.pi / 64, abs=1e-12)
     for member in ps.values:
-        assert quantize_phase(member, ps) == pytest.approx(member, abs=1e-12)
+        assert ps.values[quantize_index(member, ps.bits)] == pytest.approx(
+            member, abs=1e-12)
 
 
 def test_quantize_tie_breaks_to_smaller_value():
     # theta = 0 is equidistant from -pi/2 and +pi/2 when b = 1
     ps = phase_set(1)
-    assert quantize_phase(0.0, ps) == pytest.approx(-np.pi / 2)
+    assert ps.values[quantize_index(0.0, ps.bits)] == pytest.approx(-np.pi / 2)
 
 
 def test_quantize_matches_linear_scan():
@@ -90,16 +96,14 @@ def test_design_nrf1_constant_modulus_input():
 
 
 def test_two_rf_trivial_alignment():
-    inst = TwoRfInstance(2.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-    th1, th2, res = solve_two_rf(inst)
+    th1, th2, res = _solve_one(2.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     assert th1 == pytest.approx(0.0, abs=1e-12)
     assert th2 == pytest.approx(0.0, abs=1e-12)
     assert res == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_rf_sqrt2_branch():
-    inst = TwoRfInstance(np.sqrt(2.0), 0.0, 1.0, 0.0, 1.0, 0.0)
-    th1, th2, res = solve_two_rf(inst)
+    th1, th2, res = _solve_one(np.sqrt(2.0), 0.0, 1.0, 0.0, 1.0, 0.0)
     assert sorted([th1, th2]) == pytest.approx([-np.pi / 4, np.pi / 4], abs=1e-10)
     assert res < 1e-12
 
@@ -109,40 +113,36 @@ def test_two_rf_continuous_exact_for_feasible():
     for _ in range(200):
         z1, z2 = rng.uniform(0.2, 1.5, 2)
         alpha = rng.uniform(abs(z1 - z2), z1 + z2)
-        inst = TwoRfInstance(
+        _, _, res = _solve_one(
             alpha, rng.uniform(-np.pi, np.pi), z1,
             rng.uniform(-np.pi, np.pi), z2, rng.uniform(-np.pi, np.pi),
         )
-        _, _, res = solve_two_rf(inst)
         assert res < 1e-10
 
 
 def test_two_rf_infeasible_clamps_to_best_effort():
     # target beyond reach: both phasors align with it
-    inst = TwoRfInstance(5.0, 0.3, 1.0, 0.0, 1.0, 0.0)
-    th1, th2, res = solve_two_rf(inst)
+    th1, th2, res = _solve_one(5.0, 0.3, 1.0, 0.0, 1.0, 0.0)
     assert th1 == pytest.approx(0.3, abs=1e-10)
     assert th2 == pytest.approx(0.3, abs=1e-10)
     assert res == pytest.approx(3.0, abs=1e-10)
     # target inside the unreachable ring: anti-aligned phasors
-    inst = TwoRfInstance(0.1, 0.0, 1.0, 0.0, 0.5, 0.0)
-    _, _, res = solve_two_rf(inst)
+    _, _, res = _solve_one(0.1, 0.0, 1.0, 0.0, 0.5, 0.0)
     assert res == pytest.approx(0.4, abs=1e-10)
 
 
 def test_two_rf_degenerate_magnitudes():
-    th1, th2, res = solve_two_rf(TwoRfInstance(1.0, 0.5, 1.0, 0.0, 0.0, 0.0))
+    th1, th2, res = _solve_one(1.0, 0.5, 1.0, 0.0, 0.0, 0.0)
     assert th1 == pytest.approx(0.5, abs=1e-12)
     assert res == pytest.approx(0.0, abs=1e-12)
-    _, _, res = solve_two_rf(TwoRfInstance(0.0, 0.0, 1.0, 0.0, 1.0, 0.0))
+    _, _, res = _solve_one(0.0, 0.0, 1.0, 0.0, 1.0, 0.0)
     assert res == pytest.approx(0.0, abs=1e-10)
 
 
-def _two_rf_exhaustive(inst, ps):
-    f1, f2 = inst.fbb
+def _two_rf_exhaustive(target, f1, f2, ps):
     best = np.inf
     for t1, t2 in itertools.product(ps.values, repeat=2):
-        r = abs(inst.target - f1 * np.exp(1j * t1) - f2 * np.exp(1j * t2))
+        r = abs(target - f1 * np.exp(1j * t1) - f2 * np.exp(1j * t2))
         best = min(best, r)
     return best
 
@@ -153,12 +153,12 @@ def test_two_rf_quantized_near_exhaustive():
     hits = 0
     for _ in range(300):
         z1, z2 = rng.uniform(0.2, 1.5, 2)
-        inst = TwoRfInstance(
-            rng.uniform(abs(z1 - z2), z1 + z2), rng.uniform(-np.pi, np.pi),
-            z1, rng.uniform(-np.pi, np.pi), z2, rng.uniform(-np.pi, np.pi),
-        )
-        _, _, res = solve_two_rf(inst, ps)
-        best = _two_rf_exhaustive(inst, ps)
+        alpha, beta = rng.uniform(abs(z1 - z2), z1 + z2), rng.uniform(-np.pi, np.pi)
+        target = alpha * np.exp(1j * beta)
+        f1 = z1 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        f2 = z2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        res = solve_two_rf(np.array([target]), f1, f2, ps)[2][0]
+        best = _two_rf_exhaustive(target, f1, f2, ps)
         assert res <= best + (z1 + z2) * np.pi / 4 + 1e-12
         hits += res <= best + 1e-9
     # quantizing the continuous optimum should usually hit the 16-cell optimum
@@ -201,7 +201,7 @@ def test_two_rf_solve_matches_candidate_loop(bits):
             f2 = f1  # equal phasors: swapped pairs tie exactly at gamma = 0
         gamma = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         gamma[:5] = 0.0
-        i1, i2, res = _two_rf_solve(gamma, f1, f2, ps)
+        i1, i2, res = solve_two_rf(gamma, f1, f2, ps)
         ref, n = _two_rf_reference(gamma, f1, f2, ps)
         ties += n
         np.testing.assert_array_equal(res, [r for r, _, _ in ref])
@@ -357,3 +357,33 @@ def test_deviation():
     assert deviation(a, b) == pytest.approx(np.sqrt(2.0))
     with pytest.raises(ValueError):
         deviation(a, np.ones(3, dtype=complex))
+
+
+_BAD_CODEWORDS = {
+    "nan": np.full(8, np.nan, dtype=complex),
+    "one-inf": np.r_[np.ones(7), np.inf].astype(complex),
+    "zero": np.zeros(8, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CODEWORDS))
+@pytest.mark.parametrize("n_rf", [1, 2, 3])
+def test_fs_altmin_rejects_zero_or_non_finite_input(kind, n_rf):
+    with pytest.raises(SynthesisError):
+        fs_altmin(_BAD_CODEWORDS[kind], n_rf, 4, t_max=3)
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CODEWORDS))
+def test_design_nrf1_rejects_zero_or_non_finite_input(kind):
+    with pytest.raises(SynthesisError):
+        design_nrf1(_BAD_CODEWORDS[kind], phase_set(4))
+
+
+@pytest.mark.parametrize("n_rf, t_max", [(1, 0), (2, 1), (2, 3)])
+def test_fs_altmin_collapsed_realization_raises(n_rf, t_max):
+    # with b = 1 and seed 4 every analog column starts as [j, j, j], and
+    # [0, 1, -1] is orthogonal to it: the digital vector is zero, and
+    # rescaling it to unit norm would give NaN
+    with pytest.raises(SynthesisError, match="collapsed"):
+        fs_altmin(np.array([0.0, 1.0, -1.0], dtype=complex), n_rf, 1,
+                  t_max=t_max, seed=4)

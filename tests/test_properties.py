@@ -1,0 +1,86 @@
+"""Property tests of the practical design's invariants.
+
+Examples are derandomized and bounded so the whole file stays within a
+few seconds of tier-1 time.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from beamkit import (
+    HybridCodeword,
+    SynthesisError,
+    fs_altmin,
+    phase_set,
+    solve_two_rf,
+)
+from beamkit.serialization import hybrid_from_dict, hybrid_to_dict
+
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+_reals = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+_complex = st.builds(complex, _reals, _reals)
+
+
+@_SETTINGS
+@given(
+    gamma=arrays(complex, st.integers(1, 12), elements=_complex),
+    f1=_complex,
+    f2=_complex,
+    bits=st.one_of(st.none(), st.integers(1, 6)),
+)
+def test_batched_two_rf_solve_equals_elementwise(gamma, f1, f2, bits):
+    pset = None if bits is None else phase_set(bits)
+    batched = solve_two_rf(gamma, f1, f2, pset)
+    for g in range(gamma.size):
+        single = solve_two_rf(gamma[g:g + 1], f1, f2, pset)
+        for whole, one in zip(batched, single):
+            assert whole[g] == one[0]
+
+
+@_SETTINGS
+@given(
+    v=arrays(complex, st.integers(2, 10), elements=_complex).filter(
+        lambda v: np.linalg.norm(v) > 1e-3),
+    n_rf=st.integers(1, 4),
+    bits=st.integers(1, 6),
+    t_max=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fs_altmin_output_is_finite_unit_norm_and_quantized(v, n_rf, bits,
+                                                            t_max, seed):
+    n_rf = min(n_rf, v.size)
+    try:
+        h = fs_altmin(v, n_rf, bits, t_max=t_max, seed=seed)
+    except SynthesisError:
+        return  # the one permitted failure: a loud error, never NaN output
+    realized = h.realized
+    assert np.all(np.isfinite(h.digital)) and np.all(np.isfinite(realized))
+    assert abs(np.linalg.norm(realized) - 1.0) <= 1e-9
+    assert h.phase_indices.shape == (v.size, n_rf)
+    assert np.all((h.phase_indices >= 0) & (h.phase_indices < 2**bits))
+
+
+@st.composite
+def _hybrids(draw):
+    n, n_rf, bits = (draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+                     draw(st.integers(1, 16)))
+    idx = draw(arrays(np.int64, (n, n_rf), elements=st.integers(0, 2**bits - 1)))
+    parts = st.floats(allow_nan=False, allow_infinity=False)
+    digital = draw(arrays(complex, n_rf, elements=st.builds(complex, parts, parts)))
+    return HybridCodeword(idx, bits, digital)
+
+
+@_SETTINGS
+@given(h=_hybrids())
+def test_hybrid_dict_round_trip_is_bit_exact(h):
+    back = hybrid_from_dict(json.loads(json.dumps(hybrid_to_dict(h))))
+    assert back.bits == h.bits
+    assert back.phase_indices.tobytes() == h.phase_indices.tobytes()
+    assert back.digital.dtype == h.digital.dtype
+    assert back.digital.tobytes() == h.digital.tobytes()

@@ -7,11 +7,12 @@ trial succeeds when the selected bottom-layer pair coincides with the
 noiseless exhaustive optimum over bottom-layer pairs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import HierarchicalCodebook, floor_log
+from .codebook import HierarchicalCodebook
 
 __all__ = [
     "Channel",
@@ -78,6 +79,8 @@ def draw_channel(n_t, n_r, l, seed=None, rng=None, gains=None, aod=None, aoa=Non
 
 def _snr_params(snr_db):
     """(transmit power, noise std) with unit noise variance as the knob."""
+    if math.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
     if snr_db == np.inf:
         return 1.0, 0.0
     if snr_db == -np.inf:
@@ -90,7 +93,7 @@ def measure(v, w, ch, snr_db, rng):
 
     y = sqrt(P) w^H H v + w^H eta with eta circular Gaussian of unit
     per-entry variance; P is set by snr_db.  snr_db of +/-inf selects the
-    noiseless and pure-noise limits.
+    noiseless and pure-noise limits; NaN raises ValueError.
     """
     p, sigma = _snr_params(snr_db)
     w = np.asarray(w, dtype=complex)
@@ -121,25 +124,24 @@ def _check_dims(tx_cb, rx_cb, ch):
 def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     """Layer-by-layer descent using measured powers only.
 
-    The first floor(log_M N_r) layers test all M x M child pairs jointly;
-    the remaining transmit layers test M transmit children against the
-    single receive beam selected at the receive bottom layer.  Ties keep
-    the first pair measured.  The measurement total equals
-    training_test_count(N_t, N_r, M); N_r must not exceed N_t.
+    Each codebook has log_M N layers.  The receive codebook's layers test
+    all M x M child pairs jointly; the remaining transmit layers test M
+    transmit children against the single receive beam selected at the
+    receive bottom layer.  Ties keep the first pair measured.  The
+    measurement total equals training_test_count(N_t, N_r, M); N_r must
+    not exceed N_t.
 
     Returns (tx_index, rx_index, measurements) with 0-based bottom-layer
     indices.
     """
     _check_dims(tx_cb, rx_cb, ch)
     m = tx_cb.m
-    s_t = floor_log(ch.n_t, m)
-    s_r = floor_log(ch.n_r, m)
     ti = ri = 0  # selected entry (0-based) at the current layer
     count = 0
-    for s in range(1, s_t + 1):
+    for s in range(1, tx_cb.s + 1):
         # a transmit-only layer keeps the selected receive beam as its one child
-        joint = s <= s_r
-        rx_layer = rx_cb.layers[s - 1 if joint else s_r - 1]
+        joint = s <= rx_cb.s
+        rx_layer = rx_cb.layers[s - 1] if joint else rx_cb.bottom
         rx_children = range(m * ri, m * ri + m) if joint else (ri,)
         rx_beams = [(b, rx_layer[b].codeword(use_practical)) for b in rx_children]
         best = None
@@ -157,11 +159,8 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
 def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
     """Noiseless argmax of |w^H H v| over all bottom-layer pairs (0-based)."""
     _check_dims(tx_cb, rx_cb, ch)
-    m = tx_cb.m
-    tx_bottom = tx_cb.layers[floor_log(ch.n_t, m) - 1]
-    rx_bottom = rx_cb.layers[floor_log(ch.n_r, m) - 1]
-    v = np.column_stack([e.codeword(use_practical) for e in tx_bottom])
-    w = np.column_stack([e.codeword(use_practical) for e in rx_bottom])
+    v = np.column_stack([e.codeword(use_practical) for e in tx_cb.bottom])
+    w = np.column_stack([e.codeword(use_practical) for e in rx_cb.bottom])
     scores = np.abs(w.conj().T @ ch.matrix @ v)  # (rx, tx)
     ri, ti = np.unravel_index(np.argmax(scores), scores.shape)
     return int(ti), int(ri)
@@ -182,8 +181,7 @@ class TrainingConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if np.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        _snr_params(self.snr_db)  # rejects NaN
 
 
 def success_rate(cfg):

@@ -18,7 +18,7 @@ import numpy as np
 from .arrays import main_lobe_mse, pattern_csv, sample_pattern
 from .channel import TrainingConfig, success_rate
 from .codebook import build_codebook
-from .ideal import SynthesisError, ls_icd, ps_icd
+from .ideal import ls_icd, ps_icd
 from .practical import deviation, fs_altmin
 from .serialization import (
     load_codebook,
@@ -44,27 +44,11 @@ def _parse_interval(text):
 
 
 def _parse_floats(text):
-    return [np.inf if t in ("inf", "+inf") else -np.inf if t == "-inf" else float(t)
-            for t in text.split(",")]
+    return [float(t) for t in text.split(",")]
 
 
 def _parse_ints(text):
     return [int(t) for t in text.split(",")]
-
-
-def _merge_config(args, parser_defaults):
-    """Fill unset options from the config file, then from hard defaults."""
-    merged = dict(parser_defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_conf = json.load(fh)
-        merged.update(file_conf.get(args.command, file_conf))
-    for key, value in vars(args).items():
-        if value is not None:
-            merged[key] = value
-    for key, value in merged.items():
-        setattr(args, key, value)
-    return args
 
 
 def _make_cli_target(args):
@@ -82,11 +66,9 @@ def cmd_design_ideal(args):
     else:
         v = ls_icd(target, args.n, args.k)
     save_codeword(v, args.out)
-    grid = np.linspace(-1.0, 1.0, 2048)
     with open(args.pattern_csv, "w") as fh:
-        fh.write(pattern_csv(sample_pattern(v, grid)))
-    mse = main_lobe_mse(v, target)
-    print(f"main_lobe_mse {mse:.12g}")
+        fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, 2048))))
+    print(f"main_lobe_mse {main_lobe_mse(v, target):.12g}")
     return 0
 
 
@@ -109,9 +91,8 @@ def cmd_design_practical(args):
 
 
 def cmd_build_codebook(args):
-    hw = None
-    if args.nrf is not None:
-        hw = {"n_rf": args.nrf, "b": args.bits, "t_max": args.tmax}
+    hw = None if args.nrf is None else {"n_rf": args.nrf, "b": args.bits,
+                                        "t_max": args.tmax}
     cb = build_codebook(args.n, m=args.m, k=args.k, r_max=args.rmax,
                         seed=args.seed, method=args.method, hw=hw)
     save_codebook(cb, args.out)
@@ -129,12 +110,9 @@ def cmd_simulate(args):
     lines = ["snr_db,trials,successes,rate,ci95"]
     all_records = []
     for snr_db in _parse_floats(str(args.snr)):
-        cfg = TrainingConfig(
-            tx_codebook=tx_cb, rx_codebook=rx_cb, snr_db=snr_db,
-            trials=args.trials, seed=args.seed, paths=args.paths,
-            use_practical=args.practical,
-        )
-        out = success_rate(cfg)
+        out = success_rate(TrainingConfig(
+            tx_codebook=tx_cb, rx_codebook=rx_cb, snr_db=snr_db, trials=args.trials,
+            seed=args.seed, paths=args.paths, use_practical=args.practical))
         lines.append(
             f"{snr_db:.12g},{out['trials']},{out['successes']},"
             f"{out['rate']:.12g},{out['ci95']:.12g}"
@@ -154,9 +132,8 @@ def cmd_simulate(args):
 
 def cmd_pattern(args):
     v = load_codeword(args.input)
-    grid = np.linspace(-1.0, 1.0, args.points)
     with open(args.out, "w") as fh:
-        fh.write(pattern_csv(sample_pattern(v, grid)))
+        fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, args.points))))
     return 0
 
 
@@ -181,78 +158,70 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **hard_defaults):
+    def add(name, func):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON file with default option values")
-        p.set_defaults(func=func, hard_defaults=hard_defaults)
+        p.set_defaults(func=func, command_parser=p)
         return p
 
-    p = add("design-ideal", cmd_design_ideal, method="ps-icd", target="rect",
-            cover="-1:0", heights="1,2", split=0.5, k=128, rmax=2000,
-            seed=_default_seed(), out="codeword.json",
-            pattern_csv="pattern.csv")
-    p.add_argument("--method", choices=["ps-icd", "ls-icd"])
+    p = add("design-ideal", cmd_design_ideal)
+    p.add_argument("--method", choices=["ps-icd", "ls-icd"], default="ps-icd")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cover", help="coverage interval as lo:hi")
-    p.add_argument("--target", choices=["rect", "triangular", "step"])
-    p.add_argument("--heights", help="step plateau heights h1,h2")
-    p.add_argument("--split", type=float, help="step split fraction")
-    p.add_argument("--k", type=int)
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--pattern-csv", dest="pattern_csv")
+    p.add_argument("--cover", default="-1:0", help="coverage interval as lo:hi")
+    p.add_argument("--target", choices=["rect", "triangular", "step"], default="rect")
+    p.add_argument("--heights", default="1,2", help="step plateau heights h1,h2")
+    p.add_argument("--split", type=float, default=0.5, help="step split fraction")
+    p.add_argument("--k", type=int, default=128)
+    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default="codeword.json")
+    p.add_argument("--pattern-csv", dest="pattern_csv", default="pattern.csv")
 
-    p = add("design-practical", cmd_design_practical, bits=6, tmax=50,
-            seeds=1, seed=_default_seed(), out="hybrid.json")
+    p = add("design-practical", cmd_design_practical)
     p.add_argument("--input", required=True, help="ideal codeword JSON")
     p.add_argument("--nrf", required=True, help="RF chain count(s), e.g. 1,2,4")
-    p.add_argument("--bits", type=int)
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--seeds", type=int, help="number of seeds for the median")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--bits", type=int, default=6)
+    p.add_argument("--tmax", type=int, default=50)
+    p.add_argument("--seeds", type=int, default=1, help="seed count for the median")
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default="hybrid.json")
 
-    p = add("build-codebook", cmd_build_codebook, m=2, k=128, rmax=2000,
-            method="ps-icd", bits=6, tmax=50, seed=_default_seed(),
-            out="codebook.json")
+    p = add("build-codebook", cmd_build_codebook)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--method", choices=["ps-icd", "ls-icd"])
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--k", type=int, default=128)
+    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--method", choices=["ps-icd", "ls-icd"], default="ps-icd")
     p.add_argument("--nrf", type=int, help="RF chains (omit for ideal-only)")
-    p.add_argument("--bits", type=int)
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
+    p.add_argument("--bits", type=int, default=6)
+    p.add_argument("--tmax", type=int, default=50)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default="codebook.json")
 
-    p = add("simulate", cmd_simulate, snr="-10,-5,0,5,10", trials=500,
-            paths=1, seed=_default_seed(), practical=False,
-            record_trials=False, out="success.csv")
+    p = add("simulate", cmd_simulate)
     p.add_argument("--codebook", help="codebook JSON used for both ends")
     p.add_argument("--tx-codebook", dest="tx_codebook")
     p.add_argument("--rx-codebook", dest="rx_codebook")
-    p.add_argument("--snr", help="SNR grid in dB, e.g. -10,-5,0 or inf")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--practical", action="store_const", const=True)
-    p.add_argument("--record-trials", dest="record_trials",
-                   action="store_const", const=True)
-    p.add_argument("--out")
+    p.add_argument("--snr", default="-10,-5,0,5,10",
+                   help="SNR grid in dB, e.g. 0,5 or inf; write a grid that "
+                        "starts with a negative value as --snr=-10,-5,0")
+    p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--paths", type=int, default=1)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--practical", action="store_true")
+    p.add_argument("--record-trials", dest="record_trials", action="store_true")
+    p.add_argument("--out", default="success.csv")
 
-    p = add("pattern", cmd_pattern, points=2048, out="pattern.csv")
+    p = add("pattern", cmd_pattern)
     p.add_argument("--input", required=True)
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
+    p.add_argument("--points", type=int, default=2048)
+    p.add_argument("--out", default="pattern.csv")
 
-    p = add("table1", cmd_table1, sizes="16,32,64,128", rmax=2000,
-            seed=_default_seed())
-    p.add_argument("--sizes")
+    p = add("table1", cmd_table1)
+    p.add_argument("--sizes", default="16,32,64,128")
     p.add_argument("--k", type=int, help="grid size (default max(128, 2N))")
-    p.add_argument("--rmax", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--seed", type=int, default=_default_seed())
 
     return parser
 
@@ -261,13 +230,19 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, args.hard_defaults)
+        if args.config:  # file values become defaults; explicit flags win
+            with open(args.config) as fh:
+                conf = json.load(fh)
+            conf = conf.get(args.command, conf) if isinstance(conf, dict) else None
+            if not isinstance(conf, dict):
+                raise ValueError(f"{args.config}: config must be a JSON object")
+            args.command_parser.set_defaults(**conf)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, PermissionError, IsADirectoryError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SynthesisError, RuntimeError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

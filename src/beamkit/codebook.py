@@ -58,6 +58,23 @@ def training_test_count(n_t, n_r, m):
     return m * floor_log(n_t, m) + (m * m - m) * floor_log(n_r, m)
 
 
+def _check_shape(n, m, layers=None):
+    """Depth s of a codebook for n = m^s antennas; given its layers, also
+    check that there are s of them and layer s holds m^s codewords of length n."""
+    s_total = layer_count(n, m)
+    if m**s_total != n:
+        raise ValueError(f"antenna count {n} must be m^s with s >= 1 (m = {m})")
+    if layers is not None and len(layers) != s_total:
+        raise ValueError(f"n = {n} needs {s_total} layers, got {len(layers)}")
+    for s, layer in enumerate(layers or (), 1):
+        if len(layer) != m**s:
+            raise ValueError(f"layer {s} has {len(layer)} entries, expected {m**s}")
+        for i, e in enumerate(layer, 1):
+            if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
+                raise ValueError(f"layer {s} entry {i}: codeword length is not n = {n}")
+    return s_total
+
+
 @dataclass
 class CodebookEntry:
     """One codeword with its coverage interval."""
@@ -118,9 +135,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     """
     if method not in ("ps-icd", "ls-icd"):
         raise ValueError(f"unknown ideal design method {method!r}")
-    s_total = layer_count(n, m)
-    if m**s_total != n:
-        raise ValueError(f"antenna count {n} must be m^s with s >= 1 (m = {m})")
+    s_total = _check_shape(n, m)
     if k < n:
         raise ValueError(f"grid size {k} must be >= antenna count {n}")
     if hw is not None:
@@ -138,7 +153,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
             hi = lo + width
             sub_seed = _entry_seed(seed, s, idx)
             try:
-                if width == 2.0 / n:
+                if s == s_total:
                     ideal = steering_vector(n, 0.5 * (lo + hi))
                     hybrid = (
                         design_nrf1(ideal, phase_set(hw["b"])) if hw else None

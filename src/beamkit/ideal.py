@@ -10,7 +10,6 @@ is cheap and the quadratic objective never decreases.
 import numpy as np
 
 from .arrays import steering_matrix
-from .targets import TargetPattern
 
 __all__ = [
     "SynthesisError",
@@ -117,7 +116,7 @@ def ps_icd(target, n, k, r_max, seed):
     assembled from the seeded initial phases.  Use k > n (e.g. 2n) for a
     phase design that differs from that.
     """
-    if not isinstance(target, TargetPattern) and not callable(target):
+    if not callable(target):
         raise TypeError("target must be a TargetPattern or callable")
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)

@@ -1,25 +1,23 @@
-"""JSON and CSV persistence for codewords, hybrid codewords, and codebooks.
+"""JSON persistence for codewords, hybrid codewords, and codebooks.
 
 Complex entries are stored as [re, im] pairs of plain floats, which JSON
 round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
-constraint survives the disk exactly.
+constraint survives the disk exactly.  Loaders check every field they
+read and raise ValueError naming the file and the first bad field;
+non-finite entries load as they are, for the design steps to reject.
 """
 
 import json
 
 import numpy as np
 
-from .codebook import CodebookEntry, HierarchicalCodebook
+from .codebook import CodebookEntry, HierarchicalCodebook, _check_shape
 from .practical import HybridCodeword
 
 __all__ = [
-    "codeword_to_dict",
-    "codeword_from_dict",
     "save_codeword",
     "load_codeword",
-    "hybrid_to_dict",
-    "hybrid_from_dict",
     "save_hybrid",
     "load_hybrid",
     "save_codebook",
@@ -27,104 +25,118 @@ __all__ = [
 ]
 
 
-def _complex_pairs(v):
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
-def _from_pairs(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
-
-
-def codeword_to_dict(v):
-    v = np.asarray(v, dtype=complex)
-    return {"n": int(v.size), "entries": _complex_pairs(v)}
-
-
-def codeword_from_dict(d):
-    v = _from_pairs(d["entries"])
-    if v.size != d["n"]:
-        raise ValueError("codeword length disagrees with its header")
-    return v
-
-
-def save_codeword(v, path):
-    with open(path, "w") as fh:
-        json.dump(codeword_to_dict(v), fh)
-        fh.write("\n")
-
-
-def load_codeword(path):
-    with open(path) as fh:
-        return codeword_from_dict(json.load(fh))
-
-
-def hybrid_to_dict(h):
-    return {
-        "n_rf": int(h.n_rf),
-        "b": int(h.bits),
-        "analog_phase_indices": h.phase_indices.astype(int).tolist(),
-        "digital": _complex_pairs(h.digital),
-    }
-
-
-def hybrid_from_dict(d):
-    idx = np.asarray(d["analog_phase_indices"], dtype=int)
-    digital = _from_pairs(d["digital"])
-    if idx.shape[1] != d["n_rf"] or digital.size != d["n_rf"]:
-        raise ValueError("hybrid codeword shape disagrees with its header")
-    return HybridCodeword(idx, int(d["b"]), digital)
-
-
-def save_hybrid(h, path):
-    with open(path, "w") as fh:
-        json.dump(hybrid_to_dict(h), fh)
-        fh.write("\n")
-
-
-def load_hybrid(path):
-    with open(path) as fh:
-        return hybrid_from_dict(json.load(fh))
-
-
-def save_codebook(cb, path):
-    doc = {
-        "n": cb.n,
-        "m": cb.m,
-        "s": cb.s,
-        "seed": cb.seed,
-        "method": cb.method,
-        "hw": cb.hw,
-        "layers": [
-            [
-                {
-                    "coverage": [e.coverage[0], e.coverage[1]],
-                    "ideal": _complex_pairs(e.ideal),
-                    "hybrid": hybrid_to_dict(e.hybrid) if e.hybrid else None,
-                }
-                for e in layer
-            ]
-            for layer in cb.layers
-        ],
-    }
+def _write(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def load_codebook(path):
+def _read(path, parse):
     with open(path) as fh:
-        doc = json.load(fh)
-    layers = [
-        [
-            CodebookEntry(
-                tuple(e["coverage"]),
-                _from_pairs(e["ideal"]),
-                hybrid_from_dict(e["hybrid"]) if e["hybrid"] else None,
-            )
-            for e in layer
-        ]
-        for layer in doc["layers"]
-    ]
-    return HierarchicalCodebook(
-        doc["n"], doc["m"], doc["seed"], layers, method=doc["method"], hw=doc["hw"]
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _field(doc, key, kind, where=""):
+    """doc[key], checked to be of type kind; where prefixes the field name."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where.rstrip('.') or 'document'} is not a JSON object")
+    if key not in doc:
+        raise ValueError(f"missing field {where}{key}")
+    if not isinstance(doc[key], kind) or isinstance(doc[key], bool):
+        raise ValueError(f"field {where}{key} has type {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _is_pair(p):
+    # type(), not isinstance(): a bool is not a number here
+    return type(p) is list and len(p) == 2 and all(type(x) in (int, float) for x in p)
+
+
+def _to_pairs(v):
+    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+
+
+def _complex(doc, key, size=None, where=""):
+    """A complex array stored as [re, im] pairs, of the given size if any."""
+    pairs = _field(doc, key, list, where)
+    if not all(map(_is_pair, pairs)) or size is not None and len(pairs) != size:
+        raise ValueError(f"field {where}{key} must be {size or 'a list of'} "
+                         "[re, im] number pairs")
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def _hybrid_doc(h):
+    return {"n_rf": int(h.n_rf), "b": int(h.bits),
+            "analog_phase_indices": h.phase_indices.astype(int).tolist(),
+            "digital": _to_pairs(h.digital)}
+
+
+def _hybrid(doc, where=""):
+    n_rf = _field(doc, "n_rf", int, where)
+    b = _field(doc, "b", int, where)
+    if n_rf < 1 or not 1 <= b <= 16:
+        raise ValueError(f"fields {where}n_rf = {n_rf}, {where}b = {b} out of range")
+    rows, top = _field(doc, "analog_phase_indices", list, where), 2**b
+    if not all(type(r) is list and len(r) == n_rf
+               and all(type(i) is int and 0 <= i < top for i in r) for r in rows):
+        raise ValueError(f"field {where}analog_phase_indices must be rows of "
+                         f"{n_rf} integers in [0, 2^{b})")
+    digital = _complex(doc, "digital", n_rf, where)
+    return HybridCodeword(np.asarray(rows, dtype=int), b, digital)
+
+
+def _entry(doc, where):
+    coverage = _field(doc, "coverage", list, where)
+    if not _is_pair(coverage):
+        raise ValueError(f"field {where}coverage must be a [lo, hi] number pair")
+    hybrid = _field(doc, "hybrid", (dict, type(None)), where)
+    return CodebookEntry(
+        tuple(coverage),
+        _complex(doc, "ideal", where=where),
+        None if hybrid is None else _hybrid(hybrid, where + "hybrid."),
     )
+
+
+def _codebook(doc):
+    n, m = _field(doc, "n", int), _field(doc, "m", int)
+    layers = _field(doc, "layers", list)
+    if not all(isinstance(layer, list) for layer in layers):
+        raise ValueError("field layers must be a list of lists of entries")
+    layers = [[_entry(e, f"layers[{s}][{i}].") for i, e in enumerate(layer)]
+              for s, layer in enumerate(layers)]
+    _check_shape(n, m, layers)
+    return HierarchicalCodebook(n, m, _field(doc, "seed", int), layers,
+                                method=_field(doc, "method", str),
+                                hw=_field(doc, "hw", (dict, type(None))))
+
+
+def save_codeword(v, path):
+    v = np.asarray(v, dtype=complex)
+    _write({"n": int(v.size), "entries": _to_pairs(v)}, path)
+
+
+def load_codeword(path):
+    return _read(path, lambda doc: _complex(doc, "entries", _field(doc, "n", int)))
+
+
+def save_hybrid(h, path):
+    _write(_hybrid_doc(h), path)
+
+
+def load_hybrid(path):
+    return _read(path, _hybrid)
+
+
+def save_codebook(cb, path):
+    layers = [[{"coverage": list(e.coverage), "ideal": _to_pairs(e.ideal),
+                "hybrid": _hybrid_doc(e.hybrid) if e.hybrid else None}
+               for e in layer] for layer in cb.layers]
+    _write({"n": cb.n, "m": cb.m, "s": cb.s, "seed": cb.seed, "method": cb.method,
+            "hw": cb.hw, "layers": layers}, path)
+
+
+def load_codebook(path):
+    return _read(path, _codebook)

@@ -181,3 +181,26 @@ def test_training_config_validation(small_codebooks):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=0)
     with pytest.raises(ValueError, match="NaN"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=np.nan, trials=5)
+
+
+def test_nan_snr_raises_when_called_directly():
+    # measure and the descent reject NaN themselves, not only TrainingConfig;
+    # a NaN power never wins a comparison, so the descent returned (0, 0)
+    tx = build_codebook(8, k=64, r_max=100, seed=0)
+    rx = build_codebook(4, k=64, r_max=100, seed=1)
+    ch = draw_channel(8, 4, 1, seed=1)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="NaN"):
+        measure(tx.bottom[0].ideal, rx.bottom[0].ideal, ch, np.nan, rng)
+    with pytest.raises(ValueError, match="NaN"):
+        hierarchical_search(tx, rx, ch, np.nan, rng)
+
+
+def test_mismatched_hierarchical_factors_raise():
+    tx = build_codebook(4, m=2, k=32, r_max=50, seed=0)
+    rx = build_codebook(3, m=3, k=32, r_max=50, seed=0)
+    ch = draw_channel(4, 3, 1, seed=0)
+    with pytest.raises(ValueError, match="hierarchical factor"):
+        hierarchical_search(tx, rx, ch, np.inf, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="hierarchical factor"):
+        exhaustive_best_pair(tx, rx, ch)

@@ -1,10 +1,16 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamkit
 from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd
-from beamkit.cli import main
+from beamkit.cli import build_parser, main
 from beamkit.serialization import load_codebook, load_codeword, load_hybrid
 
 
@@ -169,14 +175,52 @@ def test_table1_default_grid_is_twice_n_at_128(capsys):
     assert row.split(",")[1] == f"{ps:.12g}"
 
 
-def test_config_file_defaults_and_flag_override(tmp_path, capsys):
+def test_config_file_defaults_and_flag_override(tmp_path):
+    def design(name, *flags):
+        out = tmp_path / f"{name}.json"
+        assert main(["design-ideal", "--n", "8", "--out", str(out),
+                     "--pattern-csv", str(tmp_path / f"{name}.csv"), *flags]) == 0
+        return load_codeword(out)
+
+    section = tmp_path / "section.json"
+    section.write_text(json.dumps({"design-ideal": {"rmax": 100, "k": 64}}))
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"rmax": 100, "k": 64}))
+    explicit = design("explicit", "--rmax", "100", "--k", "32")
+    # the config's rmax = 100 reaches the design (the default is 2000), and an
+    # explicit --k 32 beats its k = 64 wherever it stands on the command line
+    assert not np.array_equal(design("default", "--k", "32"), explicit)
+    for name, flags in (("after", ["--config", str(section), "--k", "32"]),
+                        ("before", ["--k", "32", "--config", str(section)]),
+                        ("flat", ["--config", str(flat), "--k", "32"])):
+        np.testing.assert_array_equal(design(name, *flags), explicit)
+    # without an explicit flag the config's k = 64 applies
+    np.testing.assert_array_equal(design("k64", "--config", str(section)),
+                                  design("ref64", "--rmax", "100", "--k", "64"))
+
+
+def test_config_file_must_be_an_object(tmp_path, capsys):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"design-ideal": {"rmax": 100, "k": 64}}))
-    out = tmp_path / "v.json"
-    rc = main(["design-ideal", "--config", str(conf), "--n", "8",
-               "--k", "32", "--out", str(out),
-               "--pattern-csv", str(tmp_path / "p.csv")])
-    assert rc == 0  # explicit --k 32 overrides the config's 64
+    conf.write_text("[1, 2]")
+    rc = main(["pattern", "--config", str(conf), "--input", "v.json"])
+    assert rc == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = [ln for ln in block.splitlines() if ln.startswith("beamkit ")]
+    parser = build_parser()
+    commands = set()
+    for line in lines:
+        try:
+            commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")
+    assert commands == {"design-ideal", "design-practical", "build-codebook",
+                        "simulate", "pattern", "table1"}
 
 
 def test_beam_seed_env(tmp_path, monkeypatch):
@@ -216,6 +260,44 @@ def test_exit_code_io_error(tmp_path):
     assert rc == 3
     rc = main(["simulate", "--codebook", str(tmp_path / "missing.json")])
     assert rc == 3
+
+
+def test_simulate_without_codebook_is_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--rx-codebook", str(tmp_path / "cb.json"),
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert "provide --codebook" in capsys.readouterr().err
+
+
+def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
+    cb = tmp_path / "cb.json"
+    cb.write_text(json.dumps({"n": 4, "m": 2, "seed": 0, "method": "ps-icd",
+                              "hw": None}))
+    v = tmp_path / "v.json"
+    v.write_text(json.dumps({"entries": [[1.0, 0.0]]}))
+    for argv, field in ((["simulate", "--codebook", str(cb)], "layers"),
+                        (["pattern", "--input", str(v)], "field n")):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # runs `python -m beamkit.cli`, so that sys.exit(main()) is exercised
+    src = str(Path(beamkit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    cb = tmp_path / "cb.json"
+    cb.write_text("[]")
+    for args, code in (([], 2),
+                       (["pattern", "--input", str(tmp_path / "missing.json")], 3),
+                       (["simulate", "--codebook", str(cb)], 2)):
+        run = subprocess.run([sys.executable, "-m", "beamkit.cli", *args],
+                             capture_output=True, text=True, env=env,
+                             cwd=tmp_path)
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_exit_code_numerical_failure(tmp_path):

@@ -4,7 +4,8 @@ Examples are derandomized and bounded so the whole file stays within a
 few seconds of tier-1 time.
 """
 
-import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from beamkit import (
     phase_set,
     solve_two_rf,
 )
-from beamkit.serialization import hybrid_from_dict, hybrid_to_dict
+from beamkit.serialization import load_hybrid, save_hybrid
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
@@ -79,7 +80,10 @@ def _hybrids(draw):
 @_SETTINGS
 @given(h=_hybrids())
 def test_hybrid_dict_round_trip_is_bit_exact(h):
-    back = hybrid_from_dict(json.loads(json.dumps(hybrid_to_dict(h))))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.json")
+        save_hybrid(h, path)
+        back = load_hybrid(path)
     assert back.bits == h.bits
     assert back.phase_indices.tobytes() == h.phase_indices.tobytes()
     assert back.digital.dtype == h.digital.dtype

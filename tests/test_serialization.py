@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +8,6 @@ import pytest
 from beamkit import build_codebook, fs_altmin, ps_icd
 from beamkit import make_target
 from beamkit.serialization import (
-    codeword_from_dict,
-    codeword_to_dict,
     load_codebook,
     load_codeword,
     load_hybrid,
@@ -26,12 +26,14 @@ def test_codeword_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(v, w)  # bit-exact, not approx
 
 
-def test_codeword_dict_shape():
-    v = np.array([1 + 2j, 3 - 4j])
-    d = codeword_to_dict(v)
-    assert d == {"n": 2, "entries": [[1.0, 2.0], [3.0, -4.0]]}
-    with pytest.raises(ValueError):
-        codeword_from_dict({"n": 3, "entries": [[1.0, 0.0]]})
+def test_codeword_dict_shape(tmp_path):
+    path = tmp_path / "v.json"
+    save_codeword(np.array([1 + 2j, 3 - 4j]), path)
+    assert json.loads(path.read_text()) == {
+        "n": 2, "entries": [[1.0, 2.0], [3.0, -4.0]]}
+    path.write_text(json.dumps({"n": 3, "entries": [[1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="entries"):
+        load_codeword(path)
 
 
 def test_hybrid_round_trip(tmp_path):
@@ -71,3 +73,72 @@ def test_files_are_plain_json(tmp_path):
     save_codeword(v, path)
     doc = json.loads(path.read_text())
     assert doc["n"] == 1
+
+
+@pytest.fixture(scope="module")
+def codebook_doc(tmp_path_factory):
+    """A saved 8-antenna codebook with 4-bit hybrids, as a JSON document."""
+    path = tmp_path_factory.mktemp("cb") / "cb.json"
+    save_codebook(build_codebook(8, m=2, k=64, r_max=100, seed=0,
+                                 hw={"n_rf": 2, "b": 4, "t_max": 5}), path)
+    return json.loads(path.read_text())
+
+
+def edited(doc, keys, change):
+    """A copy of doc whose item at keys is replaced by change(item), or
+    deleted when change is None."""
+    doc = copy.deepcopy(doc)
+    if not keys:
+        return change(doc)
+    *parents, last = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    if change is None:
+        del node[last]
+    else:
+        node[last] = change(node[last])
+    return doc
+
+
+_INDEX = ("layers", 0, 1, "hybrid", "analog_phase_indices", 3, 1)
+
+# (keys, change, text the error must contain) for each way to break a codebook
+MALFORMED_CODEBOOKS = {
+    "not-an-object": ((), lambda d: [d], "document is not a JSON object"),
+    "missing-layers": (("layers",), None, "missing field layers"),
+    "too-few-layers": (("layers",), lambda l: l[:2], "needs 3 layers, got 2"),
+    "wrong-entry-count": (("layers", 1), lambda l: l[:3],
+                          "layer 2 has 3 entries, expected 4"),
+    "short-ideal": (("layers", 1, 2, "ideal"), lambda v: v[:-1],
+                    "layer 2 entry 3: codeword length"),
+    "index-equal-to-2^b": (_INDEX, lambda i: 16, "layers[0][1].hybrid.analog"),
+    "negative-index": (_INDEX, lambda i: -1, "layers[0][1].hybrid.analog"),
+    "float-index": (_INDEX, lambda i: 1.0, "layers[0][1].hybrid.analog"),
+    "string-pair": (("layers", 0, 0, "ideal", 0), lambda p: ["1", 0],
+                    "layers[0][0].ideal"),
+    "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],
+                     "layers[0][0].hybrid.digital"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CODEBOOKS)
+def test_malformed_codebook_names_the_field(tmp_path, codebook_doc, case):
+    keys, change, message = MALFORMED_CODEBOOKS[case]
+    path = tmp_path / "cb.json"
+    path.write_text(json.dumps(edited(codebook_doc, keys, change)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_codebook(path)
+
+
+def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
+    path = tmp_path / "x.json"
+    for load, doc, message in (
+        (load_codeword, {"entries": [[1.0, 0.0]]}, "missing field n"),
+        (load_codeword, {"n": 1, "entries": [[1.0]]}, "field entries"),
+        (load_hybrid, {"n_rf": 1, "b": 17, "analog_phase_indices": [[0]],
+                       "digital": [[1.0, 0.0]]}, "b = 17"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load(path)

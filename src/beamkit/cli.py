@@ -35,7 +35,38 @@ EXIT_NUMERICAL = 4
 
 
 def _default_seed():
-    return int(os.environ.get("BEAM_SEED", "0"))
+    try:
+        return int(os.environ.get("BEAM_SEED", "0"))
+    except ValueError:
+        raise ValueError("BEAM_SEED must be an integer, got "
+                         f"{os.environ['BEAM_SEED']!r}") from None
+
+
+def _config_defaults(path, command, parser):
+    """Option defaults from a JSON config file, checked the way parser
+    checks the same values given as flags."""
+    with open(path) as fh:
+        conf = json.load(fh)
+    conf = conf.get(command, conf) if isinstance(conf, dict) else None
+    if not isinstance(conf, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    for key, value in conf.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"{path}: {command} has no option {key!r}")
+        try:
+            if action.nargs == 0:  # an on/off flag takes a JSON boolean
+                ok = isinstance(value, bool)
+            else:  # any other value is read as the text after its flag
+                value = (action.type or str)(str(value))
+                ok = action.choices is None or value in action.choices
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{path}: invalid value {conf[key]!r} for {key!r}")
+        conf[key] = value
+    return conf
 
 
 def _parse_interval(text):
@@ -63,8 +94,10 @@ def cmd_design_ideal(args):
     target = _make_cli_target(args)
     if args.method == "ps-icd":
         v = ps_icd(target, args.n, args.k, args.rmax, args.seed)
-    else:
+    elif args.method == "ls-icd":
         v = ls_icd(target, args.n, args.k)
+    else:
+        raise ValueError(f"unknown method {args.method!r}")
     save_codeword(v, args.out)
     with open(args.pattern_csv, "w") as fh:
         fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, 2048))))
@@ -227,16 +260,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if args.config:  # file values become defaults; explicit flags win
-            with open(args.config) as fh:
-                conf = json.load(fh)
-            conf = conf.get(args.command, conf) if isinstance(conf, dict) else None
-            if not isinstance(conf, dict):
-                raise ValueError(f"{args.config}: config must be a JSON object")
-            args.command_parser.set_defaults(**conf)
+            args.command_parser.set_defaults(**_config_defaults(
+                args.config, args.command, args.command_parser))
             args = parser.parse_args(argv)
         return args.func(args)
     except OSError as exc:

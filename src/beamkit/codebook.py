@@ -23,47 +23,38 @@ __all__ = [
     "build_codebook",
     "training_test_count",
     "layer_count",
-    "floor_log",
 ]
 
 
 def layer_count(n, m):
-    """Number of layers: smallest S with M^S >= N."""
+    """Depth s of a hierarchical codebook for n = m^s antennas, s >= 1;
+    any other n raises ValueError."""
     if m < 2:
         raise ValueError(f"hierarchical factor must be >= 2, got {m}")
     s = 1
     while m**s < n:
         s += 1
-    return s
-
-
-def floor_log(n, m):
-    """Largest s with M^s <= N."""
-    s = 0
-    while m ** (s + 1) <= n:
-        s += 1
+    if m**s != n:
+        raise ValueError(f"antenna count {n} must be m^s with s >= 1 (m = {m})")
     return s
 
 
 def training_test_count(n_t, n_r, m):
     """Number of beam-training measurements for one hierarchical descent.
 
-    M * floor(log_M N_t) + (M^2 - M) * floor(log_M N_r), versus N_t * N_r
-    for the exhaustive sweep.  The descent needs N_r <= N_t.
+    M * log_M N_t + (M^2 - M) * log_M N_r, versus N_t * N_r for the
+    exhaustive sweep.  Both antenna counts must be powers of M, and the
+    descent needs N_r <= N_t.
     """
-    if n_t < 1 or n_r < 1 or m < 2:
-        raise ValueError("antenna counts must be positive and m >= 2")
     if n_r > n_t:
         raise ValueError(f"N_r must not exceed N_t, got {n_r} > {n_t}")
-    return m * floor_log(n_t, m) + (m * m - m) * floor_log(n_r, m)
+    return m * layer_count(n_t, m) + (m * m - m) * layer_count(n_r, m)
 
 
 def _check_shape(n, m, layers=None):
     """Depth s of a codebook for n = m^s antennas; given its layers, also
     check that there are s of them and layer s holds m^s codewords of length n."""
     s_total = layer_count(n, m)
-    if m**s_total != n:
-        raise ValueError(f"antenna count {n} must be m^s with s >= 1 (m = {m})")
     if layers is not None and len(layers) != s_total:
         raise ValueError(f"n = {n} needs {s_total} layers, got {len(layers)}")
     for s, layer in enumerate(layers or (), 1):

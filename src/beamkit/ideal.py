@@ -60,16 +60,6 @@ class PhaseOptimizer:
         """The complex gain vector g with current phases."""
         return self.magnitudes * np.exp(1j * self.phases)
 
-    def objective(self):
-        """g^H (A^H A) g, the quantity the sweep maximizes (real)."""
-        g = self.gains
-        return float(np.real(g.conj() @ self.gram @ g))
-
-    def cross_term(self, k):
-        """sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k."""
-        g = self.gains
-        return complex(self.gram[k] @ g - self.gram[k, k] * g[k])
-
     def update(self, k):
         """Closed-form update of phase k; returns the (possibly kept) phase.
 
@@ -79,7 +69,9 @@ class PhaseOptimizer:
         """
         if self.magnitudes[k] == 0.0:
             return self.phases[k]
-        c = self.cross_term(k)
+        # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
+        g = self.gains
+        c = complex(self.gram[k] @ g - self.gram[k, k] * g[k])
         if abs(c) <= self._degenerate[k]:
             return self.phases[k]
         self.phases[k] = np.angle(c)

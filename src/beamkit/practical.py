@@ -212,59 +212,64 @@ def solve_two_rf(gamma, f1, f2, pset=None):
 
 
 def fs_row(target, fbb, pset, init_indices, history=None):
-    """Cyclic search for one antenna row with at least three RF chains.
+    """Cyclic search of R antenna rows, each with at least three RF chains.
 
-    One phase at a time (from the third on) is swept over the whole phase
-    set; for each candidate the first two phases are re-solved in closed
-    form against the residual target, and the best candidate wins (ties go
-    to the smaller phase value).  Stops when a full cycle leaves every
-    swept phase unchanged, or at the safety cap.  Never returns a row
-    worse than the initial one.
+    Row r of init_indices (R, n_rf) is fitted to target[r], every row on its
+    own.  At step t, phase p = t mod (n_rf - 2) + 2 of each row still
+    searching is swept over the whole phase set; for each candidate the
+    first two phases are re-solved in closed form against the residual
+    target, and the best candidate wins (ties go to the smaller phase value)
+    unless it is worse than the row's incumbent.  A row stops after n_rf - 2
+    steps in a row leave it unchanged, or at the safety cap.
 
-    Returns (indices, residual, iterations).  history, if given, collects
-    the per-iteration residuals.
+    Returns (indices (R, n_rf), residuals (R,), steps), steps being the
+    slowest row's step count.  history, if given, collects the (R,)
+    residuals after every step.
     """
     fbb = np.asarray(fbb, dtype=complex)
     n_rf = fbb.size
     if n_rf < 3:
         raise ValueError("fs_row requires at least three RF chains")
+    target = np.asarray(target, dtype=complex)
     vals = pset.values
     candidates = np.exp(1j * vals)
-    idx = np.asarray(init_indices, dtype=int).copy()
-    res = abs(target - np.sum(fbb * np.exp(1j * vals[idx])))
+    idx = np.array(init_indices, dtype=int)
+    # np.hypot rounds like scalar abs(), as the golden ledger does; np.abs
+    # on an array may take a vector path that differs in the last bit
+    start = target - np.sum(fbb * np.exp(1j * vals[idx]), axis=1)
+    res = np.hypot(start.real, start.imag)
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
-    unchanged = 0
+    unchanged = np.zeros(target.size, dtype=int)
+    active = np.arange(target.size)  # rows still searching
     t = 0
-    while t < cap:
+    while t < cap and active.size:
         p = t % (n_rf - 2) + 2
-        # residual targets for every candidate value of phase p
-        fixed = np.sum(fbb[2:] * np.exp(1j * vals[idx[2:]])) - fbb[p] * np.exp(
-            1j * vals[idx[p]]
-        )
-        resid_targets = target - fixed - fbb[p] * candidates
-        i1, i2, errs = solve_two_rf(resid_targets, fbb[0], fbb[1], pset)
-        best = int(np.argmin(errs))
-        # keep the incumbent row when no candidate improves on it, so the
+        rows = idx[active]
+        # residual targets for every candidate value of phase p, one row each;
+        # phase p's own term is rounded part by part like a scalar product
+        # (as in the golden ledger), not fused like a vector product
+        e = np.exp(1j * vals[rows])
+        fp, ep = fbb[p], e[:, p]
+        own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
+                               fp.real * ep.imag + fp.imag * ep.real])
+        fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
+        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * candidates
+        i1, i2, errs = solve_two_rf(resid_targets.ravel(), fbb[0], fbb[1], pset)
+        best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
+        pick = np.arange(active.size) * pset.size + best
+        new = np.column_stack([i1[pick], i2[pick], best])
+        # keep the incumbent row when no candidate improves on it, so every
         # residual sequence is non-increasing
-        if errs[best] <= res:
-            moved = (best, int(i1[best]), int(i2[best])) != (
-                idx[p],
-                idx[0],
-                idx[1],
-            )
-            idx[p] = best
-            idx[0] = int(i1[best])
-            idx[1] = int(i2[best])
-            res = float(errs[best])
-        else:
-            moved = False
+        accept = errs[pick] <= res[active]
+        moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
+        idx[active[accept, None], [0, 1, p]] = new[accept]
+        res[active[accept]] = errs[pick][accept]
         if history is not None:
-            history.append(res)
+            history.append(res.copy())
         t += 1
-        unchanged = 0 if moved else unchanged + 1
-        if unchanged >= n_rf - 2:
-            break
+        unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
+        active = active[unchanged[active] < n_rf - 2]
     return idx, res, t
 
 
@@ -286,31 +291,6 @@ def ls_fbb(analog, v):
         )
         return np.linalg.pinv(analog) @ v
     return np.linalg.solve(gram, analog.conj().T @ v)
-
-
-def _design_rows(v, fbb, pset, idx):
-    """Rewrite every analog row for a fixed digital vector (in place copy).
-
-    Each row keeps its previous phases whenever they beat the newly solved
-    ones, so the objective cannot increase.
-    """
-    vals = pset.values
-    n_rf = fbb.size
-    idx = idx.copy()
-    if n_rf == 2:
-        i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
-        old = np.abs(
-            v
-            - fbb[0] * np.exp(1j * vals[idx[:, 0]])
-            - fbb[1] * np.exp(1j * vals[idx[:, 1]])
-        )
-        keep_new = new_res <= old
-        idx[:, 0] = np.where(keep_new, i1, idx[:, 0])
-        idx[:, 1] = np.where(keep_new, i2, idx[:, 1])
-        return idx
-    for n in range(v.size):
-        idx[n], _, _ = fs_row(v[n], fbb, pset, idx[n])
-    return idx
 
 
 def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
@@ -346,7 +326,14 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     if trace is not None:
         trace.append(float(np.linalg.norm(v - analog @ fbb)))
     for _ in range(int(t_max)):
-        idx = _design_rows(v, fbb, pset, idx)
+        if n_rf == 2:
+            # all rows in closed form; a row keeps its phases if they are better
+            i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
+            old = np.abs(v - fbb[0] * np.exp(1j * vals[idx[:, 0]])
+                         - fbb[1] * np.exp(1j * vals[idx[:, 1]]))
+            idx = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), idx)
+        else:
+            idx, _, _ = fs_row(v, fbb, pset, idx)
         analog = np.exp(1j * vals[idx])
         new_fbb = ls_fbb(analog, v)
         if trace is not None:

@@ -207,6 +207,26 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, conf, named", [
+    ("design-ideal", {"method": "bogus"}, "invalid value 'bogus' for 'method'"),
+    ("design-ideal", {"design-ideal": {"rmx": 100}},
+     "design-ideal has no option 'rmx'"),
+    ("design-ideal", {"k": 1.5}, "invalid value 1.5 for 'k'"),
+    ("simulate", {"practical": "yes"}, "invalid value 'yes' for 'practical'"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, conf,
+                                              named):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    out = tmp_path / "out.json"
+    extra = {"design-ideal": ["--n", "8", "--pattern-csv", str(tmp_path / "p.csv")],
+             "simulate": ["--codebook", str(tmp_path / "cb.json")]}[command]
+    rc = main([command, *extra, "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert f"error: {path}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
@@ -238,6 +258,18 @@ def test_beam_seed_env(tmp_path, monkeypatch):
           "--pattern-csv", str(tmp_path / "p2.csv")])
     np.testing.assert_array_equal(load_codeword(out1), load_codeword(out2))
     assert cli._default_seed() == 0
+
+
+def test_non_integer_beam_seed_is_usage_error(tmp_path):
+    src = str(Path(beamkit.__file__).resolve().parents[1])
+    env = {**os.environ, "BEAM_SEED": "abc",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "beamkit.cli", "table1",
+                          "--sizes", "8"], capture_output=True, text=True,
+                         env=env, cwd=tmp_path)
+    assert run.returncode == 2
+    assert "error: BEAM_SEED must be an integer, got 'abc'" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_exit_code_usage_error(tmp_path):

@@ -9,22 +9,15 @@ from beamkit import (
     steering_vector,
     training_test_count,
 )
-from beamkit.codebook import floor_log
 
 
 def test_layer_count():
     assert layer_count(16, 2) == 4
     assert layer_count(8, 2) == 3
-    assert layer_count(9, 2) == 4
     assert layer_count(27, 3) == 3
-    with pytest.raises(ValueError):
-        layer_count(8, 1)
-
-
-def test_floor_log():
-    assert floor_log(16, 2) == 4
-    assert floor_log(17, 2) == 4
-    assert floor_log(8, 3) == 1
+    for n, m in ((8, 1), (9, 2), (1, 2), (0, 2)):
+        with pytest.raises(ValueError):
+            layer_count(n, m)
 
 
 def test_training_test_count_values():

@@ -225,8 +225,8 @@ def test_fs_row_representable_target_reaches_zero():
         fbb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         delta = ps.values[rng.integers(0, 4, 3)]
         target = np.sum(fbb * np.exp(1j * delta))
-        idx, res, _ = fs_row(target, fbb, ps, rng.integers(0, 4, 3))
-        assert res <= _row_exhaustive(target, fbb, ps) + 1e-9
+        _, res, _ = fs_row([target], fbb, ps, rng.integers(0, 4, (1, 3)))
+        assert res[0] <= _row_exhaustive(target, fbb, ps) + 1e-9
 
 
 def test_fs_row_monotone_history_and_cap():
@@ -236,11 +236,13 @@ def test_fs_row_monotone_history_and_cap():
         fbb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         target = complex(rng.standard_normal(), rng.standard_normal())
         hist = []
-        _, res, iters = fs_row(target, fbb, ps, rng.integers(0, 4, 4), hist)
+        _, res, iters = fs_row([target], fbb, ps, rng.integers(0, 4, (1, 4)),
+                               hist)
         assert iters <= 64 * 2
+        hist = np.array(hist)[:, 0]  # each entry holds the one row's residual
         diffs = np.diff(hist)
         assert np.all(diffs <= 1e-12)
-        assert res == pytest.approx(hist[-1], abs=1e-12)
+        assert res[0] == pytest.approx(hist[-1], abs=1e-12)
 
 
 def test_fs_row_never_worse_than_init():
@@ -249,16 +251,17 @@ def test_fs_row_never_worse_than_init():
     for trial in range(50):
         fbb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         target = complex(rng.standard_normal(), rng.standard_normal())
-        init = rng.integers(0, 2, 3)
-        init_res = abs(target - np.sum(fbb * np.exp(1j * ps.values[init])))
-        _, res, _ = fs_row(target, fbb, ps, init)
-        assert res <= init_res + 1e-12
+        init = rng.integers(0, 2, (1, 3))
+        init_res = abs(target - np.sum(fbb * np.exp(1j * ps.values[init[0]])))
+        _, res, _ = fs_row([target], fbb, ps, init)
+        assert res[0] <= init_res + 1e-12
 
 
 def test_fs_row_requires_three_chains():
     ps = phase_set(2)
     with pytest.raises(ValueError):
-        fs_row(1.0 + 0j, np.ones(2, dtype=complex), ps, np.zeros(2, dtype=int))
+        fs_row([1.0 + 0j], np.ones(2, dtype=complex), ps,
+               np.zeros((1, 2), dtype=int))
 
 
 def test_ls_fbb_matches_lstsq():
@@ -335,10 +338,8 @@ def test_fs_altmin_row_separability():
     # same seed draws the same initial index matrix, which is NOT permuted,
     # so compare one extra alternation from identical fixed digital vectors
     fbb = h.digital
-    from beamkit.practical import _design_rows
-
-    idx = _design_rows(v, fbb, phase_set(4), h.phase_indices)
-    idxp = _design_rows(v[perm], fbb, phase_set(4), idx[perm])
+    idx, _, _ = fs_row(v, fbb, phase_set(4), h.phase_indices)
+    idxp, _, _ = fs_row(v[perm], fbb, phase_set(4), idx[perm])
     np.testing.assert_array_equal(idxp, idx[perm])
 
 

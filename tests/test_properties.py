@@ -16,6 +16,7 @@ from beamkit import (
     HybridCodeword,
     SynthesisError,
     fs_altmin,
+    fs_row,
     phase_set,
     solve_two_rf,
 )
@@ -42,6 +43,29 @@ def test_batched_two_rf_solve_equals_elementwise(gamma, f1, f2, bits):
         single = solve_two_rf(gamma[g:g + 1], f1, f2, pset)
         for whole, one in zip(batched, single):
             assert whole[g] == one[0]
+
+
+@_SETTINGS
+@given(
+    n_rf=st.integers(3, 6),
+    bits=st.sampled_from([1, 2, 4]),
+    rows=st.integers(1, 8),
+    data=st.data(),
+)
+def test_all_rows_fs_row_equals_one_row_calls(n_rf, bits, rows, data):
+    pset = phase_set(bits)
+    fbb = data.draw(arrays(complex, n_rf, elements=_complex))
+    target = data.draw(arrays(complex, rows, elements=_complex))
+    init = data.draw(arrays(np.int64, (rows, n_rf),
+                            elements=st.integers(0, pset.size - 1)))
+    idx, res, steps = fs_row(target, fbb, pset, init)
+    one_row_steps = []
+    for r in range(rows):
+        i, e, t = fs_row(target[r:r + 1], fbb, pset, init[r:r + 1])
+        np.testing.assert_array_equal(idx[r], i[0])
+        assert res[r] == e[0]
+        one_row_steps.append(t)
+    assert steps == max(one_row_steps)
 
 
 @_SETTINGS

@@ -1,4 +1,4 @@
-"""Golden-output ledger for the practical design.
+"""Golden-output ledger for the codeword designs and the training simulator.
 
 Every named output of a fixed, seeded set of runs is reduced to a sha256
 over its dtype, shape and bytes, so a change that moves any output by one
@@ -8,12 +8,23 @@ bit, or changes its dtype, shows up by name.  The runs are:
   N = 12/16/32, n_rf = 2..5 and b = 1/2/4/6, with a short t_max;
 - two codebook builds shaped like the benchmark's codebook-sweep
   (N = 16, 4 RF chains, 6 bits, t_max = 2);
-- one ps-icd codebook with two RF chains at N = 16.
+- one ps-icd codebook with two RF chains at N = 16;
+- ps-icd and ls-icd ideal codebooks at N = 8 and N = 32, without hardware;
+  every codebook with hardware also hashes each entry's realized codeword;
+- tie runs: fs_row on targets that the quantized phases represent exactly,
+  with equal digital entries (b = 1/2, n_rf = 3/4), and two-chain fs_altmin
+  on such vectors, where equal candidates make the tie and acceptance
+  rules decide the result;
+- one 100-trial success_rate per half (practical ps-icd with two RF
+  chains, ideal ls-icd) at N_t/N_r = 32/16, 3 paths, SNR 0 dB and +inf:
+  each trial's selected pair, best pair, success and measurement count.
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
 rewrites manifest.json next to this file; tests/test_golden.py recomputes
-every output and compares.  Regenerate the manifest only in a commit of
+every output and compares.  The manifest also records the numpy version
+and the CPU SIMD features numpy dispatches to, since some outputs depend
+on them in the last bit.  Regenerate the manifest only in a commit of
 its own, with its reason in CHANGES.md; a refactor must pass against the
 manifest it found.
 """
@@ -24,7 +35,16 @@ from pathlib import Path
 
 import numpy as np
 
-from beamkit import build_codebook, fs_altmin, make_target, ps_icd
+from beamkit import (
+    TrainingConfig,
+    build_codebook,
+    fs_altmin,
+    fs_row,
+    make_target,
+    phase_set,
+    ps_icd,
+    success_rate,
+)
 
 MANIFEST = Path(__file__).resolve().parent / "manifest.json"
 
@@ -34,6 +54,8 @@ BITS = (1, 2, 4, 6)
 T_MAX = 4
 SWEEP_SEEDS = (1, 2)
 SWEEP_HW = {"n_rf": 4, "b": 6, "t_max": 2}
+TIE_ROWS = 16
+CAMPAIGN_SNRS = (0.0, np.inf)
 
 
 def digest(array):
@@ -44,6 +66,16 @@ def digest(array):
     return h.hexdigest()
 
 
+def environment():
+    """The numpy version and the CPU SIMD features numpy has enabled."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {
+        "numpy": np.__version__,
+        "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+    }
+
+
 def _codebook_outputs(label, cb):
     for s, layer in enumerate(cb.layers, 1):
         yield f"{label}/layer{s}/ideal", np.stack([e.ideal for e in layer])
@@ -52,6 +84,38 @@ def _codebook_outputs(label, cb):
                    np.stack([e.hybrid.phase_indices for e in layer]))
             yield (f"{label}/layer{s}/digital",
                    np.stack([e.hybrid.digital for e in layer]))
+            yield (f"{label}/layer{s}/realized",
+                   np.stack([e.hybrid.realized for e in layer]))
+
+
+def _tie_outputs():
+    for b in (1, 2):
+        pset = phase_set(b)
+        phasors = np.exp(1j * pset.values)
+        for n_rf in (3, 4):
+            rng = np.random.default_rng([b, n_rf])
+            fbb = np.ones(n_rf, dtype=complex)
+            exact = rng.integers(0, pset.size, (TIE_ROWS, n_rf))
+            target = np.sum(fbb * phasors[exact], axis=1)
+            init = rng.integers(0, pset.size, (TIE_ROWS, n_rf))
+            idx, res, _ = fs_row(target, fbb, pset, init)
+            yield f"ties/fs_row/b{b}/nrf{n_rf}/indices", idx
+            yield f"ties/fs_row/b{b}/nrf{n_rf}/residuals", res
+        rng = np.random.default_rng([b, 2])
+        v = phasors[rng.integers(0, pset.size, (8, 2))] @ np.ones(2, dtype=complex)
+        h = fs_altmin(v, 2, b, t_max=6, seed=0)
+        yield f"ties/fs_altmin/b{b}/nrf2/indices", h.phase_indices
+        yield f"ties/fs_altmin/b{b}/nrf2/digital", h.digital
+
+
+def _campaign_outputs(label, tx, rx, practical):
+    for snr in CAMPAIGN_SNRS:
+        out = success_rate(TrainingConfig(tx, rx, snr, 100, seed=7, paths=3,
+                                          use_practical=practical))
+        records = np.array([r["selected"] + r["best"]
+                            + [r["success"], r["measurements"]]
+                            for r in out["records"]], dtype=np.int64)
+        yield f"{label}/snr{snr:g}/records", records
 
 
 def outputs():
@@ -73,12 +137,27 @@ def outputs():
         yield from _codebook_outputs(f"sweep/seed{seed}", cb)
     cb = build_codebook(16, seed=3, method="ps-icd", hw={"n_rf": 2, "b": 6})
     yield from _codebook_outputs("ps-icd-2rf/n16", cb)
+    ideal = {}
+    for method in ("ps-icd", "ls-icd"):
+        for n in (8, 32):
+            ideal[method, n] = build_codebook(n, seed=4, method=method)
+            yield from _codebook_outputs(f"{method}/n{n}", ideal[method, n])
+    yield from _tie_outputs()
+    hw = {"n_rf": 2, "b": 6}
+    tx, rx = (build_codebook(n, seed=5, hw=hw) for n in (32, 16))
+    yield from _campaign_outputs("campaign/practical", tx, rx, True)
+    rx_ls = build_codebook(16, seed=5, method="ls-icd")
+    yield from _campaign_outputs("campaign/ideal", ideal["ls-icd", 32], rx_ls,
+                                 False)
 
 
 def main():
-    manifest = {name: digest(a) for name, a in outputs()}
+    manifest = {
+        "environment": environment(),
+        "outputs": {name: digest(a) for name, a in outputs()},
+    }
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
-    print(f"{len(manifest)} outputs written to {MANIFEST}")
+    print(f"{len(manifest['outputs'])} outputs written to {MANIFEST}")
 
 
 if __name__ == "__main__":

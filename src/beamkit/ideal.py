@@ -36,7 +36,9 @@ class PhaseOptimizer:
 
     Maximizes g^H (A^H A) g over the phases of g, with |g_k| fixed to the
     target magnitude at grid direction k.  Only the K x K Gram matrix
-    A^H A is stored.
+    A^H A is stored.  update keeps a running copy of g in step with the
+    phases; a phase written directly is seen by gains, but not by later
+    updates, which need a new optimizer.
     """
 
     def __init__(self, gram, magnitudes, phases):
@@ -54,6 +56,8 @@ class PhaseOptimizer:
             * np.linalg.norm(self.gram, axis=1)
             * np.linalg.norm(self.magnitudes)
         )
+        # g itself, kept current by update one entry at a time
+        self._gains = self.gains
 
     @property
     def gains(self):
@@ -70,11 +74,12 @@ class PhaseOptimizer:
         if self.magnitudes[k] == 0.0:
             return self.phases[k]
         # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
-        g = self.gains
+        g = self._gains
         c = complex(self.gram[k] @ g - self.gram[k, k] * g[k])
         if abs(c) <= self._degenerate[k]:
             return self.phases[k]
         self.phases[k] = np.angle(c)
+        g[k] = self.magnitudes[k] * np.exp(1j * self.phases[k])
         return self.phases[k]
 
 
@@ -116,7 +121,7 @@ def ps_icd(target, n, k, r_max, seed):
     opt = PhaseOptimizer(sm.gram(), mags, rng.uniform(-np.pi, np.pi, k))
     for i in range(int(r_max)):
         opt.update(i % k)
-    return _assemble(sm.matrix, opt.gains, k)
+    return _assemble(sm.matrix, opt._gains, k)
 
 
 def ls_icd(target, n, k):

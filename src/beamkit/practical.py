@@ -9,6 +9,7 @@ and a cyclic per-phase search that always re-solves two free phasors for
 three or more chains.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,25 +46,31 @@ class PhaseSet:
     """The 2^b admissible phase-shifter phases, sorted ascending.
 
     Member m (0-based) is pi * (-1 + (2m + 1) / 2^b); spacing 2*pi/2^b.
+    phasors[m] is exp(j * values[m]), computed once per set; both arrays
+    are read-only.
     """
 
     bits: int
     values: np.ndarray = field(repr=False)
+    phasors: np.ndarray = field(repr=False)
 
     @property
     def size(self):
         return 2**self.bits
 
 
+@functools.lru_cache(maxsize=16)
 def phase_set(bits):
-    """Build the b-bit quantized phase set."""
+    """The b-bit quantized phase set, built once per b."""
     bits = int(bits)
     if not 1 <= bits <= 16:
         raise ValueError(f"bits must be in [1, 16], got {bits}")
     m = np.arange(2**bits)
     values = np.pi * (-1.0 + (2.0 * m + 1.0) / 2**bits)
+    phasors = np.exp(1j * values)
     values.setflags(write=False)
-    return PhaseSet(bits, values)
+    phasors.setflags(write=False)
+    return PhaseSet(bits, values, phasors)
 
 
 def wrap_phase(theta):
@@ -105,7 +112,7 @@ class HybridCodeword:
     @property
     def analog(self):
         """The unit-modulus analog matrix exp(j * phase)."""
-        return np.exp(1j * phase_set(self.bits).values[self.phase_indices])
+        return phase_set(self.bits).phasors[self.phase_indices]
 
     @property
     def realized(self):
@@ -197,14 +204,13 @@ def solve_two_rf(gamma, f1, f2, pset=None):
         th1 = np.where(pick_a, th1a, th1b)
         th2 = np.where(pick_a, th2a, th2b)
         return th1, th2, np.where(pick_a, ra, rb)
-    vals = pset.values
     # candidates branch-major (a before b), offsets in _NEIGHBORHOOD order
     r1 = quantize_index(np.stack([th1a, th1b]), pset.bits)[:, None]
     r2 = quantize_index(np.stack([th2a, th2b]), pset.bits)[:, None]
     j1 = ((r1 + _NEIGHBORHOOD[:, 0, None]) % pset.size).reshape(18, -1)
     j2 = ((r2 + _NEIGHBORHOOD[:, 1, None]) % pset.size).reshape(18, -1)
     residuals = np.abs(
-        gamma - f1 * np.exp(1j * vals[j1]) - f2 * np.exp(1j * vals[j2])
+        gamma - (f1 * pset.phasors)[j1] - (f2 * pset.phasors)[j2]
     )
     best = np.argmin(residuals, axis=0)  # first minimum wins ties
     cols = np.arange(gamma.size)
@@ -231,12 +237,11 @@ def fs_row(target, fbb, pset, init_indices, history=None):
     if n_rf < 3:
         raise ValueError("fs_row requires at least three RF chains")
     target = np.asarray(target, dtype=complex)
-    vals = pset.values
-    candidates = np.exp(1j * vals)
+    phasors = pset.phasors
     idx = np.array(init_indices, dtype=int)
     # np.hypot rounds like scalar abs(), as the golden ledger does; np.abs
     # on an array may take a vector path that differs in the last bit
-    start = target - np.sum(fbb * np.exp(1j * vals[idx]), axis=1)
+    start = target - np.sum(fbb * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
@@ -249,12 +254,12 @@ def fs_row(target, fbb, pset, init_indices, history=None):
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
-        e = np.exp(1j * vals[rows])
+        e = phasors[rows]
         fp, ep = fbb[p], e[:, p]
         own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
                                fp.real * ep.imag + fp.imag * ep.real])
         fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
-        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * candidates
+        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
         i1, i2, errs = solve_two_rf(resid_targets.ravel(), fbb[0], fbb[1], pset)
         best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
         pick = np.arange(active.size) * pset.size + best
@@ -319,9 +324,8 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, pset.size, size=(v.size, n_rf))
-    vals = pset.values
 
-    analog = np.exp(1j * vals[idx])
+    analog = pset.phasors[idx]
     fbb = ls_fbb(analog, v)
     if trace is not None:
         trace.append(float(np.linalg.norm(v - analog @ fbb)))
@@ -329,12 +333,14 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
         if n_rf == 2:
             # all rows in closed form; a row keeps its phases if they are better
             i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
-            old = np.abs(v - fbb[0] * np.exp(1j * vals[idx[:, 0]])
-                         - fbb[1] * np.exp(1j * vals[idx[:, 1]]))
+            # gathered, not the strided analog[:, 0]: a complex product
+            # over a strided array may round differently in the last bit
+            old =np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
+                         - fbb[1] * pset.phasors[idx[:, 1]])
             idx = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), idx)
         else:
             idx, _, _ = fs_row(v, fbb, pset, idx)
-        analog = np.exp(1j * vals[idx])
+        analog = pset.phasors[idx]
         new_fbb = ls_fbb(analog, v)
         if trace is not None:
             trace.append(float(np.linalg.norm(v - analog @ new_fbb)))

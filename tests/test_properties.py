@@ -1,4 +1,4 @@
-"""Property tests of the practical design's invariants.
+"""Property tests of the designs' invariants.
 
 Examples are derandomized and bounded so the whole file stays within a
 few seconds of tier-1 time.
@@ -8,17 +8,23 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamkit import (
     HybridCodeword,
+    PhaseOptimizer,
     SynthesisError,
     fs_altmin,
     fs_row,
+    ls_icd,
+    make_target,
     phase_set,
+    ps_icd,
     solve_two_rf,
+    steering_matrix,
 )
 from beamkit.serialization import load_hybrid, save_hybrid
 
@@ -112,3 +118,68 @@ def test_hybrid_dict_round_trip_is_bit_exact(h):
     assert back.phase_indices.tobytes() == h.phase_indices.tobytes()
     assert back.digital.dtype == h.digital.dtype
     assert back.digital.tobytes() == h.digital.tobytes()
+
+
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_phase_set_is_cached_and_its_phasor_table_is_exact(bits):
+    pset = phase_set(bits)
+    assert phase_set(bits) is pset
+    rng = np.random.default_rng(bits)
+    j = rng.integers(0, pset.size, (3, pset.size))
+    assert pset.phasors[j].tobytes() == np.exp(1j * pset.values[j]).tobytes()
+    for m in rng.integers(0, pset.size, 64):
+        assert pset.phasors[m] == np.exp(1j * pset.values[m])
+    for table in (pset.values, pset.phasors):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def _objective(opt):
+    g = opt.gains
+    return float(np.real(g.conj() @ opt.gram @ g))
+
+
+@_SETTINGS
+@given(
+    n=st.integers(2, 8),
+    oversample=st.integers(1, 4),
+    data=st.data(),
+)
+def test_phase_updates_keep_running_gains_exact_and_never_lose(n, oversample,
+                                                               data):
+    k = n * oversample
+    mags = data.draw(arrays(float, k, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 2.0))))
+    phases = data.draw(arrays(float, k, elements=st.floats(-np.pi, np.pi)))
+    order = data.draw(st.lists(st.integers(0, k - 1), max_size=3 * k))
+    opt = PhaseOptimizer(steering_matrix(n, k).gram(), mags, phases)
+    prev = _objective(opt)
+    for i in order:
+        opt.update(i)
+        assert opt._gains.tobytes() == (
+            opt.magnitudes * np.exp(1j * opt.phases)).tobytes()
+        cur = _objective(opt)
+        assert cur >= prev - 1e-12 * max(1.0, abs(prev))
+        prev = cur
+
+
+@_SETTINGS
+@given(
+    n=st.integers(2, 16),
+    oversample=st.integers(1, 4),
+    lo=st.floats(-1.0, 0.9),
+    width=st.floats(0.01, 2.0),
+    r_max=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ideal_designs_are_finite_and_unit_norm(n, oversample, lo, width,
+                                                r_max, seed):
+    target = make_target("rect", (lo, min(lo + width, 1.0)))
+    k = n * oversample
+    try:
+        designs = [ps_icd(target, n, k, r_max, seed), ls_icd(target, n, k)]
+    except SynthesisError:
+        return  # no grid direction inside the coverage: a loud error
+    for v in designs:
+        assert v.shape == (n,) and np.all(np.isfinite(v))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12

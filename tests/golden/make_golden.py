@@ -17,20 +17,34 @@ bit, or changes its dtype, shows up by name.  The runs are:
   rules decide the result;
 - one 100-trial success_rate per half (practical ps-icd with two RF
   chains, ideal ls-icd) at N_t/N_r = 32/16, 3 paths, SNR 0 dB and +inf:
-  each trial's selected pair, best pair, success and measurement count.
+  each trial's selected pair, best pair, success and measurement count;
+- seeded measure powers, practical and ideal codewords, at SNR -10, 0,
+  +inf and -inf dB: every transmit entry of layer s against every receive
+  entry of layer min(s, s_r), over two 3-path channels at N_t/N_r = 32/16;
+- exhaustive_best_pair over 20 channels per half at N_t/N_r = 32/16,
+  32/8 and 16/16;
+- the same 100-trial success_rate record sets at N_t/N_r = 32/8 and 16/16.
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
 rewrites manifest.json next to this file; tests/test_golden.py recomputes
-every output and compares.  The manifest also records the numpy version
+every output and compares, naming the first that differs.
+
+    PYTHONPATH=src python tests/golden/make_golden.py --check
+
+recomputes every output without writing and lists every name whose digest
+differs from the manifest, plus names missing from either side; it exits 1
+if there is any.  The manifest also records the numpy version
 and the CPU SIMD features numpy dispatches to, since some outputs depend
 on them in the last bit.  Regenerate the manifest only in a commit of
 its own, with its reason in CHANGES.md; a refactor must pass against the
 manifest it found.
 """
 
+import argparse
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +52,12 @@ import numpy as np
 from beamkit import (
     TrainingConfig,
     build_codebook,
+    draw_channel,
+    exhaustive_best_pair,
     fs_altmin,
     fs_row,
     make_target,
+    measure,
     phase_set,
     ps_icd,
     success_rate,
@@ -56,6 +73,9 @@ SWEEP_SEEDS = (1, 2)
 SWEEP_HW = {"n_rf": 4, "b": 6, "t_max": 2}
 TIE_ROWS = 16
 CAMPAIGN_SNRS = (0.0, np.inf)
+MEASURE_SNRS = (-10.0, 0.0, np.inf, -np.inf)
+MEASURE_CHANNELS = 2
+BEST_PAIR_CHANNELS = 20
 
 
 def digest(array):
@@ -118,6 +138,33 @@ def _campaign_outputs(label, tx, rx, practical):
         yield f"{label}/snr{snr:g}/records", records
 
 
+def _measure_outputs(label, tx, rx, practical):
+    """Powers of every tx entry of layer s against every rx entry of layer
+    min(s, s_r), in that order, one noise stream per channel and SNR."""
+    for c in range(MEASURE_CHANNELS):
+        ch = draw_channel(tx.n, rx.n, 3, seed=[11, c])
+        for snr in MEASURE_SNRS:
+            rng = np.random.default_rng([13, c])
+            powers = [
+                measure(a.codeword(practical), b.codeword(practical), ch, snr,
+                        rng)
+                for s, layer in enumerate(tx.layers)
+                for a in layer
+                for b in rx.layers[min(s, rx.s - 1)]
+            ]
+            yield (f"{label}/channel{c}/snr{snr:g}/powers",
+                   np.asarray(powers, dtype=float))
+
+
+def _best_pair_outputs(label, tx, rx, practical):
+    pairs = [
+        exhaustive_best_pair(tx, rx, draw_channel(tx.n, rx.n, 3, seed=[17, c]),
+                             practical)
+        for c in range(BEST_PAIR_CHANNELS)
+    ]
+    yield f"{label}/pairs", np.asarray(pairs, dtype=np.int64)
+
+
 def outputs():
     """(name, array) for every ledger output, in manifest order."""
     target = make_target("rect", (-1.0, 0.0))
@@ -149,16 +196,60 @@ def outputs():
     rx_ls = build_codebook(16, seed=5, method="ls-icd")
     yield from _campaign_outputs("campaign/ideal", ideal["ls-icd", 32], rx_ls,
                                  False)
+    halves = {"practical": (tx, rx, True), "ideal": (ideal["ls-icd", 32], rx_ls,
+                                                     False)}
+    for half, args in halves.items():
+        yield from _measure_outputs(f"measure/{half}/32x16", *args)
+    tx16 = build_codebook(16, seed=5, hw=hw)
+    rx8 = build_codebook(8, seed=5, hw=hw)
+    rx8_ls = build_codebook(8, seed=5, method="ls-icd")
+    links = {
+        "32x16": halves,
+        "32x8": {"practical": (tx, rx8, True),
+                 "ideal": (ideal["ls-icd", 32], rx8_ls, False)},
+        "16x16": {"practical": (tx16, rx, True),
+                  "ideal": (build_codebook(16, seed=6, method="ls-icd"), rx_ls,
+                            False)},
+    }
+    for link, link_halves in links.items():
+        for half, args in link_halves.items():
+            yield from _best_pair_outputs(f"best_pair/{half}/{link}", *args)
+    for link in ("32x8", "16x16"):
+        for half, args in links[link].items():
+            yield from _campaign_outputs(f"campaign/{half}/{link}", *args)
 
 
-def main():
+def check():
+    """Compare every output with the manifest; return the differing names."""
+    manifest = json.loads(MANIFEST.read_text())
+    expected = manifest["outputs"]
+    seen = {name: digest(a) for name, a in outputs()}
+    bad = [f"differs: {n}" for n in seen if n in expected and seen[n] != expected[n]]
+    bad += [f"not in manifest: {n}" for n in seen if n not in expected]
+    bad += [f"not computed: {n}" for n in expected if n not in seen]
+    if bad:
+        print(f"ledger environment: {manifest['environment']}")
+        print(f"this environment:   {environment()}")
+    return bad
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="list every output that differs; write nothing")
+    if parser.parse_args(argv).check:
+        bad = check()
+        print("\n".join(bad))
+        print(f"{len(bad)} outputs differ from {MANIFEST}")
+        return 1 if bad else 0
     manifest = {
         "environment": environment(),
         "outputs": {name: digest(a) for name, a in outputs()},
     }
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
     print(f"{len(manifest['outputs'])} outputs written to {MANIFEST}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

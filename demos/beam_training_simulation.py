@@ -5,7 +5,7 @@ SNR and reports the probability that the layered search lands on the
 same transmit/receive beam pair as a noiseless exhaustive sweep -- while
 issuing far fewer measurements per trial.
 
-Run:  python3 demos/beam_training_simulation.py   (about two minutes)
+Run:  python3 demos/beam_training_simulation.py   (about ten seconds)
 """
 
 import numpy as np

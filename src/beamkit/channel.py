@@ -50,8 +50,8 @@ class Channel:
 def _channel_matrix(n_t, n_r, gains, aod, aoa):
     l = gains.size
     # sqrt(n) factors of the steering vectors cancel against the leading scale
-    ar = np.exp(1j * np.pi * np.outer(np.arange(n_r), aoa))
-    at = np.exp(1j * np.pi * np.outer(np.arange(n_t), aod))
+    ar = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * aoa))
+    at = np.exp(1j * np.pi * (np.arange(n_t)[:, None] * aod))
     return (ar * gains) @ at.conj().T / np.sqrt(l)
 
 
@@ -96,14 +96,15 @@ def measure(v, w, ch, snr_db, rng):
     noiseless and pure-noise limits; NaN raises ValueError.
     """
     p, sigma = _snr_params(snr_db)
-    w = np.asarray(w, dtype=complex)
-    eta = (
-        (rng.standard_normal(ch.n_r) + 1j * rng.standard_normal(ch.n_r))
-        * sigma
-        / np.sqrt(2)
-    )
-    y = np.sqrt(p) * (w.conj() @ ch.matrix @ np.asarray(v, dtype=complex))
-    y += w.conj() @ eta
+    h = ch.matrix
+    n_r = h.shape[0]
+    w_h = np.asarray(w, dtype=complex).conj()
+    # one draw of 2 n_r normals is the same stream as two draws of n_r
+    z = rng.standard_normal(2 * n_r)
+    eta = (z[:n_r] + 1j * z[n_r:]) * sigma / np.sqrt(2)
+    y = np.sqrt(p) * (w_h @ h @ np.asarray(v, dtype=complex))
+    y += w_h @ eta
+    # np.abs, not abs(): the two round differently in the last bit
     return float(np.abs(y) ** 2)
 
 
@@ -144,10 +145,11 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
         rx_layer = rx_cb.layers[s - 1] if joint else rx_cb.bottom
         rx_children = range(m * ri, m * ri + m) if joint else (ri,)
         rx_beams = [(b, rx_layer[b].codeword(use_practical)) for b in rx_children]
+        tx_layer = tx_cb.layers[s - 1]
         best = None
         for a in range(m * ti, m * ti + m):
             for b, wb in rx_beams:
-                va = tx_cb.layers[s - 1][a].codeword(use_practical)
+                va = tx_layer[a].codeword(use_practical)
                 power = measure(va, wb, ch, snr_db, rng)
                 count += 1
                 if best is None or power > best[0]:
@@ -159,11 +161,12 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
 def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
     """Noiseless argmax of |w^H H v| over all bottom-layer pairs (0-based)."""
     _check_dims(tx_cb, rx_cb, ch)
-    v = np.column_stack([e.codeword(use_practical) for e in tx_cb.bottom])
-    w = np.column_stack([e.codeword(use_practical) for e in rx_cb.bottom])
+    # the C-contiguous (n, entries) layout of np.column_stack, built faster
+    v = np.array([e.codeword(use_practical) for e in tx_cb.bottom]).T.copy()
+    w = np.array([e.codeword(use_practical) for e in rx_cb.bottom]).T.copy()
     scores = np.abs(w.conj().T @ ch.matrix @ v)  # (rx, tx)
-    ri, ti = np.unravel_index(np.argmax(scores), scores.shape)
-    return int(ti), int(ri)
+    ri, ti = divmod(int(np.argmax(scores)), scores.shape[1])
+    return ti, ri
 
 
 @dataclass

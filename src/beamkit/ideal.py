@@ -36,19 +36,21 @@ class PhaseOptimizer:
 
     Maximizes g^H (A^H A) g over the phases of g, with |g_k| fixed to the
     target magnitude at grid direction k.  Only the K x K Gram matrix
-    A^H A is stored.  update keeps a running copy of g in step with the
-    phases; a phase written directly is seen by gains, but not by later
-    updates, which need a new optimizer.
+    A^H A is stored.  phases is a read-only view of a private array that
+    only update writes, so the running copy of g that update keeps stays
+    in step with it; start a new optimizer to try other phases.
     """
 
     def __init__(self, gram, magnitudes, phases):
         self.gram = np.asarray(gram, dtype=complex)
         self.magnitudes = np.asarray(magnitudes, dtype=float)
-        self.phases = np.asarray(phases, dtype=float).copy()
+        self._phases = np.array(phases, dtype=float)
+        self._phases_view = self._phases.view()
+        self._phases_view.setflags(write=False)
         k = self.gram.shape[0]
         if self.gram.shape != (k, k):
             raise ValueError("gram matrix must be square")
-        if self.magnitudes.shape != (k,) or self.phases.shape != (k,):
+        if self.magnitudes.shape != (k,) or self._phases.shape != (k,):
             raise ValueError("magnitudes/phases must match the gram size")
         # |g| is fixed by the magnitudes, so each threshold is a constant
         self._degenerate = (
@@ -60,9 +62,14 @@ class PhaseOptimizer:
         self._gains = self.gains
 
     @property
+    def phases(self):
+        """The current phases, read-only."""
+        return self._phases_view
+
+    @property
     def gains(self):
         """The complex gain vector g with current phases."""
-        return self.magnitudes * np.exp(1j * self.phases)
+        return self.magnitudes * np.exp(1j * self._phases)
 
     def update(self, k):
         """Closed-form update of phase k; returns the (possibly kept) phase.
@@ -71,16 +78,17 @@ class PhaseOptimizer:
         and degenerate cross terms, at most roundoff relative to
         |gram[k]|.|g|, keep their previous phase.
         """
+        phases = self._phases
         if self.magnitudes[k] == 0.0:
-            return self.phases[k]
+            return phases[k]
         # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
         g = self._gains
         c = complex(self.gram[k] @ g - self.gram[k, k] * g[k])
         if abs(c) <= self._degenerate[k]:
-            return self.phases[k]
-        self.phases[k] = np.angle(c)
-        g[k] = self.magnitudes[k] * np.exp(1j * self.phases[k])
-        return self.phases[k]
+            return phases[k]
+        phases[k] = np.angle(c)
+        g[k] = self.magnitudes[k] * np.exp(1j * phases[k])
+        return phases[k]
 
 
 def _target_gains(target, grid):

@@ -89,17 +89,27 @@ def quantize_index(theta, bits):
     return np.clip(idx, 0, size - 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HybridCodeword:
-    """Analog/digital factorization of a codeword.
+    """Analog/digital factorization of a codeword; immutable.
 
     The analog matrix is stored as 0-based indices into the b-bit phase
-    set, so the quantization constraint is exact by construction.
+    set, so the quantization constraint is exact by construction.  Both
+    arrays are read-only copies of the ones given, so the realized
+    codeword is computed once, on first access.
     """
 
     phase_indices: np.ndarray  # (n, n_rf) ints
     bits: int
     digital: np.ndarray  # (n_rf,) complex
+    _realized: np.ndarray = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def __post_init__(self):
+        for name in ("phase_indices", "digital"):
+            a = np.array(getattr(self, name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self):
@@ -116,8 +126,17 @@ class HybridCodeword:
 
     @property
     def realized(self):
-        """The codeword this pair realizes, analog @ digital."""
-        return self.analog @ self.digital
+        """The codeword this pair realizes, analog @ digital (read-only).
+
+        Computed on first access; later accesses return the same array.
+        A plain property, not functools.cached_property, so tracing that
+        wraps property getters still sees every access.
+        """
+        if self._realized is None:
+            r = self.analog @ self.digital
+            r.setflags(write=False)
+            object.__setattr__(self, "_realized", r)
+        return self._realized
 
 
 def _design_input(v):

@@ -224,7 +224,7 @@ def check():
     manifest = json.loads(MANIFEST.read_text())
     expected = manifest["outputs"]
     seen = {name: digest(a) for name, a in outputs()}
-    bad = [f"differs: {n}" for n in seen if n in expected and seen[n] != expected[n]]
+    bad = [f"differs: {n}" for n, d in seen.items() if expected.get(n, d) != d]
     bad += [f"not in manifest: {n}" for n in seen if n not in expected]
     bad += [f"not computed: {n}" for n in expected if n not in seen]
     if bad:

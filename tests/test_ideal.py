@@ -48,8 +48,9 @@ def test_single_update_is_coordinate_optimal():
     opt.update(k)
     best = objective(opt)
     for phi in np.linspace(-np.pi, np.pi, 721):
-        trial = PhaseOptimizer(opt.gram, opt.magnitudes, opt.phases)
-        trial.phases[k] = phi
+        phases = opt.phases.copy()
+        phases[k] = phi
+        trial = PhaseOptimizer(opt.gram, opt.magnitudes, phases)
         assert objective(trial) <= best + 1e-9
 
 
@@ -62,6 +63,17 @@ def test_updates_never_decrease_objective():
         cur = objective(opt)
         assert cur >= prev - 1e-12 * max(1.0, abs(prev))
         prev = cur
+
+
+def test_phases_are_read_only_and_follow_updates():
+    target = make_target("rect", (-1.0, 0.0))
+    _, opt = _optimizer(8, 16, target, seed=0)
+    phases = opt.phases
+    with pytest.raises(ValueError):
+        phases[1] = 0.3
+    new = opt.update(0)
+    assert phases[0] == new
+    assert opt.gains.tobytes() == opt._gains.tobytes()
 
 
 def test_zero_magnitude_phase_is_kept():

@@ -4,6 +4,7 @@ Examples are derandomized and bounded so the whole file stays within a
 few seconds of tier-1 time.
 """
 
+import dataclasses
 import os
 import tempfile
 
@@ -118,6 +119,32 @@ def test_hybrid_dict_round_trip_is_bit_exact(h):
     assert back.phase_indices.tobytes() == h.phase_indices.tobytes()
     assert back.digital.dtype == h.digital.dtype
     assert back.digital.tobytes() == h.digital.tobytes()
+
+
+@_SETTINGS
+@given(h=_hybrids())
+def test_hybrid_codeword_is_immutable_and_realized_once(h):
+    indices, digital = h.phase_indices.copy(), h.digital.copy()
+    h = HybridCodeword(indices, h.bits, digital)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge digital weights
+        expect = phase_set(h.bits).phasors[indices] @ digital
+        indices[...] = 0  # the codeword holds copies of what it was given
+        digital[...] = 1.0
+        realized = h.realized
+    assert realized.tobytes() == expect.tobytes()
+    assert h.realized is realized
+    for array in (realized, h.phase_indices, h.digital):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    for name in ("phase_indices", "digital", "bits"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, name, None)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "h.json")
+        save_hybrid(h, path)
+        back = load_hybrid(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert back.realized.tobytes() == realized.tobytes()
 
 
 @pytest.mark.parametrize("bits", range(1, 17))

@@ -23,7 +23,10 @@ bit, or changes its dtype, shows up by name.  The runs are:
   entry of layer min(s, s_r), over two 3-path channels at N_t/N_r = 32/16;
 - exhaustive_best_pair over 20 channels per half at N_t/N_r = 32/16,
   32/8 and 16/16;
-- the same 100-trial success_rate record sets at N_t/N_r = 32/8 and 16/16.
+- the same 100-trial success_rate record sets at N_t/N_r = 32/8 and 16/16;
+- the matrix of every channel drawn above (seeds [11, c] and [17, c]), at
+  N_t/N_r = 32/16, 32/8 and 16/16;
+- the save_codebook file bytes of every codebook built above.
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
@@ -45,6 +48,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,7 @@ from beamkit import (
     ps_icd,
     success_rate,
 )
+from beamkit.serialization import save_codebook
 
 MANIFEST = Path(__file__).resolve().parent / "manifest.json"
 
@@ -76,6 +81,7 @@ CAMPAIGN_SNRS = (0.0, np.inf)
 MEASURE_SNRS = (-10.0, 0.0, np.inf, -np.inf)
 MEASURE_CHANNELS = 2
 BEST_PAIR_CHANNELS = 20
+LINKS = {"32x16": (32, 16), "32x8": (32, 8), "16x16": (16, 16)}
 
 
 def digest(array):
@@ -165,8 +171,28 @@ def _best_pair_outputs(label, tx, rx, practical):
     yield f"{label}/pairs", np.asarray(pairs, dtype=np.int64)
 
 
+def _channel_outputs():
+    """The matrix of every channel the measure and best-pair runs draw."""
+    for link, (n_t, n_r) in LINKS.items():
+        for prefix, count in ((11, MEASURE_CHANNELS), (17, BEST_PAIR_CHANNELS)):
+            for c in range(count):
+                ch = draw_channel(n_t, n_r, 3, seed=[prefix, c])
+                yield f"channel/{link}/seed{prefix}-{c}/matrix", ch.matrix
+
+
+def _codebook_file_outputs(books):
+    """The bytes save_codebook writes for each codebook, by label."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "codebook.json"
+        for label, cb in books.items():
+            save_codebook(cb, path)
+            yield (f"codebook_file/{label}",
+                   np.frombuffer(path.read_bytes(), dtype=np.uint8))
+
+
 def outputs():
     """(name, array) for every ledger output, in manifest order."""
+    books = {}
     target = make_target("rect", (-1.0, 0.0))
     for n in SIZES:
         v = ps_icd(target, n, 2 * n, 200, seed=0)
@@ -179,15 +205,18 @@ def outputs():
                 yield f"{label}/digital", h.digital
                 yield f"{label}/trace", np.asarray(trace, dtype=float)
     for seed in SWEEP_SEEDS:
-        cb = build_codebook(16, m=2, k=128, r_max=2000, seed=seed,
-                            method="ps-icd", hw=SWEEP_HW)
-        yield from _codebook_outputs(f"sweep/seed{seed}", cb)
-    cb = build_codebook(16, seed=3, method="ps-icd", hw={"n_rf": 2, "b": 6})
-    yield from _codebook_outputs("ps-icd-2rf/n16", cb)
+        label = f"sweep/seed{seed}"
+        books[label] = build_codebook(16, m=2, k=128, r_max=2000, seed=seed,
+                                      method="ps-icd", hw=SWEEP_HW)
+        yield from _codebook_outputs(label, books[label])
+    books["ps-icd-2rf/n16"] = build_codebook(16, seed=3, method="ps-icd",
+                                             hw={"n_rf": 2, "b": 6})
+    yield from _codebook_outputs("ps-icd-2rf/n16", books["ps-icd-2rf/n16"])
     ideal = {}
     for method in ("ps-icd", "ls-icd"):
         for n in (8, 32):
             ideal[method, n] = build_codebook(n, seed=4, method=method)
+            books[f"{method}/n{n}"] = ideal[method, n]
             yield from _codebook_outputs(f"{method}/n{n}", ideal[method, n])
     yield from _tie_outputs()
     hw = {"n_rf": 2, "b": 6}
@@ -217,6 +246,12 @@ def outputs():
     for link in ("32x8", "16x16"):
         for half, args in links[link].items():
             yield from _campaign_outputs(f"campaign/{half}/{link}", *args)
+    yield from _channel_outputs()
+    # tx16 is built from the same inputs as rx, so it is not hashed twice
+    books.update({"hw/n32/seed5": tx, "hw/n16/seed5": rx, "hw/n8/seed5": rx8,
+                  "ls-icd/n16/seed5": rx_ls, "ls-icd/n8/seed5": rx8_ls,
+                  "ls-icd/n16/seed6": links["16x16"]["ideal"][0]})
+    yield from _codebook_file_outputs(books)
 
 
 def check():

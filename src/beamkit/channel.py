@@ -8,7 +8,7 @@ noiseless exhaustive optimum over bottom-layer pairs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,56 +25,57 @@ __all__ = [
 ]
 
 
-@dataclass
+# the per-component scale of unit-variance circular complex Gaussians
+_SQRT2 = np.sqrt(2)
+
+
+@dataclass(eq=False)
 class Channel:
-    """Multipath MIMO channel with stored per-path parameters."""
+    """Multipath MIMO channel built from its L paths.
 
-    matrix: np.ndarray  # (n_r, n_t)
+    gains (complex), aod and aoa (directions in [-1, 1]) have one entry per
+    path; matrix (n_r, n_t) is the sum of the L path outer products over
+    sqrt(L).  Mismatched lengths or L = 0 raise ValueError.
+    """
+
+    n_t: int
+    n_r: int
     gains: np.ndarray  # (L,) complex
-    aod: np.ndarray  # (L,) departure directions in [-1, 1]
-    aoa: np.ndarray  # (L,) arrival directions in [-1, 1]
+    aod: np.ndarray  # (L,) departure directions
+    aoa: np.ndarray  # (L,) arrival directions
+    matrix: np.ndarray = field(init=False, repr=False)  # (n_r, n_t)
 
-    @property
-    def n_r(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_t(self):
-        return self.matrix.shape[1]
+    def __post_init__(self):
+        self.gains = np.asarray(self.gains, dtype=complex)
+        self.aod = np.asarray(self.aod, dtype=float)
+        self.aoa = np.asarray(self.aoa, dtype=float)
+        l = max(self.gains.size, self.aod.size, self.aoa.size)
+        if l < 1:
+            raise ValueError(f"path count must be positive, got {l}")
+        for name in ("gains", "aod", "aoa"):
+            shape = getattr(self, name).shape
+            if shape != (l,):
+                raise ValueError(f"{name} must have length {l}, got shape {shape}")
+        # sqrt(n) factors of the steering vectors cancel against the leading scale
+        ar = np.exp(1j * np.pi * (np.arange(self.n_r)[:, None] * self.aoa))
+        at = np.exp(1j * np.pi * (np.arange(self.n_t)[:, None] * self.aod))
+        self.matrix = (ar * self.gains) @ at.conj().T / np.sqrt(l)
 
     @property
     def paths(self):
         return self.gains.size
 
 
-def _channel_matrix(n_t, n_r, gains, aod, aoa):
-    l = gains.size
-    # sqrt(n) factors of the steering vectors cancel against the leading scale
-    ar = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * aoa))
-    at = np.exp(1j * np.pi * (np.arange(n_t)[:, None] * aod))
-    return (ar * gains) @ at.conj().T / np.sqrt(l)
+def draw_channel(n_t, n_r, l, seed=None):
+    """Draw a random L-path channel.
 
-
-def draw_channel(n_t, n_r, l, seed=None, rng=None, gains=None, aod=None, aoa=None):
-    """Draw a random multipath channel.
-
-    Path gains are standard circular complex Gaussian; departure/arrival
-    directions are uniform on [-1, 1].  Any of gains/aod/aoa may be pinned
-    for testing.  Pass either a seed or an existing generator.
+    Path gains are standard circular complex Gaussian; departure, then
+    arrival directions are uniform on [-1, 1].  seed is anything
+    np.random.default_rng takes; a Generator is used as it is.
     """
-    if l < 1:
-        raise ValueError(f"path count must be positive, got {l}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    if gains is None:
-        gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2)
-    gains = np.asarray(gains, dtype=complex)
-    aod = rng.uniform(-1, 1, l) if aod is None else np.asarray(aod, dtype=float)
-    aoa = rng.uniform(-1, 1, l) if aoa is None else np.asarray(aoa, dtype=float)
-    for name, pinned in (("gains", gains), ("aod", aod), ("aoa", aoa)):
-        if pinned.shape != (l,):
-            raise ValueError(f"{name} must have length {l}, got shape {pinned.shape}")
-    return Channel(_channel_matrix(n_t, n_r, gains, aod, aoa), gains, aod, aoa)
+    rng = np.random.default_rng(seed)
+    gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / _SQRT2
+    return Channel(n_t, n_r, gains, rng.uniform(-1, 1, l), rng.uniform(-1, 1, l))
 
 
 def _snr_params(snr_db):
@@ -101,7 +102,7 @@ def measure(v, w, ch, snr_db, rng):
     w_h = np.asarray(w, dtype=complex).conj()
     # one draw of 2 n_r normals is the same stream as two draws of n_r
     z = rng.standard_normal(2 * n_r)
-    eta = (z[:n_r] + 1j * z[n_r:]) * sigma / np.sqrt(2)
+    eta = (z[:n_r] + 1j * z[n_r:]) * sigma / _SQRT2
     y = np.sqrt(p) * (w_h @ h @ np.asarray(v, dtype=complex))
     y += w_h @ eta
     # np.abs, not abs(): the two round differently in the last bit
@@ -184,6 +185,8 @@ class TrainingConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.paths < 1:
+            raise ValueError(f"path count must be positive, got {self.paths}")
         _snr_params(self.snr_db)  # rejects NaN
 
 
@@ -203,8 +206,7 @@ def success_rate(cfg):
     records = []
     for t in range(cfg.trials):
         ch_ss, noise_ss = streams[t].spawn(2)
-        ch = draw_channel(n_t, n_r, cfg.paths,
-                          rng=np.random.default_rng(ch_ss))
+        ch = draw_channel(n_t, n_r, cfg.paths, ch_ss)
         noise_rng = np.random.default_rng(noise_ss)
         ti, ri, n_meas = hierarchical_search(
             cfg.tx_codebook, cfg.rx_codebook, ch, cfg.snr_db, noise_rng,

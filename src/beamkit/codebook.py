@@ -66,17 +66,13 @@ def _check_shape(n, m, layers=None):
     return s_total
 
 
-@dataclass
+@dataclass(eq=False)
 class CodebookEntry:
     """One codeword with its coverage interval."""
 
     coverage: tuple
     ideal: np.ndarray
     hybrid: Optional[HybridCodeword] = None
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.coverage[0] + self.coverage[1])
 
     def codeword(self, practical=False):
         if practical:
@@ -86,7 +82,7 @@ class CodebookEntry:
         return self.ideal
 
 
-@dataclass
+@dataclass(eq=False)
 class HierarchicalCodebook:
     """All layers of a hierarchical codebook; layers[s-1] has M^s entries."""
 

@@ -41,7 +41,7 @@ _NEIGHBORHOOD = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSet:
     """The 2^b admissible phase-shifter phases, sorted ascending.
 
@@ -89,7 +89,7 @@ def quantize_index(theta, bits):
     return np.clip(idx, 0, size - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridCodeword:
     """Analog/digital factorization of a codeword; immutable.
 
@@ -102,8 +102,7 @@ class HybridCodeword:
     phase_indices: np.ndarray  # (n, n_rf) ints
     bits: int
     digital: np.ndarray  # (n_rf,) complex
-    _realized: np.ndarray = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _realized: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("phase_indices", "digital"):
@@ -236,7 +235,7 @@ def solve_two_rf(gamma, f1, f2, pset=None):
     return j1[best, cols], j2[best, cols], residuals[best, cols]
 
 
-def fs_row(target, fbb, pset, init_indices, history=None):
+def fs_row(target, fbb, pset, init_indices):
     """Cyclic search of R antenna rows, each with at least three RF chains.
 
     Row r of init_indices (R, n_rf) is fitted to target[r], every row on its
@@ -248,8 +247,7 @@ def fs_row(target, fbb, pset, init_indices, history=None):
     steps in a row leave it unchanged, or at the safety cap.
 
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
-    slowest row's step count.  history, if given, collects the (R,)
-    residuals after every step.
+    slowest row's step count.
     """
     fbb = np.asarray(fbb, dtype=complex)
     n_rf = fbb.size
@@ -289,8 +287,6 @@ def fs_row(target, fbb, pset, init_indices, history=None):
         moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
         idx[active[accept, None], [0, 1, p]] = new[accept]
         res[active[accept]] = errs[pick][accept]
-        if history is not None:
-            history.append(res.copy())
         t += 1
         unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
         active = active[unchanged[active] < n_rf - 2]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beamkit import (
+    Channel,
     TrainingConfig,
     build_codebook,
     draw_channel,
@@ -17,7 +18,7 @@ def test_channel_matrix_closed_form():
     # single pinned path: H = gain * a_r a_t^H * sqrt(Nt*Nr/L) in unit-norm
     # steering terms, i.e. plain exponential outer product / sqrt(L)
     gain = 0.7 - 0.2j
-    ch = draw_channel(4, 3, 1, seed=0, gains=[gain], aod=[0.25], aoa=[-0.5])
+    ch = Channel(4, 3, [gain], [0.25], [-0.5])
     ar = np.exp(1j * np.pi * np.arange(3) * -0.5)
     at = np.exp(1j * np.pi * np.arange(4) * 0.25)
     np.testing.assert_allclose(ch.matrix, gain * np.outer(ar, at.conj()), atol=1e-12)
@@ -25,30 +26,45 @@ def test_channel_matrix_closed_form():
 
 
 def test_channel_multipath_superposition():
-    ch2 = draw_channel(4, 3, 2, seed=1, gains=[1.0, 1.0], aod=[0.1, -0.3],
-                       aoa=[0.2, 0.6])
-    a = draw_channel(4, 3, 1, seed=1, gains=[1.0], aod=[0.1], aoa=[0.2])
-    b = draw_channel(4, 3, 1, seed=1, gains=[1.0], aod=[-0.3], aoa=[0.6])
+    ch2 = Channel(4, 3, [1.0, 1.0], [0.1, -0.3], [0.2, 0.6])
+    a = Channel(4, 3, [1.0], [0.1], [0.2])
+    b = Channel(4, 3, [1.0], [-0.3], [0.6])
     np.testing.assert_allclose(
         ch2.matrix, (a.matrix + b.matrix) / np.sqrt(2.0), atol=1e-12
     )
 
 
 def test_draw_channel_validates():
-    with pytest.raises(ValueError):
+    # the L >= 1 check lives in the Channel constructor
+    with pytest.raises(ValueError, match="path count must be positive, got 0"):
         draw_channel(4, 4, 0)
+    with pytest.raises(ValueError, match="path count must be positive, got 0"):
+        Channel(4, 4, [], [], [])
+
+
+def test_draw_channel_accepts_a_seed_sequence_or_a_generator():
+    ss = np.random.SeedSequence(5)
+    want = draw_channel(8, 4, 2, seed=np.random.default_rng(ss))
+    for seed in (ss, np.random.default_rng(ss)):
+        got = draw_channel(8, 4, 2, seed=seed)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+    # a generator is used as it is, not copied: the draw advances it
+    rng = np.random.default_rng(5)
+    first, second = draw_channel(8, 4, 2, rng), draw_channel(8, 4, 2, rng)
+    assert first.matrix.tobytes() != second.matrix.tobytes()
 
 
 @pytest.mark.parametrize("name", ["gains", "aod", "aoa"])
 def test_draw_channel_rejects_pinned_length_mismatch(name):
+    # a known channel is built with Channel, which checks the path lengths
     pins = {"gains": [1.0, 1.0], "aod": [0.1, -0.3], "aoa": [0.2, 0.6]}
     pins[name] = pins[name][:1]
     with pytest.raises(ValueError, match=f"{name} must have length 2"):
-        draw_channel(8, 8, 2, seed=0, **pins)
+        Channel(8, 8, **pins)
 
 
 def test_measure_noiseless():
-    ch = draw_channel(4, 4, 1, seed=0, gains=[1.0], aod=[0.0], aoa=[0.0])
+    ch = Channel(4, 4, [1.0], [0.0], [0.0])
     v = np.ones(4, dtype=complex) / 2
     w = np.ones(4, dtype=complex) / 2
     rng = np.random.default_rng(0)
@@ -73,6 +89,11 @@ def test_measure_matches_manual_model():
     assert noise_only == pytest.approx(abs(w.conj() @ eta) ** 2, rel=1e-12)
 
 
+def _midpoint(entry):
+    lo, hi = entry.coverage
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="module")
 def small_codebooks():
     tx = build_codebook(16, m=2, k=64, r_max=600, seed=0)
@@ -91,9 +112,8 @@ def test_search_measurement_count(small_codebooks):
 def test_noiseless_search_finds_on_grid_path(small_codebooks):
     tx, rx = small_codebooks
     # pin the single path to bottom-sector midpoints on both sides
-    t_mid = tx.bottom[5].midpoint
-    r_mid = rx.bottom[2].midpoint
-    ch = draw_channel(16, 8, 1, seed=0, gains=[1.0], aod=[t_mid], aoa=[r_mid])
+    ch = Channel(16, 8, [1.0], [_midpoint(tx.bottom[5])],
+                 [_midpoint(rx.bottom[2])])
     ti, ri, _ = hierarchical_search(tx, rx, ch, np.inf,
                                     np.random.default_rng(0))
     assert (ti, ri) == (5, 2)
@@ -105,9 +125,8 @@ def test_transmit_only_layers_find_on_grid_path():
     tx = build_codebook(32, m=2, k=64, r_max=600, seed=0)
     rx = build_codebook(8, m=2, k=64, r_max=600, seed=1)
     for ti, ri in ((0, 0), (13, 6), (31, 3)):
-        ch = draw_channel(32, 8, 1, seed=0, gains=[1.0],
-                          aod=[tx.bottom[ti].midpoint],
-                          aoa=[rx.bottom[ri].midpoint])
+        ch = Channel(32, 8, [1.0], [_midpoint(tx.bottom[ti])],
+                     [_midpoint(rx.bottom[ri])])
         found = hierarchical_search(tx, rx, ch, np.inf, np.random.default_rng(0))
         assert found == (ti, ri, training_test_count(32, 8, 2)) == (ti, ri, 16)
 
@@ -115,7 +134,7 @@ def test_transmit_only_layers_find_on_grid_path():
 def test_search_ties_keep_first_pair(small_codebooks):
     # a zero-gain channel measures 0 everywhere: every layer is a full tie
     tx, rx = small_codebooks
-    ch = draw_channel(16, 8, 1, seed=0, gains=[0.0])
+    ch = Channel(16, 8, [0.0], [0.3], [-0.2])
     assert hierarchical_search(tx, rx, ch, np.inf,
                                np.random.default_rng(0)) == (0, 0, 14)
 
@@ -181,6 +200,9 @@ def test_training_config_validation(small_codebooks):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=0)
     with pytest.raises(ValueError, match="NaN"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=np.nan, trials=5)
+    with pytest.raises(ValueError, match="path count must be positive, got -1"):
+        TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
+                       paths=-1)
 
 
 def test_nan_snr_raises_when_called_directly():

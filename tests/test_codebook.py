@@ -43,7 +43,8 @@ def test_layers_tile_the_domain():
 def test_bottom_layer_is_steering_vectors():
     cb = build_codebook(8, m=2, k=64, r_max=400, seed=0)
     for entry in cb.bottom:
-        expect = steering_vector(8, entry.midpoint)
+        lo, hi = entry.coverage
+        expect = steering_vector(8, 0.5 * (lo + hi))
         np.testing.assert_allclose(entry.ideal, expect, atol=1e-12)
 
 

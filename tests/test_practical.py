@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import beamkit.practical
 from beamkit import (
     HybridCodeword,
     design_nrf1,
@@ -229,20 +230,24 @@ def test_fs_row_representable_target_reaches_zero():
         assert res[0] <= _row_exhaustive(target, fbb, ps) + 1e-9
 
 
-def test_fs_row_monotone_history_and_cap():
+def test_fs_row_monotone_history_and_cap(monkeypatch):
     ps = phase_set(2)
     rng = np.random.default_rng(4)
     for trial in range(50):
         fbb = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         target = complex(rng.standard_normal(), rng.standard_normal())
-        hist = []
-        _, res, iters = fs_row([target], fbb, ps, rng.integers(0, 4, (1, 4)),
-                               hist)
+        init = rng.integers(0, 4, (1, 4))
+        _, res, iters = fs_row([target], fbb, ps, init)
         assert iters <= 64 * 2
-        hist = np.array(hist)[:, 0]  # each entry holds the one row's residual
-        diffs = np.diff(hist)
-        assert np.all(diffs <= 1e-12)
-        assert res[0] == pytest.approx(hist[-1], abs=1e-12)
+        # a cap of c cycles stops the same search after 2c steps (n_rf = 4),
+        # so raising c from 0 replays the residual history every two steps
+        hist = []
+        for c in range((iters + 1) // 2 + 1):
+            monkeypatch.setattr(beamkit.practical, "_ROW_CAP_PER_PHASE", c)
+            hist.append(fs_row([target], fbb, ps, init)[1][0])
+        monkeypatch.undo()
+        assert np.all(np.diff(hist) <= 1e-12)
+        assert res[0] == hist[-1]
 
 
 def test_fs_row_never_worse_than_init():

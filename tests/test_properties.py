@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from beamkit import (
+    Channel,
     HybridCodeword,
     PhaseOptimizer,
     SynthesisError,
+    build_codebook,
+    draw_channel,
     fs_altmin,
     fs_row,
     ls_icd,
@@ -87,10 +90,12 @@ def test_all_rows_fs_row_equals_one_row_calls(n_rf, bits, rows, data):
 def test_fs_altmin_output_is_finite_unit_norm_and_quantized(v, n_rf, bits,
                                                             t_max, seed):
     n_rf = min(n_rf, v.size)
+    trace = []
     try:
-        h = fs_altmin(v, n_rf, bits, t_max=t_max, seed=seed)
+        h = fs_altmin(v, n_rf, bits, t_max=t_max, seed=seed, trace=trace)
     except SynthesisError:
         return  # the one permitted failure: a loud error, never NaN output
+    assert np.all(np.diff(trace) <= 1e-12)  # the fitting residual never grows
     realized = h.realized
     assert np.all(np.isfinite(h.digital)) and np.all(np.isfinite(realized))
     assert abs(np.linalg.norm(realized) - 1.0) <= 1e-9
@@ -145,6 +150,23 @@ def test_hybrid_codeword_is_immutable_and_realized_once(h):
         back = load_hybrid(path)
     with np.errstate(over="ignore", invalid="ignore"):
         assert back.realized.tobytes() == realized.tobytes()
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # a generated __eq__ compares array fields and raises for n > 1
+    h = HybridCodeword(np.zeros((2, 2), dtype=int), 2, np.ones(2, dtype=complex))
+    cb = build_codebook(4, k=8, r_max=10, seed=0)
+    ch = draw_channel(4, 2, 2, seed=0)
+    pairs = (
+        (h, HybridCodeword(h.phase_indices, h.bits, h.digital)),
+        (phase_set(2), phase_set(3)),
+        (cb.layers[0][0], cb.layers[0][1]),
+        (cb, build_codebook(4, k=8, r_max=10, seed=0)),
+        (ch, Channel(ch.n_t, ch.n_r, ch.gains, ch.aod, ch.aoa)),
+    )
+    for a, b in pairs:
+        assert a == a and a != b  # equal contents, distinct objects
+        assert len({a, a, b}) == 2
 
 
 @pytest.mark.parametrize("bits", range(1, 17))

@@ -26,7 +26,13 @@ bit, or changes its dtype, shows up by name.  The runs are:
 - the same 100-trial success_rate record sets at N_t/N_r = 32/8 and 16/16;
 - the matrix of every channel drawn above (seeds [11, c] and [17, c]), at
   N_t/N_r = 32/16, 32/8 and 16/16;
-- the save_codebook file bytes of every codebook built above.
+- the save_codebook file bytes of every codebook built above;
+- solve_two_rf with one or both digital entries exactly 0, quantized at
+  b = 1/2/6 and continuous: the residuals and the live chain's indices or
+  phases (the zero-weight chain's are not hashed, since it adds nothing);
+- the files and stdout of every beamkit command, run through
+  beamkit.cli.main at N = 4/8 with r_max 100 and 20 trials, with list
+  options given as flags and in --config files.
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
@@ -45,7 +51,9 @@ manifest it found.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -64,8 +72,10 @@ from beamkit import (
     measure,
     phase_set,
     ps_icd,
+    solve_two_rf,
     success_rate,
 )
+from beamkit.cli import main as cli_main
 from beamkit.serialization import save_codebook
 
 MANIFEST = Path(__file__).resolve().parent / "manifest.json"
@@ -82,6 +92,51 @@ MEASURE_SNRS = (-10.0, 0.0, np.inf, -np.inf)
 MEASURE_CHANNELS = 2
 BEST_PAIR_CHANNELS = 20
 LINKS = {"32x16": (32, 16), "32x8": (32, 8), "16x16": (16, 16)}
+# (label, config file content or None, argv, files written); paths are
+# relative to the directory the commands run in
+CLI_RUNS = [
+    ("design-ideal/ps-icd", None,
+     ["design-ideal", "--n", "8", "--rmax", "100", "--out", "v8.json",
+      "--pattern-csv", "v8.csv"], ["v8.json", "v8.csv"]),
+    ("design-ideal/ls-icd-triangular", None,
+     ["design-ideal", "--n", "8", "--method", "ls-icd", "--target",
+      "triangular", "--cover=-0.5:0.5", "--out", "tri.json",
+      "--pattern-csv", "tri.csv"], ["tri.json", "tri.csv"]),
+    ("design-ideal/step", None,
+     ["design-ideal", "--n", "4", "--target", "step", "--heights", "1,3",
+      "--split", "0.4", "--k", "32", "--rmax", "100", "--out", "step.json",
+      "--pattern-csv", "step.csv"], ["step.json", "step.csv"]),
+    ("design-ideal/step-config",
+     {"target": "step", "heights": "1,3", "split": 0.4, "cover": "-0.5:0.5",
+      "k": 32, "rmax": 100},
+     ["design-ideal", "--n", "4", "--out", "stepc.json",
+      "--pattern-csv", "stepc.csv"], ["stepc.json", "stepc.csv"]),
+    ("design-practical/nrf2", None,
+     ["design-practical", "--input", "v8.json", "--nrf", "2", "--bits", "4",
+      "--tmax", "20", "--out", "h8.json"], ["h8.json"]),
+    ("design-practical/nrf1-2-3", None,
+     ["design-practical", "--input", "v8.json", "--nrf", "1,2,3", "--bits",
+      "2", "--tmax", "20", "--seeds", "2", "--seed", "3"], []),
+    ("build-codebook/hw-n8", None,
+     ["build-codebook", "--n", "8", "--k", "64", "--rmax", "100", "--nrf",
+      "2", "--bits", "4", "--tmax", "20", "--out", "cb8.json"], ["cb8.json"]),
+    ("build-codebook/ls-icd-n4", None,
+     ["build-codebook", "--n", "4", "--k", "32", "--method", "ls-icd",
+      "--out", "cb4.json"], ["cb4.json"]),
+    ("simulate/practical", None,
+     ["simulate", "--tx-codebook", "cb8.json", "--rx-codebook", "cb8.json",
+      "--snr=-5,0,inf", "--trials", "20", "--paths", "2", "--practical",
+      "--record-trials", "--out", "sp.csv"], ["sp.csv", "sp.csv.trials.json"]),
+    ("simulate/ideal-config", {"snr": "0,inf", "trials": 20, "seed": 4},
+     ["simulate", "--tx-codebook", "cb8.json", "--rx-codebook", "cb4.json",
+      "--record-trials", "--out", "si.csv"], ["si.csv", "si.csv.trials.json"]),
+    ("pattern", None,
+     ["pattern", "--input", "v8.json", "--points", "64", "--out", "pat.csv"],
+     ["pat.csv"]),
+    ("table1", None, ["table1", "--sizes", "4,8", "--rmax", "100"], []),
+    ("table1/config", {"table1": {"sizes": "8", "k": 64}},
+     ["table1", "--rmax", "100", "--seed", "2"], []),
+]
 
 
 def digest(array):
@@ -190,6 +245,45 @@ def _codebook_file_outputs(books):
                    np.frombuffer(path.read_bytes(), dtype=np.uint8))
 
 
+def _two_rf_zero_outputs():
+    """solve_two_rf with one or both digital entries exactly 0."""
+    rng = np.random.default_rng(19)
+    gamma = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    gamma[0] = 0.0
+    f = complex(rng.standard_normal(), rng.standard_normal())
+    # (label, f1, f2, live chain: 0 or 1, or None when both are zero)
+    cases = (("f2zero", f, 0j, 0), ("f1zero", 0j, f, 1), ("both", 0j, 0j, None))
+    for b in (1, 2, 6, None):
+        pset = None if b is None else phase_set(b)
+        kind = "continuous" if b is None else f"b{b}"
+        for label, f1, f2, live in cases:
+            out = solve_two_rf(gamma, f1, f2, pset)
+            yield f"two_rf_zero/{kind}/{label}/residuals", out[2]
+            if live is not None:
+                yield f"two_rf_zero/{kind}/{label}/live", out[live]
+
+
+def _cli_outputs():
+    """Files and stdout of every command, run in a scratch directory."""
+    results = []
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for label, conf, argv, files in CLI_RUNS:
+            if conf is not None:
+                Path("conf.json").write_text(json.dumps(conf))
+                argv = [*argv, "--config", "conf.json"]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                rc = cli_main(argv)
+            if rc != 0:
+                raise RuntimeError(f"beamkit {' '.join(argv)} exited {rc}")
+            for name in ("stdout", *files):
+                text = (stdout.getvalue().encode() if name == "stdout"
+                        else Path(name).read_bytes())
+                results.append((f"cli/{label}/{name}",
+                                np.frombuffer(text, dtype=np.uint8)))
+    return results
+
+
 def outputs():
     """(name, array) for every ledger output, in manifest order."""
     books = {}
@@ -252,6 +346,8 @@ def outputs():
                   "ls-icd/n16/seed5": rx_ls, "ls-icd/n8/seed5": rx8_ls,
                   "ls-icd/n16/seed6": links["16x16"]["ideal"][0]})
     yield from _codebook_file_outputs(books)
+    yield from _two_rf_zero_outputs()
+    yield from _cli_outputs()
 
 
 def check():

@@ -52,8 +52,6 @@ def sample_pattern(v, grid):
     (omega, |G|, angle(G) in radians).
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        return np.empty((0, 3))
     g = beam_gain(v, grid)
     return np.column_stack([grid, np.abs(g), np.angle(g)])
 

@@ -29,13 +29,14 @@ __all__ = [
 _SQRT2 = np.sqrt(2)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Channel:
-    """Multipath MIMO channel built from its L paths.
+    """Multipath MIMO channel built from its L paths; immutable.
 
     gains (complex), aod and aoa (directions in [-1, 1]) have one entry per
     path; matrix (n_r, n_t) is the sum of the L path outer products over
-    sqrt(L).  Mismatched lengths or L = 0 raise ValueError.
+    sqrt(L).  The path arrays are read-only copies of the ones given, and
+    matrix is read-only.  Mismatched lengths or L = 0 raise ValueError.
     """
 
     n_t: int
@@ -46,9 +47,10 @@ class Channel:
     matrix: np.ndarray = field(init=False, repr=False)  # (n_r, n_t)
 
     def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=complex)
-        self.aod = np.asarray(self.aod, dtype=float)
-        self.aoa = np.asarray(self.aoa, dtype=float)
+        for name, dtype in (("gains", complex), ("aod", float), ("aoa", float)):
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         l = max(self.gains.size, self.aod.size, self.aoa.size)
         if l < 1:
             raise ValueError(f"path count must be positive, got {l}")
@@ -59,11 +61,9 @@ class Channel:
         # sqrt(n) factors of the steering vectors cancel against the leading scale
         ar = np.exp(1j * np.pi * (np.arange(self.n_r)[:, None] * self.aoa))
         at = np.exp(1j * np.pi * (np.arange(self.n_t)[:, None] * self.aod))
-        self.matrix = (ar * self.gains) @ at.conj().T / np.sqrt(l)
-
-    @property
-    def paths(self):
-        return self.gains.size
+        matrix = (ar * self.gains) @ at.conj().T / np.sqrt(l)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
 
 def draw_channel(n_t, n_r, l, seed=None):

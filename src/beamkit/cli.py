@@ -69,35 +69,40 @@ def _config_defaults(path, command, parser):
     return conf
 
 
-def _parse_interval(text):
+# Option value types: a ValueError makes argparse, and the --config check,
+# reject the value and name the option.  interval reads lo:hi.
+def interval(text):
     lo, hi = (float(x) for x in text.split(":"))
     return lo, hi
 
 
-def _parse_floats(text):
+def float_pair(text):
+    a, b = (float(x) for x in text.split(","))
+    return a, b
+
+
+def float_list(text):
     return [float(t) for t in text.split(",")]
 
 
-def _parse_ints(text):
+def int_list(text):
     return [int(t) for t in text.split(",")]
 
 
-def _make_cli_target(args):
-    cover = _parse_interval(args.cover)
-    if args.target == "step":
-        heights = tuple(float(h) for h in args.heights.split(","))
-        return make_target("step", cover, heights=heights, split=args.split)
-    return make_target(args.target, cover)
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise ValueError(text)
+    return n
 
 
 def cmd_design_ideal(args):
-    target = _make_cli_target(args)
+    target = make_target(args.target, args.cover, heights=args.heights,
+                         split=args.split)
     if args.method == "ps-icd":
         v = ps_icd(target, args.n, args.k, args.rmax, args.seed)
-    elif args.method == "ls-icd":
-        v = ls_icd(target, args.n, args.k)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        v = ls_icd(target, args.n, args.k)
     save_codeword(v, args.out)
     with open(args.pattern_csv, "w") as fh:
         fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, 2048))))
@@ -107,16 +112,15 @@ def cmd_design_ideal(args):
 
 def cmd_design_practical(args):
     v = load_codeword(args.input)
-    nrfs = _parse_ints(str(args.nrf))
     seeds = [args.seed + i for i in range(args.seeds)]
-    for n_rf in nrfs:
+    for n_rf in args.nrf:
         devs = []
         for seed in seeds:
             trace = []
             hybrid = fs_altmin(v, n_rf, args.bits, t_max=args.tmax, seed=seed,
                                trace=trace)
             devs.append(deviation(v, hybrid.realized))
-            if len(nrfs) == 1 and len(seeds) == 1:
+            if len(args.nrf) == 1 and len(seeds) == 1:
                 save_hybrid(hybrid, args.out)
                 print("trace " + " ".join(f"{e:.12g}" for e in trace))
         print(f"nrf {n_rf} median_deviation {statistics.median(devs):.12g}")
@@ -142,7 +146,7 @@ def cmd_simulate(args):
     rx_cb = load_codebook(rx_path)
     lines = ["snr_db,trials,successes,rate,ci95"]
     all_records = []
-    for snr_db in _parse_floats(str(args.snr)):
+    for snr_db in args.snr:
         out = success_rate(TrainingConfig(
             tx_codebook=tx_cb, rx_codebook=rx_cb, snr_db=snr_db, trials=args.trials,
             seed=args.seed, paths=args.paths, use_practical=args.practical))
@@ -171,10 +175,9 @@ def cmd_pattern(args):
 
 
 def cmd_table1(args):
-    sizes = _parse_ints(str(args.sizes))
     target = make_target("rect", (-1.0, 0.0))
     print("n_t,ps_icd_mse,ls_icd_mse")
-    for n in sizes:
+    for n in args.sizes:
         # K = N would make the grid orthogonal, leaving PS-ICD nothing to do
         k = args.k if args.k is not None else max(128, 2 * n)
         vp = ps_icd(target, n, k, args.rmax, args.seed)
@@ -200,9 +203,11 @@ def build_parser():
     p = add("design-ideal", cmd_design_ideal)
     p.add_argument("--method", choices=["ps-icd", "ls-icd"], default="ps-icd")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cover", default="-1:0", help="coverage interval as lo:hi")
+    p.add_argument("--cover", type=interval, default="-1:0",
+                   help="coverage interval as lo:hi")
     p.add_argument("--target", choices=["rect", "triangular", "step"], default="rect")
-    p.add_argument("--heights", default="1,2", help="step plateau heights h1,h2")
+    p.add_argument("--heights", type=float_pair, default="1,2",
+                   help="step plateau heights h1,h2")
     p.add_argument("--split", type=float, default=0.5, help="step split fraction")
     p.add_argument("--k", type=int, default=128)
     p.add_argument("--rmax", type=int, default=2000)
@@ -212,10 +217,12 @@ def build_parser():
 
     p = add("design-practical", cmd_design_practical)
     p.add_argument("--input", required=True, help="ideal codeword JSON")
-    p.add_argument("--nrf", required=True, help="RF chain count(s), e.g. 1,2,4")
+    p.add_argument("--nrf", type=int_list, required=True,
+                   help="RF chain count(s), e.g. 1,2,4")
     p.add_argument("--bits", type=int, default=6)
     p.add_argument("--tmax", type=int, default=50)
-    p.add_argument("--seeds", type=int, default=1, help="seed count for the median")
+    p.add_argument("--seeds", type=positive_int, default=1,
+                   help="seed count for the median")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default="hybrid.json")
 
@@ -235,7 +242,7 @@ def build_parser():
     p.add_argument("--codebook", help="codebook JSON used for both ends")
     p.add_argument("--tx-codebook", dest="tx_codebook")
     p.add_argument("--rx-codebook", dest="rx_codebook")
-    p.add_argument("--snr", default="-10,-5,0,5,10",
+    p.add_argument("--snr", type=float_list, default="-10,-5,0,5,10",
                    help="SNR grid in dB, e.g. 0,5 or inf; write a grid that "
                         "starts with a negative value as --snr=-10,-5,0")
     p.add_argument("--trials", type=int, default=500)
@@ -251,7 +258,7 @@ def build_parser():
     p.add_argument("--out", default="pattern.csv")
 
     p = add("table1", cmd_table1)
-    p.add_argument("--sizes", default="16,32,64,128")
+    p.add_argument("--sizes", type=int_list, default="16,32,64,128")
     p.add_argument("--k", type=int, help="grid size (default max(128, 2N))")
     p.add_argument("--rmax", type=int, default=2000)
     p.add_argument("--seed", type=int, default=_default_seed())

@@ -172,19 +172,9 @@ def _two_rf_branches(gamma, f1, f2):
     beta = np.angle(gamma)
     z1, p1 = abs(f1), np.angle(f1)
     z2, p2 = abs(f2), np.angle(f2)
-
-    if z1 == 0.0 and z2 == 0.0:
-        zero = np.zeros_like(alpha)
-        return zero, zero, zero, zero
-    if z2 == 0.0:
-        th1 = wrap_phase(beta - p1)
-        zero = np.zeros_like(alpha)
-        return th1, zero, th1, zero
-    if z1 == 0.0:
-        th2 = wrap_phase(beta - p2)
-        zero = np.zeros_like(alpha)
-        return zero, th2, zero, th2
-
+    # a zero entry makes its own argument infinite or NaN and the other's
+    # at least 1, so the live phasor aligns with the target; the phase of
+    # the zero-weight phasor is arbitrary and adds nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         arg1 = (alpha**2 + (z1 + z2) * (z1 - z2)) / (2.0 * z1 * alpha)
         arg2 = (alpha**2 - (z1 + z2) * (z1 - z2)) / (2.0 * z2 * alpha)

@@ -46,18 +46,20 @@ class TargetPattern:
         return f"TargetPattern({self.kind!r}, [{lo}, {hi}])"
 
 
-def make_target(kind, coverage, **params):
+def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5, omegas=None,
+                values=None):
     """Build a target pattern.
 
     kind: "rect", "triangular", "step", or "custom".
       rect        flat level sqrt(2/B) over the coverage of width B.
       triangular  rises linearly from 0 at the left edge to the peak at the
                   midpoint and back to 0; peak sqrt(6/B).
-      step        two plateaus with relative heights params["heights"]
-                  splitting the coverage at fraction params["split"],
-                  scaled to total energy 2.
-      custom      params["omegas"], params["values"]: nonnegative samples,
-                  linearly interpolated inside the coverage (no rescaling).
+      step        two plateaus with relative heights (h1, h2) = heights
+                  splitting the coverage at fraction split, scaled to
+                  total energy 2.
+      custom      omegas, values: nonnegative samples, linearly
+                  interpolated inside the coverage (no rescaling).
+    Keywords a kind does not use are ignored.
     """
     lo, hi = float(coverage[0]), float(coverage[1])
     width = hi - lo
@@ -81,17 +83,16 @@ def make_target(kind, coverage, **params):
         return TargetPattern("triangular", coverage, tri, amplitude=peak)
 
     if kind == "step":
-        h1, h2 = params.get("heights", (1.0, 2.0))
-        frac = params.get("split", 0.5)
+        h1, h2 = heights
         if h1 < 0 or h2 < 0:
             raise ValueError(f"step heights must be nonnegative, got ({h1}, {h2})")
-        if not 0.0 < frac < 1.0:
-            raise ValueError(f"split fraction must lie in (0, 1), got {frac}")
-        energy = width * (frac * h1**2 + (1.0 - frac) * h2**2)
+        if not 0.0 < split < 1.0:
+            raise ValueError(f"split fraction must lie in (0, 1), got {split}")
+        energy = width * (split * h1**2 + (1.0 - split) * h2**2)
         if energy <= 0:
             raise ValueError("step target has zero energy")
         scale = np.sqrt(2.0 / energy)
-        edge = lo + frac * width
+        edge = lo + split * width
 
         def step(om):
             return np.where(om < edge, scale * h1, scale * h2)
@@ -99,8 +100,10 @@ def make_target(kind, coverage, **params):
         return TargetPattern("step", coverage, step)
 
     if kind == "custom":
-        omegas = np.asarray(params["omegas"], dtype=float)
-        values = np.asarray(params["values"], dtype=float)
+        if omegas is None or values is None:
+            raise ValueError("custom target needs omegas and values")
+        omegas = np.asarray(omegas, dtype=float)
+        values = np.asarray(values, dtype=float)
         if omegas.shape != values.shape or omegas.ndim != 1:
             raise ValueError("custom target needs matching 1-D omegas/values")
         if (values < 0).any():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,20 @@ def test_channel_matrix_closed_form():
     ar = np.exp(1j * np.pi * np.arange(3) * -0.5)
     at = np.exp(1j * np.pi * np.arange(4) * 0.25)
     np.testing.assert_allclose(ch.matrix, gain * np.outer(ar, at.conj()), atol=1e-12)
-    assert ch.n_t == 4 and ch.n_r == 3 and ch.paths == 1
+    assert ch.n_t == 4 and ch.n_r == 3 and ch.gains.size == 1
+
+
+def test_channel_is_immutable():
+    # a written field would leave matrix stale, so writes raise
+    gains = np.array([1.0 + 0j])
+    ch = Channel(4, 2, gains, [0.2], [0.1])
+    gains[0] = 2.0  # the channel holds copies of what it was given
+    assert ch.gains[0] == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.aod = [0.7]
+    for array in (ch.matrix, ch.gains, ch.aod, ch.aoa):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_channel_multipath_superposition():

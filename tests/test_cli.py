@@ -213,6 +213,9 @@ def test_config_file_must_be_an_object(tmp_path, capsys):
      "design-ideal has no option 'rmx'"),
     ("design-ideal", {"k": 1.5}, "invalid value 1.5 for 'k'"),
     ("simulate", {"practical": "yes"}, "invalid value 'yes' for 'practical'"),
+    # list options are parsed by their type, so the config check sees them
+    ("simulate", {"snr": "a,b"}, "invalid value 'a,b' for 'snr'"),
+    ("design-ideal", {"heights": "1"}, "invalid value '1' for 'heights'"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, command, conf,
                                               named):
@@ -225,6 +228,24 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, conf,
     assert rc == 2
     assert f"error: {path}: {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["design-ideal", "--n", "8", "--heights", "1"], "--heights"),
+    (["design-ideal", "--n", "8", "--cover", "0.5"], "--cover"),
+    (["design-practical", "--input", "v.json", "--nrf", "2", "--seeds", "0"],
+     "--seeds"),
+    (["design-practical", "--input", "v.json", "--nrf", "2,x"], "--nrf"),
+    (["simulate", "--codebook", "cb.json", "--snr", "0,a"], "--snr"),
+    (["table1", "--sizes", "8,"], "--sizes"),
+])
+def test_bad_flag_values_are_usage_errors_naming_the_flag(capsys, argv,
+                                                          option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and f"argument {option}:" in err
 
 
 def test_readme_command_lines_parse():

@@ -248,6 +248,24 @@ def test_fs_row_monotone_history_and_cap(monkeypatch):
         monkeypatch.undo()
         assert np.all(np.diff(hist) <= 1e-12)
         assert res[0] == hist[-1]
+    # targets the phases represent exactly, equal digital entries (the
+    # ledger's tie runs): many candidates come within roundoff of each other,
+    # so a row that accepted a worse one would show a rising residual
+    for b, n_rf in itertools.product((1, 2), (3, 4)):
+        ps = phase_set(b)
+        rng = np.random.default_rng([b, n_rf])
+        fbb = np.ones(n_rf, dtype=complex)
+        exact = rng.integers(0, ps.size, (16, n_rf))
+        target = np.sum(fbb * ps.phasors[exact], axis=1)
+        init = rng.integers(0, ps.size, (16, n_rf))
+        _, res, iters = fs_row(target, fbb, ps, init)
+        hist = []
+        for c in range(-(-iters // (n_rf - 2)) + 1):
+            monkeypatch.setattr(beamkit.practical, "_ROW_CAP_PER_PHASE", c)
+            hist.append(fs_row(target, fbb, ps, init)[1])
+        monkeypatch.undo()
+        assert np.all(np.diff(hist, axis=0) <= 0.0), (b, n_rf)
+        np.testing.assert_array_equal(res, hist[-1])
 
 
 def test_fs_row_never_worse_than_init():

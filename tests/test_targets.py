@@ -48,6 +48,9 @@ def test_step_validation():
         make_target("step", (-1.0, 0.0), heights=(1.0, 2.0), split=1.5)
     with pytest.raises(ValueError):
         make_target("step", (-1.0, 0.0), heights=(0.0, 0.0))
+    # a misspelt keyword is an error, not the default pattern
+    with pytest.raises(TypeError):
+        make_target("step", (-1.0, 0.0), hieghts=(1.0, 3.0))
 
 
 def test_custom_interpolation():
@@ -61,6 +64,9 @@ def test_custom_interpolation():
     assert t(0.5) == 0.0
     with pytest.raises(ValueError):
         make_target("custom", (-1, 0), omegas=[-1, 0], values=[1.0, -1.0])
+    for missing in ({"omegas": [-1, 0]}, {"values": [1.0, 1.0]}):
+        with pytest.raises(ValueError, match="needs omegas and values"):
+            make_target("custom", (-1, 0), **missing)
 
 
 def test_coverage_validation():

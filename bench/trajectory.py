@@ -1,0 +1,289 @@
+"""Time beamkit's design paths and record their outputs next to the times.
+
+Each case runs a fixed, seeded call several times and records the median
+and quartile distance of its wall times (time.perf_counter) together with
+quality numbers (deviation, main-lobe MSE, residuals) and a sha256 over its
+outputs, so a speedup that moves a result shows up in the same record.
+OpenBLAS is held to one thread.  The cases:
+
+- build_codebook(32, n_rf=4, b=6), end to end;
+- fs_altmin at N = 32 with n_rf = 2, 3 and 4;
+- one fs_row pass over the 32 rows of an N = 32 codeword, n_rf = 4, b = 6;
+- solve_two_rf on 2048 targets, b = 6.
+
+    python bench/trajectory.py --label change --out BENCH_11.json
+    python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
+    python bench/trajectory.py --compare BENCH_11.json:parent BENCH_11.json:change
+
+A run is stored under its label in the output file's "runs", replacing a
+run of the same label.  --compare exits 1 when any quality field or digest
+of a case in both runs differs, or no case is in both, and otherwise only
+reports time ratios.
+--toy runs every case at toy sizes, for a smoke test.
+"""
+
+import os
+import sys
+
+if __name__ == "__main__":
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
+
+import argparse
+import hashlib
+import importlib
+import json
+import platform
+import statistics
+import subprocess
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 0
+
+# case sizes: n antennas, grid k, r_max, bits, fs_row rows, solve targets,
+# codebook hardware; the codebook build uses its own n, k, r_max and hw.
+# A case repeats at least `repeats` times and until `seconds` have passed,
+# so the fast cases get enough samples for a stable median.
+FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
+        "targets": 2048, "codebook": {"n": 32, "hw": {"n_rf": 4, "b": 6}},
+        "repeats": 5, "seconds": 2.0}
+TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
+       "targets": 64,
+       "codebook": {"n": 8, "k": 32, "r_max": 100,
+                    "hw": {"n_rf": 3, "b": 4, "t_max": 5}},
+       "repeats": 2, "seconds": 0.0}
+
+
+def digest(*arrays):
+    """sha256 over each array's dtype, shape and contiguous bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _codeword(bk, size):
+    target = bk.make_target("rect", (-0.5, 0.0))
+    return bk.ps_icd(target, size["n"], size["k"], size["r_max"], SEED)
+
+
+def cases(bk, size):
+    """(name, untimed set-up, timed call, quality and digest of its result)."""
+
+    def codebook_case():
+        def score(cb):
+            devs, mses, arrays = [], [], []
+            for layer in cb.layers:
+                for e in layer:
+                    h = e.hybrid
+                    arrays += [h.phase_indices, h.digital]
+                    if len(layer) < cb.n:  # synthesized, not a steering vector
+                        devs.append(bk.deviation(e.ideal, h.realized))
+                        mses.append(bk.main_lobe_mse(
+                            h.realized, bk.make_target("rect", e.coverage)))
+            return ({"deviation_median": statistics.median(devs),
+                     "main_lobe_mse_mean": statistics.fmean(mses)},
+                    digest(*arrays))
+
+        hw = size["codebook"]["hw"]
+        name = (f"build_codebook/n{size['codebook']['n']}"
+                f"/nrf{hw['n_rf']}/b{hw['b']}")
+        return (name, lambda: None,
+                lambda _: bk.build_codebook(seed=SEED, **size["codebook"]),
+                score)
+
+    def altmin_case(n_rf):
+        def score(h):
+            return ({"deviation": bk.deviation(v, h.realized)},
+                    digest(h.phase_indices, h.digital))
+
+        v = _codeword(bk, size)
+        return (f"fs_altmin/n{size['n']}/nrf{n_rf}/b{size['bits']}",
+                lambda: v,
+                lambda v: bk.fs_altmin(v, n_rf, size["bits"],
+                                       t_max=size["t_max"], seed=SEED),
+                score)
+
+    def row_case():
+        def setup():
+            v = _codeword(bk, size)
+            rng = np.random.default_rng(SEED)
+            init = rng.integers(0, pset.size, (v.size, 4))
+            fbb = bk.ls_fbb(pset.phasors[init], v)
+            return v, fbb, init
+
+        def score(result):
+            idx, res, steps = result
+            return ({"residual_norm": float(np.linalg.norm(res)),
+                     "steps": int(steps)},
+                    digest(idx, res, np.array(steps)))
+
+        pset = bk.phase_set(size["bits"])
+        return (f"fs_row/rows{size['n']}/nrf4/b{size['bits']}", setup,
+                lambda a: bk.fs_row(a[0], a[1], pset, a[2]), score)
+
+    def solve_case():
+        def setup():
+            rng = np.random.default_rng(SEED)
+            z = rng.standard_normal((2, size["targets"] + 2))
+            gamma = z[0] + 1j * z[1]
+            return gamma[2:], gamma[0], gamma[1]
+
+        def score(result):
+            i1, i2, res = result
+            return ({"residual_mean": float(np.mean(res))},
+                    digest(i1, i2, res))
+
+        pset = bk.phase_set(size["bits"])
+        return (f"solve_two_rf/targets{size['targets']}/b{size['bits']}",
+                setup, lambda a: bk.solve_two_rf(a[0], a[1], a[2], pset),
+                score)
+
+    return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
+            row_case(), solve_case()]
+
+
+def time_case(setup, call, score, repeats, seconds):
+    """Median and quartile distance of the wall times of at least repeats
+    calls lasting at least seconds in all, with the quality and digest of
+    the result, which must not change between repeats."""
+    args = setup()
+    times, seen = [], set()
+    while len(times) < repeats or sum(times) < seconds:
+        t0 = time.perf_counter()
+        result = call(args)
+        times.append(time.perf_counter() - t0)
+        quality, sha = score(result)
+        seen.add(sha)
+    if len(seen) != 1:
+        raise RuntimeError("outputs differ between repeats")
+    q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (0, 0, 0)
+    return {"median_s": statistics.median(times), "iqr_s": q3 - q1,
+            "times_s": times, "quality": quality, "sha256": sha}
+
+
+def _git(path, *args):
+    try:
+        return subprocess.run(["git", "-C", str(path), *args],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _cpu():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _environment(src):
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {k: blas.get(k) for k in ("name", "version",
+                                         "openblas configuration")}
+    except (KeyError, TypeError):
+        blas = None
+    return {"cpu": _cpu(), "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__, "blas": blas,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "commit": _git(src, "rev-parse", "HEAD"),
+            # tracked files changed since that commit: the run timed them
+            "dirty": bool(_git(src, "status", "--porcelain",
+                               "--untracked-files=no")),
+            "seed": SEED}
+
+
+def run(src, toy=False):
+    """One run over every case, beamkit imported from src."""
+    sys.path.insert(0, str(src))
+    try:
+        bk = importlib.import_module("beamkit")
+    finally:
+        sys.path.pop(0)
+    if Path(bk.__file__).resolve().parent.parent != Path(src).resolve():
+        raise RuntimeError(f"beamkit already imported from {bk.__file__}")
+    size = TOY if toy else FULL
+    record = {"environment": _environment(src), "toy": toy,
+              "min_repeats": size["repeats"], "min_seconds": size["seconds"],
+              "cases": {}}
+    for name, setup, call, score in cases(bk, size):
+        record["cases"][name] = time_case(setup, call, score,
+                                          size["repeats"], size["seconds"])
+        print(f"{name}: {record['cases'][name]['median_s']:.4g} s",
+              file=sys.stderr)
+    return record
+
+
+def _load_run(spec):
+    """A run from PATH (the file's last run) or PATH:LABEL."""
+    path, label = spec, None
+    if not Path(spec).is_file() and ":" in spec:
+        path, label = spec.rsplit(":", 1)
+    runs = json.loads(Path(path).read_text())["runs"]
+    if label is None:
+        label = list(runs)[-1]
+    if label not in runs:
+        raise ValueError(f"{path} has no run {label!r}; it has {list(runs)}")
+    return runs[label]
+
+
+def compare(spec_a, spec_b):
+    """Report B's time over A's per case; 1 if any quality or digest differs,
+    or if the runs share no case."""
+    a, b = _load_run(spec_a)["cases"], _load_run(spec_b)["cases"]
+    status = 0 if a.keys() & b.keys() else 1
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}: only in {spec_a if name in a else spec_b}")
+            continue
+        ca, cb = a[name], b[name]
+        diff = [k for k in ca["quality"].keys() | cb["quality"].keys()
+                if ca["quality"].get(k) != cb["quality"].get(k)]
+        if ca["sha256"] != cb["sha256"]:
+            diff.append("sha256")
+        ratio = cb["median_s"] / ca["median_s"]
+        note = f"  DIFFERS: {', '.join(sorted(diff))}" if diff else ""
+        print(f"{name}: {ca['median_s']:.4g} s -> {cb['median_s']:.4g} s "
+              f"(x{ratio:.3f}){note}")
+        status |= bool(diff)
+    return status
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=str(REPO / "src"),
+                   help="directory beamkit is imported from")
+    p.add_argument("--label", default="run", help="name of this run")
+    p.add_argument("--out", help="JSON file the run is stored in")
+    p.add_argument("--toy", action="store_true", help="toy sizes")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="compare two stored runs, PATH or PATH:LABEL")
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    record = run(args.src, toy=args.toy)
+    if args.out:
+        path = Path(args.out)
+        doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
+        doc["runs"][args.label] = record
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+    else:
+        json.dump(record, sys.stdout, indent=1)
+        print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -85,15 +85,22 @@ def float_list(text):
     return [float(t) for t in text.split(",")]
 
 
-def int_list(text):
-    return [int(t) for t in text.split(",")]
-
-
 def positive_int(text):
     n = int(text)
     if n < 1:
         raise ValueError(text)
     return n
+
+
+def non_negative_int(text):
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+def positive_int_list(text):
+    return [positive_int(t) for t in text.split(",")]
 
 
 def cmd_design_ideal(args):
@@ -202,39 +209,40 @@ def build_parser():
 
     p = add("design-ideal", cmd_design_ideal)
     p.add_argument("--method", choices=["ps-icd", "ls-icd"], default="ps-icd")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--cover", type=interval, default="-1:0",
                    help="coverage interval as lo:hi")
     p.add_argument("--target", choices=["rect", "triangular", "step"], default="rect")
     p.add_argument("--heights", type=float_pair, default="1,2",
                    help="step plateau heights h1,h2")
     p.add_argument("--split", type=float, default=0.5, help="step split fraction")
-    p.add_argument("--k", type=int, default=128)
-    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--k", type=positive_int, default=128)
+    p.add_argument("--rmax", type=non_negative_int, default=2000)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default="codeword.json")
     p.add_argument("--pattern-csv", dest="pattern_csv", default="pattern.csv")
 
     p = add("design-practical", cmd_design_practical)
     p.add_argument("--input", required=True, help="ideal codeword JSON")
-    p.add_argument("--nrf", type=int_list, required=True,
+    p.add_argument("--nrf", type=positive_int_list, required=True,
                    help="RF chain count(s), e.g. 1,2,4")
-    p.add_argument("--bits", type=int, default=6)
-    p.add_argument("--tmax", type=int, default=50)
+    p.add_argument("--bits", type=positive_int, default=6)
+    p.add_argument("--tmax", type=non_negative_int, default=50)
     p.add_argument("--seeds", type=positive_int, default=1,
                    help="seed count for the median")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default="hybrid.json")
 
     p = add("build-codebook", cmd_build_codebook)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--k", type=int, default=128)
-    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--m", type=positive_int, default=2)
+    p.add_argument("--k", type=positive_int, default=128)
+    p.add_argument("--rmax", type=non_negative_int, default=2000)
     p.add_argument("--method", choices=["ps-icd", "ls-icd"], default="ps-icd")
-    p.add_argument("--nrf", type=int, help="RF chains (omit for ideal-only)")
-    p.add_argument("--bits", type=int, default=6)
-    p.add_argument("--tmax", type=int, default=50)
+    p.add_argument("--nrf", type=positive_int,
+                   help="RF chains (omit for ideal-only)")
+    p.add_argument("--bits", type=positive_int, default=6)
+    p.add_argument("--tmax", type=non_negative_int, default=50)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default="codebook.json")
 
@@ -245,8 +253,8 @@ def build_parser():
     p.add_argument("--snr", type=float_list, default="-10,-5,0,5,10",
                    help="SNR grid in dB, e.g. 0,5 or inf; write a grid that "
                         "starts with a negative value as --snr=-10,-5,0")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--paths", type=int, default=1)
+    p.add_argument("--trials", type=positive_int, default=500)
+    p.add_argument("--paths", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--practical", action="store_true")
     p.add_argument("--record-trials", dest="record_trials", action="store_true")
@@ -254,13 +262,14 @@ def build_parser():
 
     p = add("pattern", cmd_pattern)
     p.add_argument("--input", required=True)
-    p.add_argument("--points", type=int, default=2048)
+    p.add_argument("--points", type=positive_int, default=2048)
     p.add_argument("--out", default="pattern.csv")
 
     p = add("table1", cmd_table1)
-    p.add_argument("--sizes", type=int_list, default="16,32,64,128")
-    p.add_argument("--k", type=int, help="grid size (default max(128, 2N))")
-    p.add_argument("--rmax", type=int, default=2000)
+    p.add_argument("--sizes", type=positive_int_list, default="16,32,64,128")
+    p.add_argument("--k", type=positive_int,
+                   help="grid size (default max(128, 2N))")
+    p.add_argument("--rmax", type=non_negative_int, default=2000)
     p.add_argument("--seed", type=int, default=_default_seed())
 
     return parser

@@ -125,12 +125,17 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     s_total = _check_shape(n, m)
     if k < n:
         raise ValueError(f"grid size {k} must be >= antenna count {n}")
+    if r_max < 0:
+        raise ValueError(f"update count r_max must be >= 0, got {r_max}")
     if hw is not None:
         hw = dict(hw)
         hw.setdefault("t_max", 50)
         phase_set(hw["b"])  # validate early
         if not 1 <= hw["n_rf"] <= n:
             raise ValueError(f"n_rf must be in [1, {n}], got {hw['n_rf']}")
+        if hw["t_max"] < 0:
+            raise ValueError(
+                f"iteration count t_max must be >= 0, got {hw['t_max']}")
     layers = []
     for s in range(1, s_total + 1):
         width = 2.0 / m**s

@@ -123,6 +123,8 @@ def ps_icd(target, n, k, r_max, seed):
     """
     if not callable(target):
         raise TypeError("target must be a TargetPattern or callable")
+    if r_max < 0:
+        raise ValueError(f"update count r_max must be >= 0, got {r_max}")
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)

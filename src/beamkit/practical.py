@@ -5,8 +5,15 @@ matrix F has unit-modulus entries with b-bit quantized phases and the
 digital vector f has one entry per RF chain.  The alternating scheme
 solves least squares for f, then rewrites each antenna row of F: exact
 quantization for one chain, a closed-form two-phasor match for two chains,
-and a cyclic per-phase search that always re-solves two free phasors for
-three or more chains.
+and a cyclic per-phase search that re-solves two free phasors for three or
+more chains.
+
+That search skips the two-phasor solve for every candidate that provably
+cannot be accepted: no quantized pair comes closer to a target than the
+best continuous-phase pair, whose distance has a closed form, so a
+candidate whose distance bound exceeds the row's incumbent residual by more
+than rounding could never win, tie or be accepted.  Skipping it changes no
+index, residual or step count.
 """
 
 import functools
@@ -35,6 +42,14 @@ __all__ = [
 _FBB_TOL = 1e-10
 # Safety cap on inner search cycles; the primary stop is an unchanged cycle.
 _ROW_CAP_PER_PHASE = 64
+# Rounding allowance of the fast search's bound test, in units of
+# |gamma| + |f1| + |f2|.  A computed residual and a computed bound each err
+# by a few ulps of that sum (a residual can read up to about one ulp below
+# its bound), so 256 ulps leaves a wide safety factor and still skips
+# nearly every candidate an exact test would.  It must be absolute, not a
+# fraction of the bound: the bound is exactly 0 for every target inside the
+# pair's reach, where a relative margin would be no margin at all.
+_BOUND_MARGIN = 256 * np.finfo(float).eps
 # Index offsets (d1, d2) searched around each rounded two-phasor branch.
 _NEIGHBORHOOD = np.array(
     [(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
@@ -236,6 +251,15 @@ def fs_row(target, fbb, pset, init_indices):
     unless it is worse than the row's incumbent.  A row stops after n_rf - 2
     steps in a row leave it unchanged, or at the safety cap.
 
+    A candidate with residual target gamma is solved only if the bound
+    lb = max(0, |gamma| - (|f1| + |f2|), ||f1| - |f2|| - |gamma|), the
+    distance from gamma to every continuous-phase pair f1 e^{j th1} +
+    f2 e^{j th2}, less a rounding margin, is at most the row's incumbent
+    residual.  A skipped candidate's residual would exceed the incumbent,
+    so it can neither win, nor tie the winner, nor be accepted; every
+    candidate that can is still solved.  The result is the one an
+    exhaustive sweep gives.
+
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
     """
@@ -250,6 +274,7 @@ def fs_row(target, fbb, pset, init_indices):
     # on an array may take a vector path that differs in the last bit
     start = target - np.sum(fbb * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
+    z1, z2 = abs(fbb[0]), abs(fbb[1])
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = np.zeros(target.size, dtype=int)
@@ -267,16 +292,26 @@ def fs_row(target, fbb, pset, init_indices):
                                fp.real * ep.imag + fp.imag * ep.real])
         fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
         resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
-        i1, i2, errs = solve_two_rf(resid_targets.ravel(), fbb[0], fbb[1], pset)
-        best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
-        pick = np.arange(active.size) * pset.size + best
-        new = np.column_stack([i1[pick], i2[pick], best])
+        # solve only the candidates whose bound, less the margin, does not
+        # exceed the incumbent; the rest keep residual +inf.  The bound's 0
+        # term is left out, as res >= 0 keeps such candidates anyway.
+        alpha = np.abs(resid_targets)
+        bound = np.maximum(alpha - (z1 + z2), abs(z1 - z2) - alpha)
+        keep = bound - _BOUND_MARGIN * (alpha + z1 + z2) <= res[active, None]
+        i1 = np.zeros(resid_targets.shape, dtype=int)
+        i2 = np.zeros(resid_targets.shape, dtype=int)
+        errs = np.full(resid_targets.shape, np.inf)
+        i1[keep], i2[keep], errs[keep] = solve_two_rf(
+            resid_targets[keep], fbb[0], fbb[1], pset)
+        best = np.argmin(errs, axis=1)
+        at = (np.arange(active.size), best)
+        new = np.column_stack([i1[at], i2[at], best])
         # keep the incumbent row when no candidate improves on it, so every
         # residual sequence is non-increasing
-        accept = errs[pick] <= res[active]
+        accept = errs[at] <= res[active]
         moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
         idx[active[accept, None], [0, 1, p]] = new[accept]
-        res[active[accept]] = errs[pick][accept]
+        res[active[accept]] = errs[at][accept]
         t += 1
         unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
         active = active[unchanged[active] < n_rf - 2]
@@ -320,6 +355,8 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     v = _design_input(v)
     if not 1 <= n_rf <= v.size:
         raise ValueError(f"n_rf must be in [1, {v.size}], got {n_rf}")
+    if t_max < 0:
+        raise ValueError(f"iteration count t_max must be >= 0, got {t_max}")
     pset = phase_set(b)
     if n_rf == 1 and t_max > 0:
         hybrid = design_nrf1(v, pset)
@@ -340,7 +377,7 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
             i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
             # gathered, not the strided analog[:, 0]: a complex product
             # over a strided array may round differently in the last bit
-            old =np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
+            old = np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
                          - fbb[1] * pset.phasors[idx[:, 1]])
             idx = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), idx)
         else:

@@ -238,14 +238,28 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, conf,
     (["design-practical", "--input", "v.json", "--nrf", "2,x"], "--nrf"),
     (["simulate", "--codebook", "cb.json", "--snr", "0,a"], "--snr"),
     (["table1", "--sizes", "8,"], "--sizes"),
+    # counts: negative (or, where zero means nothing, zero) values are
+    # rejected when parsed, before a command prints or writes anything
+    (["design-ideal", "--n", "8", "--rmax", "-3"], "--rmax"),
+    (["design-ideal", "--n", "8", "--k", "0"], "--k"),
+    (["design-practical", "--input", "v.json", "--nrf", "2", "--tmax", "-1"],
+     "--tmax"),
+    (["design-practical", "--input", "v.json", "--nrf", "2,0"], "--nrf"),
+    (["build-codebook", "--n", "8", "--m", "0"], "--m"),
+    (["build-codebook", "--n", "8", "--nrf", "2", "--bits", "0"], "--bits"),
+    (["simulate", "--codebook", "cb.json", "--trials", "0"], "--trials"),
+    (["simulate", "--codebook", "cb.json", "--paths", "-1"], "--paths"),
+    (["pattern", "--input", "v.json", "--points", "-1"], "--points"),
+    (["table1", "--sizes", "0"], "--sizes"),
 ])
 def test_bad_flag_values_are_usage_errors_naming_the_flag(capsys, argv,
                                                           option):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "error: " in err and f"argument {option}:" in err
+    assert out == ""
 
 
 def test_readme_command_lines_parse():

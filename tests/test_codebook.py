@@ -130,3 +130,12 @@ def test_build_rejects_antenna_count_not_power_of_m(n, m):
     # n = 12 would otherwise get a fourth layer of beams narrower than 2/n
     with pytest.raises(ValueError, match=r"m\^s with s >= 1"):
         build_codebook(n, m=m, k=128, r_max=100, seed=0)
+
+
+@pytest.mark.parametrize("r_max, hw, named", [
+    (-1, None, "r_max"),
+    (10, {"n_rf": 2, "b": 4, "t_max": -1}, "t_max"),
+])
+def test_build_rejects_negative_iteration_counts(r_max, hw, named):
+    with pytest.raises(ValueError, match=f"{named} must be >= 0"):
+        build_codebook(4, k=8, r_max=r_max, seed=0, hw=hw)

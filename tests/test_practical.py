@@ -351,6 +351,13 @@ def test_fs_altmin_validates_n_rf():
         fs_altmin(v, 5, 4)
 
 
+@pytest.mark.parametrize("n_rf", [1, 2, 3])
+def test_fs_altmin_rejects_negative_iteration_count(n_rf):
+    v = np.ones(4, dtype=complex) / 2
+    with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
+        fs_altmin(v, n_rf, 4, t_max=-1)
+
+
 def test_fs_altmin_row_separability():
     # permuting antennas permutes the designed rows identically
     target = make_target("rect", (-1.0, 0.0))

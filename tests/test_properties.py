@@ -5,6 +5,7 @@ few seconds of tier-1 time.
 """
 
 import dataclasses
+import itertools
 import os
 import tempfile
 
@@ -30,6 +31,7 @@ from beamkit import (
     solve_two_rf,
     steering_matrix,
 )
+from beamkit.practical import _ROW_CAP_PER_PHASE
 from beamkit.serialization import load_hybrid, save_hybrid
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -76,6 +78,122 @@ def test_all_rows_fs_row_equals_one_row_calls(n_rf, bits, rows, data):
         assert res[r] == e[0]
         one_row_steps.append(t)
     assert steps == max(one_row_steps)
+
+
+def _exhaustive_fs_row(target, fbb, pset, init_indices):
+    """The reference sweep: fs_row's loop with no bound test, so every step
+    solves the two-phasor match for every candidate of every active row."""
+    fbb = np.asarray(fbb, dtype=complex)
+    n_rf = fbb.size
+    target = np.asarray(target, dtype=complex)
+    phasors = pset.phasors
+    idx = np.array(init_indices, dtype=int)
+    start = target - np.sum(fbb * phasors[idx], axis=1)
+    res = np.hypot(start.real, start.imag)
+
+    cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
+    unchanged = np.zeros(target.size, dtype=int)
+    active = np.arange(target.size)
+    t = 0
+    while t < cap and active.size:
+        p = t % (n_rf - 2) + 2
+        rows = idx[active]
+        e = phasors[rows]
+        fp, ep = fbb[p], e[:, p]
+        own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
+                               fp.real * ep.imag + fp.imag * ep.real])
+        fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
+        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
+        i1, i2, errs = solve_two_rf(resid_targets.ravel(), fbb[0], fbb[1], pset)
+        best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
+        pick = np.arange(active.size) * pset.size + best
+        new = np.column_stack([i1[pick], i2[pick], best])
+        accept = errs[pick] <= res[active]
+        moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
+        idx[active[accept, None], [0, 1, p]] = new[accept]
+        res[active[accept]] = errs[pick][accept]
+        t += 1
+        unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
+        active = active[unchanged[active] < n_rf - 2]
+    return idx, res, t
+
+
+def _assert_pruning_changes_nothing(target, fbb, pset, init):
+    idx, res, steps = fs_row(target, fbb, pset, init)
+    ref_idx, ref_res, ref_steps = _exhaustive_fs_row(target, fbb, pset, init)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert res.tobytes() == ref_res.tobytes()
+    assert steps == ref_steps
+
+
+@_SETTINGS
+@given(
+    n_rf=st.integers(3, 5),
+    bits=st.sampled_from([1, 2, 4, 6]),
+    rows=st.integers(1, 8),
+    data=st.data(),
+)
+def test_pruned_fs_row_equals_exhaustive_on_random_rows(n_rf, bits, rows,
+                                                        data):
+    pset = phase_set(bits)
+    fbb = data.draw(arrays(complex, n_rf, elements=_complex))
+    target = data.draw(arrays(complex, rows, elements=_complex))
+    init = data.draw(arrays(np.int64, (rows, n_rf),
+                            elements=st.integers(0, pset.size - 1)))
+    _assert_pruning_changes_nothing(target, fbb, pset, init)
+
+
+@pytest.mark.parametrize("bits,n_rf", itertools.product((1, 2), (3, 4)))
+def test_pruned_fs_row_equals_exhaustive_on_tie_rows(bits, n_rf):
+    # the golden ledger's tie runs: exactly representable targets and equal
+    # digital entries, so the winner and the incumbent often tie at a
+    # residual of 0, which is also the bound of many candidates
+    pset = phase_set(bits)
+    rng = np.random.default_rng([bits, n_rf])
+    fbb = np.ones(n_rf, dtype=complex)
+    exact = rng.integers(0, pset.size, (16, n_rf))
+    target = np.sum(fbb * pset.phasors[exact], axis=1)
+    init = rng.integers(0, pset.size, (16, n_rf))
+    _assert_pruning_changes_nothing(target, fbb, pset, init)
+
+
+@_SETTINGS
+@given(
+    n_rf=st.integers(3, 5),
+    bits=st.sampled_from([1, 2, 4, 6]),
+    rows=st.integers(1, 6),
+    edge=st.sampled_from(["zero", "outer", "inner"]),
+    ulps=st.integers(-4, 4),
+    data=st.data(),
+)
+def test_pruned_fs_row_equals_exhaustive_at_the_bound_edges(n_rf, bits, rows,
+                                                            edge, ulps, data):
+    # f1 and f2 share a direction (outer edge, |gamma| = |f1| + |f2|) or
+    # point opposite ways (inner edge, |gamma| = ||f1| - |f2||; with equal
+    # moduli |gamma| = 0), and each target is reached, to a few ulps, by
+    # phases 0 and 1 at one shared phase-set member, so the rows' residuals
+    # and the bounds of their candidates approach those edges together.
+    # Rows that start at that member keep a residual of a few ulps, within
+    # rounding of the winner's bound: a rule without a margin fails here.
+    pset = phase_set(bits)
+    mags = st.floats(0.25, 4.0)
+    z1 = data.draw(mags)
+    z2 = z1 if edge == "zero" else data.draw(mags)
+    direction = np.exp(1j * data.draw(st.floats(-np.pi, np.pi)))
+    sign = 1.0 if edge == "outer" else -1.0
+    fbb = np.concatenate([[z1 * direction, sign * z2 * direction],
+                          data.draw(arrays(complex, n_rf - 2,
+                                           elements=_complex))])
+    exact = data.draw(arrays(np.int64, (rows, n_rf),
+                             elements=st.integers(0, pset.size - 1)))
+    exact[:, 1] = exact[:, 0]
+    target = np.sum(fbb * pset.phasors[exact], axis=1)
+    target = target * (1.0 + ulps * np.finfo(float).eps) + ulps * 1e-16
+    init = data.draw(arrays(np.int64, (rows, n_rf),
+                            elements=st.integers(0, pset.size - 1)))
+    at_member = data.draw(arrays(bool, rows))
+    init[at_member] = exact[at_member]
+    _assert_pruning_changes_nothing(target, fbb, pset, init)
 
 
 @_SETTINGS

@@ -27,9 +27,9 @@ bit, or changes its dtype, shows up by name.  The runs are:
 - the matrix of every channel drawn above (seeds [11, c] and [17, c]), at
   N_t/N_r = 32/16, 32/8 and 16/16;
 - the save_codebook file bytes of every codebook built above;
-- solve_two_rf with one or both digital entries exactly 0, quantized at
-  b = 1/2/6 and continuous: the residuals and the live chain's indices or
-  phases (the zero-weight chain's are not hashed, since it adds nothing);
+- solve_two_rf with one or both digital entries exactly 0, at b = 1/2/6:
+  the residuals and the live chain's indices (the zero-weight chain's are
+  not hashed, since it adds nothing);
 - the files and stdout of every beamkit command, run through
   beamkit.cli.main at N = 4/8 with r_max 100 and 20 trials, with list
   options given as flags and in --config files.
@@ -253,14 +253,12 @@ def _two_rf_zero_outputs():
     f = complex(rng.standard_normal(), rng.standard_normal())
     # (label, f1, f2, live chain: 0 or 1, or None when both are zero)
     cases = (("f2zero", f, 0j, 0), ("f1zero", 0j, f, 1), ("both", 0j, 0j, None))
-    for b in (1, 2, 6, None):
-        pset = None if b is None else phase_set(b)
-        kind = "continuous" if b is None else f"b{b}"
+    for b in (1, 2, 6):
         for label, f1, f2, live in cases:
-            out = solve_two_rf(gamma, f1, f2, pset)
-            yield f"two_rf_zero/{kind}/{label}/residuals", out[2]
+            out = solve_two_rf(gamma, f1, f2, phase_set(b))
+            yield f"two_rf_zero/b{b}/{label}/residuals", out[2]
             if live is not None:
-                yield f"two_rf_zero/{kind}/{label}/live", out[live]
+                yield f"two_rf_zero/b{b}/{label}/live", out[live]
 
 
 def _cli_outputs():

@@ -65,19 +65,17 @@ def pattern_csv(rows):
     return buf.getvalue()
 
 
-def main_lobe_mse(v, target, grid_density=1000):
+def main_lobe_mse(v, target):
     """Mean squared error of |G(v, .)| against the target inside its coverage.
 
-    Sampled on grid_density uniform points strictly interior to the coverage
+    Sampled on 1000 uniform points strictly interior to the coverage
     interval.  For a rect target this is the mean of (|G| - C_v)^2, the main
     lobe variation metric.
     """
-    if grid_density < 2:
-        raise ValueError("grid_density must be at least 2")
     lo, hi = target.coverage
     if not hi > lo:
         raise ValueError("target has empty coverage")
-    grid = np.linspace(lo, hi, grid_density + 2)[1:-1]
+    grid = np.linspace(lo, hi, 1002)[1:-1]
     mag = np.abs(beam_gain(v, grid))
     return float(np.mean((mag - target(grid)) ** 2))
 

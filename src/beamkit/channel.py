@@ -197,7 +197,7 @@ def success_rate(cfg):
     split of the master seed, runs the hierarchical search, and compares
     the result with the noiseless exhaustive optimum.  Returns a dict with
     rate, ci95 (normal-approximation 95% half width), successes, trials,
-    and optionally the per-trial records.
+    and the per-trial records.
     """
     n_t = cfg.tx_codebook.n
     n_r = cfg.rx_codebook.n

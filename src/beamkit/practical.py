@@ -111,19 +111,22 @@ class HybridCodeword:
     The analog matrix is stored as 0-based indices into the b-bit phase
     set, so the quantization constraint is exact by construction.  Both
     arrays are read-only copies of the ones given, so the realized
-    codeword is computed once, on first access.
+    codeword is computed once, at construction.
     """
 
     phase_indices: np.ndarray  # (n, n_rf) ints
     bits: int
     digital: np.ndarray  # (n_rf,) complex
-    _realized: np.ndarray = field(default=None, init=False, repr=False)
+    _realized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("phase_indices", "digital"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        r = self.analog @ self.digital
+        r.setflags(write=False)
+        object.__setattr__(self, "_realized", r)
 
     @property
     def n(self):
@@ -142,14 +145,10 @@ class HybridCodeword:
     def realized(self):
         """The codeword this pair realizes, analog @ digital (read-only).
 
-        Computed on first access; later accesses return the same array.
-        A plain property, not functools.cached_property, so tracing that
-        wraps property getters still sees every access.
+        Every access returns the array computed at construction.  A plain
+        property, not a field, so tracing that wraps property getters still
+        sees every access.
         """
-        if self._realized is None:
-            r = self.analog @ self.digital
-            r.setflags(write=False)
-            object.__setattr__(self, "_realized", r)
         return self._realized
 
 
@@ -205,28 +204,20 @@ def _two_rf_branches(gamma, f1, f2):
     return th1a, th2a, th1b, th2b
 
 
-def solve_two_rf(gamma, f1, f2, pset=None):
+def solve_two_rf(gamma, f1, f2, pset):
     """Solve the two-phasor match gamma ~ f1 e^{j th1} + f2 e^{j th2}.
 
     gamma is an array of complex targets; f1, f2 are the complex digital
     entries of the two free phasors.
 
-    With a phase set, both continuous branches are rounded to the nearest
-    members and the 3x3 index neighborhood around each rounded pair is
-    searched, which recovers pairs that nearest-member rounding of the two
-    coupled phases misses; returns (idx1, idx2, residual) of the best of
-    the 18 candidates.  Without one, returns (th1, th2, residual) with
-    continuous phases.
+    Both continuous branches are rounded to the nearest members of pset
+    and the 3x3 index neighborhood around each rounded pair is searched,
+    which recovers pairs that nearest-member rounding of the two coupled
+    phases misses; returns (idx1, idx2, residual) of the best of the 18
+    candidates.
     """
     th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
     gamma = np.asarray(gamma, dtype=complex)
-    if pset is None:
-        ra = np.abs(gamma - f1 * np.exp(1j * th1a) - f2 * np.exp(1j * th2a))
-        rb = np.abs(gamma - f1 * np.exp(1j * th1b) - f2 * np.exp(1j * th2b))
-        pick_a = ra <= rb
-        th1 = np.where(pick_a, th1a, th1b)
-        th2 = np.where(pick_a, th2a, th2b)
-        return th1, th2, np.where(pick_a, ra, rb)
     # candidates branch-major (a before b), offsets in _NEIGHBORHOOD order
     r1 = quantize_index(np.stack([th1a, th1b]), pset.bits)[:, None]
     r2 = quantize_index(np.stack([th2a, th2b]), pset.bits)[:, None]
@@ -348,7 +339,9 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     is unit-norm.  trace, if given, collects the fitting residual after
     every least-squares step (non-increasing).
 
-    A single RF chain needs no alternation and dispatches to design_nrf1.
+    With t_max > 0, a single RF chain needs no alternation and dispatches
+    to design_nrf1.  With t_max = 0, every n_rf returns the seeded random
+    start and its least-squares digital vector, rescaled.
     A zero or non-finite v, or a realized codeword that collapses to zero,
     raises SynthesisError.
     """

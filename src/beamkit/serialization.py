@@ -80,10 +80,10 @@ def _hybrid(doc, where=""):
     if n_rf < 1 or not 1 <= b <= 16:
         raise ValueError(f"fields {where}n_rf = {n_rf}, {where}b = {b} out of range")
     rows, top = _field(doc, "analog_phase_indices", list, where), 2**b
-    if not all(type(r) is list and len(r) == n_rf
-               and all(type(i) is int and 0 <= i < top for i in r) for r in rows):
-        raise ValueError(f"field {where}analog_phase_indices must be rows of "
-                         f"{n_rf} integers in [0, 2^{b})")
+    if not rows or not all(type(r) is list and len(r) == n_rf and all(
+            type(i) is int and 0 <= i < top for i in r) for r in rows):
+        raise ValueError(f"field {where}analog_phase_indices must be one or "
+                         f"more rows of {n_rf} integers in [0, 2^{b})")
     digital = _complex(doc, "digital", n_rf, where)
     return HybridCodeword(np.asarray(rows, dtype=int), b, digital)
 

@@ -36,18 +36,18 @@ bit, or changes its dtype, shows up by name.  The runs are:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-rewrites manifest.json next to this file; tests/test_golden.py recomputes
-every output and compares, naming the first that differs.
+rewrites manifest.json next to this file.
 
     PYTHONPATH=src python tests/golden/make_golden.py --check
 
 recomputes every output without writing and lists every name whose digest
-differs from the manifest, plus names missing from either side; it exits 1
-if there is any.  The manifest also records the numpy version
-and the CPU SIMD features numpy dispatches to, since some outputs depend
-on them in the last bit.  Regenerate the manifest only in a commit of
-its own, with its reason in CHANGES.md; a refactor must pass against the
-manifest it found.
+differs from the manifest, names missing from either side, and the first
+output computed out of manifest order; it exits 1 if there is any.
+tests/test_golden.py runs the same check.  The manifest also records the
+numpy version and the CPU SIMD features numpy dispatches to, since some
+outputs depend on them in the last bit.  Regenerate the manifest only in
+a commit of its own, with its reason in CHANGES.md; a refactor must pass
+against the manifest it found.
 """
 
 import argparse
@@ -356,6 +356,10 @@ def check():
     bad = [f"differs: {n}" for n, d in seen.items() if expected.get(n, d) != d]
     bad += [f"not in manifest: {n}" for n in seen if n not in expected]
     bad += [f"not computed: {n}" for n in expected if n not in seen]
+    order = zip([n for n in seen if n in expected],
+                [n for n in expected if n in seen])
+    bad += [f"out of manifest order: {n} where the manifest has {m}"
+            for n, m in order if n != m][:1]
     if bad:
         print(f"ledger environment: {manifest['environment']}")
         print(f"this environment:   {environment()}")

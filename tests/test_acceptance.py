@@ -31,6 +31,7 @@ from beamkit import (
 )
 from beamkit.cli import main
 from beamkit.ideal import PhaseOptimizer
+from beamkit.practical import _two_rf_branches
 
 
 def _report(num, name, ok, detail):
@@ -140,8 +141,12 @@ def test_criterion_05_two_rf_oracle():
             for t1, t2 in itertools.product(pset.values, repeat=2)
         )
         worst_gap = max(worst_gap, res[0] - best - (z1 + z2) * np.pi / 4)
-        _, _, cont = solve_two_rf(target, f1, f2)
-        worst_cont = max(worst_cont, cont[0])
+        # both continuous branches, not only the better one, reach the target
+        th1a, th2a, th1b, th2b = _two_rf_branches(target, f1, f2)
+        for th1, th2 in ((th1a, th2a), (th1b, th2b)):
+            cont = abs(target[0] - f1 * np.exp(1j * th1[0])
+                       - f2 * np.exp(1j * th2[0]))
+            worst_cont = max(worst_cont, cont)
     ok = worst_gap <= 1e-12 and worst_cont < 1e-10
     _report(5, "two-rf-oracle", ok,
             f"worst bound slack {worst_gap:.3g}, "

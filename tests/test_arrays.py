@@ -86,13 +86,17 @@ def test_main_lobe_mse_against_brute_force():
 
 
 def test_main_lobe_mse_excludes_endpoints():
-    target = make_target("rect", (-1.0, 0.0))
+    # a target of 1 that spikes to 1000 only at the two coverage edges: one
+    # edge sample would add at least (1000 - sqrt(8))^2 / 1002 > 900
+    target = make_target("custom", (-1.0, 0.0),
+                         omegas=[-1.0, -1.0 + 1e-4, -1e-4, 0.0],
+                         values=[1000.0, 1.0, 1.0, 1000.0])
     v = steering_vector(8, -0.5)
-    grid = np.linspace(-1.0, 0.0, 12)[1:-1]
-    expect = np.mean((np.abs(beam_gain(v, grid)) - np.sqrt(2.0)) ** 2)
-    assert main_lobe_mse(v, target, grid_density=10) == pytest.approx(
-        expect, rel=1e-12
-    )
+    grid = np.linspace(-1.0, 0.0, 1002)[1:-1]
+    expect = np.mean((np.abs(beam_gain(v, grid)) - 1.0) ** 2)
+    mse = main_lobe_mse(v, target)
+    assert mse == pytest.approx(expect, rel=1e-12)
+    assert mse < 10.0
 
 
 def test_steering_matrix_grid_and_gram():

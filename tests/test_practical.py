@@ -23,9 +23,12 @@ from beamkit.practical import _two_rf_branches
 
 def _solve_one(alpha, beta, z1, p1, z2, p2):
     """Continuous match of one target alpha e^{j beta} with digital entries
-    z1 e^{j p1} and z2 e^{j p2}; returns (theta1, theta2, residual)."""
-    th1, th2, res = solve_two_rf(np.array([alpha * np.exp(1j * beta)]),
-                                 z1 * np.exp(1j * p1), z2 * np.exp(1j * p2))
+    z1 e^{j p1} and z2 e^{j p2}, branch a of the closed form; returns
+    (theta1, theta2, residual)."""
+    gamma = np.array([alpha * np.exp(1j * beta)])
+    f1, f2 = z1 * np.exp(1j * p1), z2 * np.exp(1j * p2)
+    th1, th2, _, _ = _two_rf_branches(gamma, f1, f2)
+    res = np.abs(gamma - f1 * np.exp(1j * th1) - f2 * np.exp(1j * th2))
     return float(th1[0]), float(th2[0]), float(res[0])
 
 
@@ -331,6 +334,23 @@ def test_fs_altmin_single_chain_dispatch():
     ref = design_nrf1(v, phase_set(6))
     np.testing.assert_array_equal(h.phase_indices, ref.phase_indices)
     np.testing.assert_allclose(h.digital, ref.digital)
+
+
+@pytest.mark.parametrize("n_rf", [1, 3])
+def test_fs_altmin_without_iterations_returns_the_seeded_start(n_rf):
+    # t_max = 0 skips the design_nrf1 dispatch: no n_rf redesigns a row
+    target = make_target("rect", (-1.0, 0.0))
+    v = ps_icd(target, 16, 64, 500, seed=0)
+    trace = []
+    h = fs_altmin(v, n_rf, 4, t_max=0, seed=5, trace=trace)
+    idx = np.random.default_rng(5).integers(0, 16, size=(16, n_rf))
+    analog = phase_set(4).phasors[idx]
+    fbb = ls_fbb(analog, v)
+    np.testing.assert_array_equal(h.phase_indices, idx)
+    np.testing.assert_array_equal(h.digital, fbb / np.linalg.norm(analog @ fbb))
+    assert trace == [float(np.linalg.norm(v - analog @ fbb))]
+    if n_rf == 1:
+        assert np.any(idx != design_nrf1(v, phase_set(4)).phase_indices)
 
 
 def test_fs_altmin_more_chains_do_not_hurt_much():

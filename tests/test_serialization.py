@@ -115,6 +115,7 @@ MALFORMED_CODEBOOKS = {
     "index-equal-to-2^b": (_INDEX, lambda i: 16, "layers[0][1].hybrid.analog"),
     "negative-index": (_INDEX, lambda i: -1, "layers[0][1].hybrid.analog"),
     "float-index": (_INDEX, lambda i: 1.0, "layers[0][1].hybrid.analog"),
+    "no-index-rows": (_INDEX[:-2], lambda rows: [], "layers[0][1].hybrid.analog"),
     "string-pair": (("layers", 0, 0, "ideal", 0), lambda p: ["1", 0],
                     "layers[0][0].ideal"),
     "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],

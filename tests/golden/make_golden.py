@@ -41,8 +41,9 @@ rewrites manifest.json next to this file.
     PYTHONPATH=src python tests/golden/make_golden.py --check
 
 recomputes every output without writing and lists every name whose digest
-differs from the manifest, names missing from either side, and the first
-output computed out of manifest order; it exits 1 if there is any.
+differs from the manifest, names missing from either side, names computed
+more than once, and the first output computed out of manifest order; it
+exits 1 if there is any.
 tests/test_golden.py runs the same check.  The manifest also records the
 numpy version and the CPU SIMD features numpy dispatches to, since some
 outputs depend on them in the last bit.  Regenerate the manifest only in
@@ -51,6 +52,7 @@ against the manifest it found.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -352,8 +354,11 @@ def check():
     """Compare every output with the manifest; return the differing names."""
     manifest = json.loads(MANIFEST.read_text())
     expected = manifest["outputs"]
-    seen = {name: digest(a) for name, a in outputs()}
-    bad = [f"differs: {n}" for n, d in seen.items() if expected.get(n, d) != d]
+    pairs = [(name, digest(a)) for name, a in outputs()]
+    seen = dict(pairs)
+    bad = [f"differs: {n}" for n, d in pairs if expected.get(n, d) != d]
+    counts = collections.Counter(n for n, _ in pairs)
+    bad += [f"computed twice: {n}" for n, c in counts.items() if c > 1]
     bad += [f"not in manifest: {n}" for n in seen if n not in expected]
     bad += [f"not computed: {n}" for n in expected if n not in seen]
     order = zip([n for n in seen if n in expected],

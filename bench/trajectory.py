@@ -9,7 +9,10 @@ OpenBLAS is held to one thread.  The cases:
 - build_codebook(32, n_rf=4, b=6), end to end;
 - fs_altmin at N = 32 with n_rf = 2, 3 and 4;
 - one fs_row pass over the 32 rows of an N = 32 codeword, n_rf = 4, b = 6;
-- solve_two_rf on 2048 targets, b = 6.
+- solve_two_rf on 2048 targets, b = 6;
+- ps_icd at N = 32, K = 128 with 2000 updates;
+- a 500-trial success_rate campaign at N_t = N_r = 32, 3 paths, 0 dB,
+  practical (ps-icd codebooks, 2 RF chains, 6 bits) and ideal (ls-icd).
 
     python bench/trajectory.py --label change --out BENCH_11.json
     python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
@@ -18,7 +21,8 @@ OpenBLAS is held to one thread.  The cases:
 A run is stored under its label in the output file's "runs", replacing a
 run of the same label.  --compare exits 1 when any quality field or digest
 of a case in both runs differs, or no case is in both, and otherwise only
-reports time ratios.
+reports time ratios, marking a ratio "unresolved" when the two medians
+differ by no more than the first run's quartile distance.
 --toy runs every case at toy sizes, for a smoke test.
 """
 
@@ -49,11 +53,15 @@ SEED = 0
 # so the fast cases get enough samples for a stable median.
 FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
         "targets": 2048, "codebook": {"n": 32, "hw": {"n_rf": 4, "b": 6}},
+        "campaign": {"n": 32, "k": 128, "r_max": 2000, "trials": 500,
+                     "paths": 3, "snr_db": 0.0, "hw": {"n_rf": 2, "b": 6}},
         "repeats": 5, "seconds": 2.0}
 TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
        "targets": 64,
        "codebook": {"n": 8, "k": 32, "r_max": 100,
                     "hw": {"n_rf": 3, "b": 4, "t_max": 5}},
+       "campaign": {"n": 8, "k": 32, "r_max": 100, "trials": 20, "paths": 3,
+                    "snr_db": 0.0, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
        "repeats": 2, "seconds": 0.0}
 
 
@@ -144,8 +152,40 @@ def cases(bk, size):
                 setup, lambda a: bk.solve_two_rf(a[0], a[1], a[2], pset),
                 score)
 
+    def icd_case():
+        def score(v):
+            return ({"main_lobe_mse": bk.main_lobe_mse(v, target)}, digest(v))
+
+        target = bk.make_target("rect", (-0.5, 0.0))
+        return (f"ps_icd/n{size['n']}/k{size['k']}/r{size['r_max']}",
+                lambda: None, lambda _: _codeword(bk, size), score)
+
+    def campaign_case(practical):
+        def setup():
+            design = ({"method": "ps-icd", "hw": c["hw"]} if practical
+                      else {"method": "ls-icd"})
+            tx, rx = (bk.build_codebook(c["n"], k=c["k"], r_max=c["r_max"],
+                                        seed=SEED + i, **design)
+                      for i in (0, 1))
+            return bk.TrainingConfig(tx, rx, c["snr_db"], c["trials"],
+                                     seed=SEED, paths=c["paths"],
+                                     use_practical=practical)
+
+        def score(out):
+            records = [r["selected"] + r["best"]
+                       + [r["success"], r["measurements"]]
+                       for r in out["records"]]
+            return ({"successes": out["successes"]},
+                    digest(np.array(records, dtype=np.int64)))
+
+        c = size["campaign"]
+        return (f"success_rate/{'practical' if practical else 'ideal'}"
+                f"/n{c['n']}/trials{c['trials']}", setup, bk.success_rate,
+                score)
+
     return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
-            row_case(), solve_case()]
+            row_case(), solve_case(), icd_case(), campaign_case(True),
+            campaign_case(False)]
 
 
 def time_case(setup, call, score, repeats, seconds):
@@ -240,8 +280,9 @@ def _load_run(spec):
 
 
 def compare(spec_a, spec_b):
-    """Report B's time over A's per case; 1 if any quality or digest differs,
-    or if the runs share no case."""
+    """Report B's time over A's per case, unresolved where the medians differ
+    by no more than A's quartile distance; 1 if any quality or digest
+    differs, or if the runs share no case."""
     a, b = _load_run(spec_a)["cases"], _load_run(spec_b)["cases"]
     status = 0 if a.keys() & b.keys() else 1
     for name in sorted(a.keys() | b.keys()):
@@ -254,9 +295,11 @@ def compare(spec_a, spec_b):
         if ca["sha256"] != cb["sha256"]:
             diff.append("sha256")
         ratio = cb["median_s"] / ca["median_s"]
+        # a move no larger than A's own spread cannot be told from noise
+        noise = abs(cb["median_s"] - ca["median_s"]) <= ca["iqr_s"]
         note = f"  DIFFERS: {', '.join(sorted(diff))}" if diff else ""
         print(f"{name}: {ca['median_s']:.4g} s -> {cb['median_s']:.4g} s "
-              f"(x{ratio:.3f}){note}")
+              f"(x{ratio:.3f}{', unresolved' if noise else ''}){note}")
         status |= bool(diff)
     return status
 

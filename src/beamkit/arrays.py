@@ -36,13 +36,12 @@ def beam_gain(v, omega):
     """Complex beam gain of vector v in direction(s) omega.
 
     Equals sqrt(n) * a(n, omega)^H v = sum_i v_i exp(-j*pi*i*omega).
-    Accepts a scalar omega or an array; the return matches the input shape.
+    Returns a complex array of omega's shape (0-d for a scalar omega).
     """
     v = np.asarray(v, dtype=complex)
     om = np.asarray(omega, dtype=float)
-    scalar = om.ndim == 0
-    g = np.exp(-1j * np.pi * np.outer(np.atleast_1d(om), np.arange(v.size))) @ v
-    return complex(g[0]) if scalar else g.reshape(om.shape)
+    g = np.exp(-1j * np.pi * np.outer(om, np.arange(v.size))) @ v
+    return g.reshape(om.shape)
 
 
 def sample_pattern(v, grid):
@@ -73,8 +72,6 @@ def main_lobe_mse(v, target):
     lobe variation metric.
     """
     lo, hi = target.coverage
-    if not hi > lo:
-        raise ValueError("target has empty coverage")
     grid = np.linspace(lo, hi, 1002)[1:-1]
     mag = np.abs(beam_gain(v, grid))
     return float(np.mean((mag - target(grid)) ** 2))

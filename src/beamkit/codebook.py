@@ -51,19 +51,17 @@ def training_test_count(n_t, n_r, m):
     return m * layer_count(n_t, m) + (m * m - m) * layer_count(n_r, m)
 
 
-def _check_shape(n, m, layers=None):
-    """Depth s of a codebook for n = m^s antennas; given its layers, also
-    check that there are s of them and layer s holds m^s codewords of length n."""
-    s_total = layer_count(n, m)
-    if layers is not None and len(layers) != s_total:
-        raise ValueError(f"n = {n} needs {s_total} layers, got {len(layers)}")
-    for s, layer in enumerate(layers or (), 1):
-        if len(layer) != m**s:
-            raise ValueError(f"layer {s} has {len(layer)} entries, expected {m**s}")
-        for i, e in enumerate(layer, 1):
-            if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
-                raise ValueError(f"layer {s} entry {i}: codeword length is not n = {n}")
-    return s_total
+def _check_hw(hw, n):
+    """Check a hardware header: None, or exactly the integer keys n_rf, b and
+    t_max with 1 <= n_rf <= n, 1 <= b <= 16 and t_max >= 0."""
+    if hw is None:
+        return
+    if hw.keys() != {"n_rf", "b", "t_max"}:
+        raise ValueError(f"hw keys must be n_rf, b and t_max, got {list(hw)}")
+    for key, lo, hi in (("n_rf", 1, n), ("b", 1, 16), ("t_max", 0, None)):
+        value, bound = hw[key], f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        if type(value) is not int or value < lo or hi is not None and value > hi:
+            raise ValueError(f"hw {key} must be {bound} and an integer, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -93,6 +91,25 @@ class HierarchicalCodebook:
     method: str = "ps-icd"
     hw: Optional[dict] = None
 
+    def __post_init__(self):
+        """Check that layer s of the s = log_m n layers holds m^s codewords of
+        length n, and that hw is set exactly when they carry b-bit hybrids."""
+        n, m, layers = self.n, self.m, self.layers
+        s_total = layer_count(n, m)
+        if len(layers) != s_total:
+            raise ValueError(f"n = {n} needs {s_total} layers, got {len(layers)}")
+        for s, layer in enumerate(layers, 1):
+            if len(layer) != m**s:
+                raise ValueError(f"layer {s} has {len(layer)} entries, expected {m**s}")
+            for i, e in enumerate(layer, 1):
+                if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
+                    raise ValueError(
+                        f"layer {s} entry {i}: codeword length is not n = {n}")
+        _check_hw(self.hw, n)
+        bits = {e.hybrid.bits for layer in layers for e in layer if e.hybrid}
+        if bits != ({self.hw["b"]} if self.hw else set()):
+            raise ValueError(f"hw = {self.hw}, but hybrid b = {sorted(bits)}")
+
     @property
     def s(self):
         return len(self.layers)
@@ -111,10 +128,11 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     """Build the full hierarchical codebook for an n-antenna array.
 
     method selects the ideal design ("ps-icd" or "ls-icd").  hw, if given,
-    is a dict with keys n_rf, b and optionally t_max; every entry then also
-    carries a practical codeword.  Sectors of width exactly 2/n use the
-    steering vector at the sector midpoint (quantized per entry phase when
-    hw is set) instead of a synthesized codeword.
+    is a dict with the integer keys n_rf, b and optionally t_max (default
+    50), and no other; every entry then also carries a practical codeword.
+    Sectors of width exactly 2/n use the steering vector at the sector
+    midpoint (quantized per entry phase when hw is set) instead of a
+    synthesized codeword.
 
     n must be m^s for some s >= 1, and the grid size k at least n.  Per-entry
     seeds derive from the master seed and the layer/index, so any single
@@ -122,7 +140,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     """
     if method not in ("ps-icd", "ls-icd"):
         raise ValueError(f"unknown ideal design method {method!r}")
-    s_total = _check_shape(n, m)
+    s_total = layer_count(n, m)
     if k < n:
         raise ValueError(f"grid size {k} must be >= antenna count {n}")
     if r_max < 0:
@@ -130,12 +148,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     if hw is not None:
         hw = dict(hw)
         hw.setdefault("t_max", 50)
-        phase_set(hw["b"])  # validate early
-        if not 1 <= hw["n_rf"] <= n:
-            raise ValueError(f"n_rf must be in [1, {n}], got {hw['n_rf']}")
-        if hw["t_max"] < 0:
-            raise ValueError(
-                f"iteration count t_max must be >= 0, got {hw['t_max']}")
+    _check_hw(hw, n)
     layers = []
     for s in range(1, s_total + 1):
         width = 2.0 / m**s

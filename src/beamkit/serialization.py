@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .codebook import CodebookEntry, HierarchicalCodebook, _check_shape
+from .codebook import CodebookEntry, HierarchicalCodebook
 from .practical import HybridCodeword
 
 __all__ = [
@@ -107,7 +107,6 @@ def _codebook(doc):
         raise ValueError("field layers must be a list of lists of entries")
     layers = [[_entry(e, f"layers[{s}][{i}].") for i, e in enumerate(layer)]
               for s, layer in enumerate(layers)]
-    _check_shape(n, m, layers)
     return HierarchicalCodebook(n, m, _field(doc, "seed", int), layers,
                                 method=_field(doc, "method", str),
                                 hw=_field(doc, "hw", (dict, type(None))))

@@ -16,49 +16,44 @@ __all__ = ["TargetPattern", "make_target"]
 class TargetPattern:
     """Desired magnitude profile g(Omega) over a coverage interval.
 
-    Evaluate by calling the instance with a scalar or array of directions.
+    g is evaluate(omega) inside the coverage and 0 outside; a call returns an
+    array of omega's shape (0-d for a scalar omega), as a numpy ufunc does.
     """
 
-    def __init__(self, kind, coverage, evaluate, amplitude=None):
+    def __init__(self, coverage, evaluate, amplitude=None):
         lo, hi = float(coverage[0]), float(coverage[1])
         if not hi > lo:
             raise ValueError(f"coverage [{lo}, {hi}] must have positive width")
         if lo < -1.0 or hi > 1.0:
             raise ValueError(f"coverage [{lo}, {hi}] must lie within [-1, 1]")
-        self.kind = kind
         self.coverage = (lo, hi)
         self.amplitude = amplitude
         self._evaluate = evaluate
 
     def __call__(self, omega):
         om = np.asarray(omega, dtype=float)
-        scalar = om.ndim == 0
-        om1 = np.atleast_1d(om)
         lo, hi = self.coverage
-        inside = (om1 >= lo) & (om1 <= hi)
-        out = np.zeros(om1.shape)
+        inside = (om >= lo) & (om <= hi)
+        out = np.zeros(om.shape)
         if inside.any():
-            out[inside] = self._evaluate(om1[inside])
-        return float(out[0]) if scalar else out
+            out[inside] = self._evaluate(om[inside])
+        return out
 
     def __repr__(self):
         lo, hi = self.coverage
-        return f"TargetPattern({self.kind!r}, [{lo}, {hi}])"
+        return f"TargetPattern([{lo}, {hi}])"
 
 
-def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5, omegas=None,
-                values=None):
-    """Build a target pattern.
+def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5):
+    """Build a named target pattern; TargetPattern builds any other profile.
 
-    kind: "rect", "triangular", "step", or "custom".
+    kind: "rect", "triangular" or "step".
       rect        flat level sqrt(2/B) over the coverage of width B.
       triangular  rises linearly from 0 at the left edge to the peak at the
                   midpoint and back to 0; peak sqrt(6/B).
       step        two plateaus with relative heights (h1, h2) = heights
                   splitting the coverage at fraction split, scaled to
                   total energy 2.
-      custom      omegas, values: nonnegative samples, linearly
-                  interpolated inside the coverage (no rescaling).
     Keywords a kind does not use are ignored.
     """
     lo, hi = float(coverage[0]), float(coverage[1])
@@ -69,7 +64,7 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5, omegas=None,
     if kind == "rect":
         level = np.sqrt(2.0 / width)
         return TargetPattern(
-            "rect", coverage, lambda om: np.full(om.shape, level), amplitude=level
+            coverage, lambda om: np.full(om.shape, level), amplitude=level
         )
 
     if kind == "triangular":
@@ -80,7 +75,7 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5, omegas=None,
         def tri(om):
             return peak * (1.0 - np.abs(om - mid) / (0.5 * width))
 
-        return TargetPattern("triangular", coverage, tri, amplitude=peak)
+        return TargetPattern(coverage, tri, amplitude=peak)
 
     if kind == "step":
         h1, h2 = heights
@@ -97,23 +92,6 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5, omegas=None,
         def step(om):
             return np.where(om < edge, scale * h1, scale * h2)
 
-        return TargetPattern("step", coverage, step)
-
-    if kind == "custom":
-        if omegas is None or values is None:
-            raise ValueError("custom target needs omegas and values")
-        omegas = np.asarray(omegas, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if omegas.shape != values.shape or omegas.ndim != 1:
-            raise ValueError("custom target needs matching 1-D omegas/values")
-        if (values < 0).any():
-            raise ValueError("custom target values must be nonnegative")
-        order = np.argsort(omegas)
-        omegas, values = omegas[order], values[order]
-
-        def interp(om):
-            return np.interp(om, omegas, values, left=0.0, right=0.0)
-
-        return TargetPattern("custom", coverage, interp)
+        return TargetPattern(coverage, step)
 
     raise ValueError(f"unknown target kind {kind!r}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beamkit import (
+    TargetPattern,
     beam_gain,
     main_lobe_mse,
     make_target,
@@ -30,7 +31,9 @@ def test_beam_gain_matches_direct_sum():
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     omega = 0.41
     direct = sum(v[i] * np.exp(-1j * np.pi * i * omega) for i in range(6))
-    assert beam_gain(v, omega) == pytest.approx(direct, abs=1e-12)
+    g = beam_gain(v, omega)
+    assert g == pytest.approx(direct, abs=1e-12)
+    assert isinstance(g, np.ndarray) and g.shape == () and g.dtype == complex
     # array input preserves shape
     grid = np.array([[0.1, 0.2], [0.3, 0.4]])
     assert beam_gain(v, grid).shape == (2, 2)
@@ -88,9 +91,11 @@ def test_main_lobe_mse_against_brute_force():
 def test_main_lobe_mse_excludes_endpoints():
     # a target of 1 that spikes to 1000 only at the two coverage edges: one
     # edge sample would add at least (1000 - sqrt(8))^2 / 1002 > 900
-    target = make_target("custom", (-1.0, 0.0),
-                         omegas=[-1.0, -1.0 + 1e-4, -1e-4, 0.0],
-                         values=[1000.0, 1.0, 1.0, 1000.0])
+    def spiked(om):
+        return np.interp(om, [-1.0, -1.0 + 1e-4, -1e-4, 0.0],
+                         [1000.0, 1.0, 1.0, 1000.0])
+
+    target = TargetPattern((-1.0, 0.0), spiked)
     v = steering_vector(8, -0.5)
     grid = np.linspace(-1.0, 0.0, 1002)[1:-1]
     expect = np.mean((np.abs(beam_gain(v, grid)) - 1.0) ** 2)

@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 import beamkit
-from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd
+from beamkit import build_codebook, ls_icd, main_lobe_mse, make_target, ps_icd
 from beamkit.cli import build_parser, main
-from beamkit.serialization import load_codebook, load_codeword, load_hybrid
+from beamkit.serialization import (
+    load_codebook,
+    load_codeword,
+    load_hybrid,
+    save_codebook,
+)
 
 
 def _design(tmp_path, *extra):
@@ -342,7 +347,11 @@ def test_malformed_input_files_are_usage_errors(tmp_path, capsys):
                               "hw": None}))
     v = tmp_path / "v.json"
     v.write_text(json.dumps({"entries": [[1.0, 0.0]]}))
+    hw = tmp_path / "hw.json"
+    save_codebook(build_codebook(2, k=4, r_max=0), hw)
+    hw.write_text(json.dumps({**json.loads(hw.read_text()), "hw": {"junk": 1}}))
     for argv, field in ((["simulate", "--codebook", str(cb)], "layers"),
+                        (["simulate", "--codebook", str(hw)], "hw keys"),
                         (["pattern", "--input", str(v)], "field n")):
         assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
         err = capsys.readouterr().err

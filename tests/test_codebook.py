@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 import beamkit.codebook
 from beamkit import (
+    CodebookEntry,
+    HierarchicalCodebook,
     SynthesisError,
     build_codebook,
     layer_count,
@@ -139,3 +143,38 @@ def test_build_rejects_antenna_count_not_power_of_m(n, m):
 def test_build_rejects_negative_iteration_counts(r_max, hw, named):
     with pytest.raises(ValueError, match=f"{named} must be >= 0"):
         build_codebook(4, k=8, r_max=r_max, seed=0, hw=hw)
+
+
+def _short_ideal(layers):
+    layers = [list(layer) for layer in layers]
+    e = layers[1][2]
+    layers[1][2] = CodebookEntry(e.coverage, e.ideal[:-1])
+    return layers
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda layers: layers[:2], "n = 8 needs 3 layers, got 2"),
+    (lambda layers: [layers[0], layers[1][:3], layers[2]],
+     "layer 2 has 3 entries, expected 4"),
+    (_short_ideal, "layer 2 entry 3: codeword length is not n = 8"),
+], ids=["layers", "entries", "length"])
+def test_hand_built_codebook_checks_its_shape(edit, message):
+    # the same messages load_codebook gives for a file of that shape
+    layers = build_codebook(8, k=16, r_max=10, seed=0).layers
+    HierarchicalCodebook(8, 2, 0, layers)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HierarchicalCodebook(8, 2, 0, edit(layers))
+
+
+@pytest.mark.parametrize("hw, message", [
+    ({"n_rf": 2, "b": 4, "tmax": 3}, "got ['n_rf', 'b', 'tmax', 't_max']"),
+    ({"nrf": 2, "b": 4}, "got ['nrf', 'b', 't_max']"),
+    ({"n_rf": 2}, "got ['n_rf', 't_max']"),
+    ({"n_rf": 2, "b": 4.0}, "hw b must be in [1, 16] and an integer, got 4.0"),
+    ({"n_rf": True, "b": 4}, "hw n_rf must be in [1, 4] and an integer, got True"),
+    ({"n_rf": 2, "b": 17}, "hw b must be in [1, 16] and an integer, got 17"),
+], ids=["tmax", "nrf", "no-b", "float-b", "bool-n_rf", "b-17"])
+def test_build_rejects_a_bad_hw_header(hw, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_codebook(4, k=8, r_max=10, seed=0, hw=hw)
+

@@ -3,6 +3,7 @@
 See tests/golden/make_golden.py for what is hashed and how to regenerate.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import beamkit
+import beamkit.practical
+from test_properties import _exhaustive_fs_row
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -69,3 +72,50 @@ def test_fs_altmin_outputs_do_not_depend_on_blas_threads(threads):
     assert len(seen) == 144
     assert all(n.startswith("fs_altmin/") for n in seen)
     assert [n for n in seen if seen[n] != expected.get(n)] == []
+
+
+# Relative margin every fs_row decision in the ledger's non-tie runs must
+# clear, so that no recorded index depends on how a residual was rounded.
+_DECISION_MARGIN = 1e-9
+
+
+def _gaps(target, fbb, pset, init, expected):
+    """Every decision gap of a replayed fs_row call, whose result must be
+    the one fs_row gave."""
+    gaps = []
+    idx, res, steps = _exhaustive_fs_row(target, fbb, pset, init, gaps)
+    assert (idx.tobytes(), res.tobytes(), steps) == (
+        expected[0].tobytes(), expected[1].tobytes(), expected[2])
+    return gaps
+
+
+def test_ledger_fs_row_decisions_clear_roundoff(monkeypatch):
+    # reruns the 144 fs_altmin/* outputs (n_rf 2-5, none a tie run); each
+    # fs_row call, made for n_rf >= 3, is recorded and replayed through the
+    # exhaustive sweep, which reports the gap behind every decision that
+    # changes indices: winner against runner-up and against the incumbent
+    calls, decisions = [], []
+    fs_row = beamkit.practical.fs_row
+
+    def recorded(target, fbb, pset, init):
+        out = fs_row(target, fbb, pset, init)
+        calls.append((np.array(target), np.array(fbb), pset, np.array(init), out))
+        return out
+
+    monkeypatch.setattr(beamkit.practical, "fs_row", recorded)
+    for name, _ in itertools.islice(make_golden.outputs(), 144):
+        for k, call in enumerate(calls):
+            for t, row, kind, gap in _gaps(*call):
+                decisions.append((gap, name.rsplit("/", 1)[0], k, t, row, kind))
+        calls.clear()
+    assert len({d[1] for d in decisions}) == 36  # N 12/16/32, n_rf 3-5, 4 b
+    close = [d for d in decisions if not d[0] > _DECISION_MARGIN]
+    assert close == [], "(gap, run, fs_row call, step, row, decision)"
+    # the audit sees a tie where there is one: the ledger's tie rows
+    pset = beamkit.phase_set(1)
+    rng = np.random.default_rng([1, 3])
+    fbb = np.ones(3, dtype=complex)
+    target = np.sum(fbb * pset.phasors[rng.integers(0, 2, (16, 3))], axis=1)
+    init = rng.integers(0, 2, (16, 3))
+    tie = _gaps(target, fbb, pset, init, fs_row(target, fbb, pset, init))
+    assert min(g[3] for g in tie) == 0.0

@@ -80,9 +80,16 @@ def test_all_rows_fs_row_equals_one_row_calls(n_rf, bits, rows, data):
     assert steps == max(one_row_steps)
 
 
-def _exhaustive_fs_row(target, fbb, pset, init_indices):
+def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     """The reference sweep: fs_row's loop with no bound test, so every step
-    solves the two-phasor match for every candidate of every active row."""
+    solves the two-phasor match for every candidate of every active row.
+
+    gaps, if given, collects (step, row, kind, gap) for every decision whose
+    outcome changes indices: the winner against the runner-up where the
+    winner is accepted ("runner-up"), and the winner against the incumbent
+    where accepting it moves the row ("incumbent").  A gap is the distance
+    between the two residuals over |target| + sum |fbb|, the size of the
+    terms they are rounded from."""
     fbb = np.asarray(fbb, dtype=complex)
     n_rf = fbb.size
     target = np.asarray(target, dtype=complex)
@@ -109,7 +116,18 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices):
         pick = np.arange(active.size) * pset.size + best
         new = np.column_stack([i1[pick], i2[pick], best])
         accept = errs[pick] <= res[active]
-        moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
+        moves = np.any(new != rows[:, [0, 1, p]], axis=1)
+        moved = accept & moves
+        if gaps is not None:
+            second = np.partition(errs.reshape(resid_targets.shape), 1)[:, 1]
+            scale = np.abs(target[active]) + np.sum(np.abs(fbb))
+            for a, row in enumerate(active):
+                if accept[a]:
+                    gap = (second[a] - errs[pick[a]]) / scale[a]
+                    gaps.append((t, row, "runner-up", gap))
+                if moves[a]:
+                    gap = abs(res[row] - errs[pick[a]]) / scale[a]
+                    gaps.append((t, row, "incumbent", gap))
         idx[active[accept, None], [0, 1, p]] = new[accept]
         res[active[accept]] = errs[pick][accept]
         t += 1

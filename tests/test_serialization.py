@@ -120,6 +120,19 @@ MALFORMED_CODEBOOKS = {
                     "layers[0][0].ideal"),
     "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],
                      "layers[0][0].hybrid.digital"),
+    "hw-unknown-key": (("hw",), lambda hw: {"junk": 1},
+                       "hw keys must be n_rf, b and t_max, got ['junk']"),
+    "hw-missing-key": (("hw", "t_max"), None, "got ['n_rf', 'b']"),
+    "hw-float": (("hw", "t_max"), lambda t: 5.0,
+                 "hw t_max must be >= 0 and an integer, got 5.0"),
+    "hw-too-many-chains": (("hw", "n_rf"), lambda n: 9, "hw n_rf must be in [1, 8]"),
+    "hw-other-b": (("hw",), lambda hw: {"n_rf": 7, "b": 2, "t_max": 5},
+                   "'b': 2, 't_max': 5}, but hybrid b = [4]"),
+    "hw-null-over-hybrids": (("hw",), lambda hw: None,
+                             "hw = None, but hybrid b = [4]"),
+    "hw-over-no-hybrids": (("layers",), lambda layers: [
+        [{**e, "hybrid": None} for e in layer] for layer in layers],
+        "'t_max': 5}, but hybrid b = []"),
 }
 
 

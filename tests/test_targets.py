@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamkit import make_target
+from beamkit import TargetPattern, make_target
 
 
 def _energy(target, points=200001):
@@ -54,19 +54,19 @@ def test_step_validation():
 
 
 def test_custom_interpolation():
-    t = make_target(
-        "custom",
-        (-1.0, 0.0),
-        omegas=[-1.0, -0.5, 0.0],
-        values=[0.0, 2.0, 0.0],
-    )
+    # any sampled profile is a TargetPattern over np.interp of its samples
+    def interp(om):
+        return np.interp(om, [-1.0, -0.5, 0.0], [0.0, 2.0, 0.0])
+
+    t = TargetPattern((-1.0, 0.0), interp)
     assert t(-0.75) == pytest.approx(1.0)
     assert t(0.5) == 0.0
-    with pytest.raises(ValueError):
-        make_target("custom", (-1, 0), omegas=[-1, 0], values=[1.0, -1.0])
-    for missing in ({"omegas": [-1, 0]}, {"values": [1.0, 1.0]}):
-        with pytest.raises(ValueError, match="needs omegas and values"):
-            make_target("custom", (-1, 0), **missing)
+    np.testing.assert_array_equal(t(np.array([-0.75, -0.5, 0.5])), [1.0, 2.0, 0.0])
+    # make_target builds only the named shapes
+    with pytest.raises(ValueError, match="unknown target kind 'custom'"):
+        make_target("custom", (-1, 0))
+    with pytest.raises(TypeError):
+        make_target("rect", (-1, 0), omegas=[-1, 0], values=[1.0, 1.0])
 
 
 def test_coverage_validation():
@@ -80,6 +80,12 @@ def test_coverage_validation():
 
 def test_scalar_and_array_call():
     t = make_target("rect", (-1.0, 0.0))
-    assert isinstance(t(-0.5), float)
-    out = t(np.linspace(-1, 1, 9))
+    grid = np.linspace(-1, 1, 9)
+    out = t(grid)
     assert out.shape == (9,)
+    # a scalar direction gives a 0-d array, as a numpy ufunc does
+    for i, omega in enumerate(grid):
+        value = t(omega)
+        assert isinstance(value, np.ndarray) and value.shape == ()
+        assert value == out[i]
+    assert t(grid.reshape(3, 3)).shape == (3, 3)

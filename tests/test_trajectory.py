@@ -31,10 +31,14 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     run = doc["runs"]["a"]
     assert run["toy"] and run["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {name.split("/")[0] for name in run["cases"]} == {
-        "build_codebook", "fs_altmin", "fs_row", "solve_two_rf"}
+        "build_codebook", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
+        "success_rate"}
     for case in run["cases"].values():
         assert case["median_s"] > 0 and len(case["times_s"]) >= 2
         assert case["quality"] and len(case["sha256"]) == 64
+    for half in ("practical", "ideal"):
+        successes = run["cases"][f"success_rate/{half}/n8/trials20"]["quality"]
+        assert 0 <= successes["successes"] <= 20
 
     # the same code gives the same outputs; a moved result fails the compare
     trajectory = _module()
@@ -57,3 +61,20 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     path = tmp_path / "renamed.json"
     path.write_text(json.dumps(renamed))
     assert trajectory.compare(f"{out}:a", str(path)) == 1  # nothing compared
+
+
+def test_compare_marks_moves_within_the_first_runs_spread(tmp_path, capsys):
+    case = {"median_s": 1.0, "iqr_s": 0.2, "quality": {}, "sha256": "0" * 64}
+    runs = {"a": {"cases": {"x": case}}}
+    for label, median in (("near", 1.2), ("far", 1.3), ("faster", 0.7)):
+        runs[label] = {"cases": {"x": {**case, "median_s": median}}}
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": runs}))
+    trajectory = _module()
+    for label in ("near", "far", "faster"):
+        assert trajectory.compare(f"{path}:a", f"{path}:{label}") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x: 1 s -> 1.2 s (x1.200, unresolved)",
+        "x: 1 s -> 1.3 s (x1.300)",
+        "x: 1 s -> 0.7 s (x0.700)",
+    ]

@@ -12,7 +12,9 @@ OpenBLAS is held to one thread.  The cases:
 - solve_two_rf on 2048 targets, b = 6;
 - ps_icd at N = 32, K = 128 with 2000 updates;
 - a 500-trial success_rate campaign at N_t = N_r = 32, 3 paths, 0 dB,
-  practical (ps-icd codebooks, 2 RF chains, 6 bits) and ideal (ls-icd).
+  practical (ps-icd codebooks, 2 RF chains, 6 bits) and ideal (ls-icd);
+- 1000 seeded measure calls on one N_t = 32, N_r = 16, 3-path channel at
+  0 dB, cycling over the pairs of bottom-layer steering beams.
 
     python bench/trajectory.py --label change --out BENCH_11.json
     python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
@@ -55,6 +57,8 @@ FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
         "targets": 2048, "codebook": {"n": 32, "hw": {"n_rf": 4, "b": 6}},
         "campaign": {"n": 32, "k": 128, "r_max": 2000, "trials": 500,
                      "paths": 3, "snr_db": 0.0, "hw": {"n_rf": 2, "b": 6}},
+        "measure": {"n_t": 32, "n_r": 16, "paths": 3, "snr_db": 0.0,
+                    "calls": 1000},
         "repeats": 5, "seconds": 2.0}
 TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
        "targets": 64,
@@ -62,6 +66,8 @@ TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
                     "hw": {"n_rf": 3, "b": 4, "t_max": 5}},
        "campaign": {"n": 8, "k": 32, "r_max": 100, "trials": 20, "paths": 3,
                     "snr_db": 0.0, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
+       "measure": {"n_t": 8, "n_r": 4, "paths": 3, "snr_db": 0.0,
+                   "calls": 20},
        "repeats": 2, "seconds": 0.0}
 
 
@@ -183,9 +189,31 @@ def cases(bk, size):
                 f"/n{c['n']}/trials{c['trials']}", setup, bk.success_rate,
                 score)
 
+    def measure_case():
+        def setup():
+            ch = bk.draw_channel(c["n_t"], c["n_r"], c["paths"], seed=SEED)
+            beams = [[bk.steering_vector(n, -1.0 + (2 * i + 1) / n)
+                      for i in range(n)] for n in (c["n_t"], c["n_r"])]
+            pairs = [(beams[0][i % c["n_t"]], beams[1][i // c["n_t"] % c["n_r"]])
+                     for i in range(c["calls"])]
+            return ch, pairs
+
+        def call(args):
+            ch, pairs = args
+            rng = np.random.default_rng(SEED)
+            return np.array([bk.measure(v, w, ch, c["snr_db"], rng)
+                             for v, w in pairs])
+
+        def score(powers):
+            return ({"power_mean": float(np.mean(powers))}, digest(powers))
+
+        c = size["measure"]
+        return (f"measure/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
+                call, score)
+
     return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
             row_case(), solve_case(), icd_case(), campaign_case(True),
-            campaign_case(False)]
+            campaign_case(False), measure_case()]
 
 
 def time_case(setup, call, score, repeats, seconds):
@@ -239,9 +267,10 @@ def _environment(src):
             "numpy": np.__version__, "blas": blas,
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
             "commit": _git(src, "rev-parse", "HEAD"),
-            # tracked files changed since that commit: the run timed them
+            # tracked files under src changed since that commit: the run
+            # timed them (edits elsewhere, to docs or tests, do not count)
             "dirty": bool(_git(src, "status", "--porcelain",
-                               "--untracked-files=no")),
+                               "--untracked-files=no", "--", ".")),
             "seed": SEED}
 
 

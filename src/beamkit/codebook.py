@@ -93,7 +93,8 @@ class HierarchicalCodebook:
 
     def __post_init__(self):
         """Check that layer s of the s = log_m n layers holds m^s codewords of
-        length n, and that hw is set exactly when they carry b-bit hybrids."""
+        length n, and that hw is set exactly when they carry b-bit hybrids,
+        with hw n_rf chains above the bottom layer and one chain in it."""
         n, m, layers = self.n, self.m, self.layers
         s_total = layer_count(n, m)
         if len(layers) != s_total:
@@ -109,6 +110,13 @@ class HierarchicalCodebook:
         bits = {e.hybrid.bits for layer in layers for e in layer if e.hybrid}
         if bits != ({self.hw["b"]} if self.hw else set()):
             raise ValueError(f"hw = {self.hw}, but hybrid b = {sorted(bits)}")
+        # synthesized entries take n_rf chains, bottom steering vectors one
+        for s, layer in enumerate(layers, 1) if self.hw else ():
+            want = 1 if s == s_total else self.hw["n_rf"]
+            chains = {e.hybrid.n_rf for e in layer if e.hybrid}
+            if chains - {want}:
+                raise ValueError(f"hw n_rf = {self.hw['n_rf']}, but layer {s} hybrids"
+                                 f" have {sorted(chains)} chains, expected {want}")
 
     @property
     def s(self):

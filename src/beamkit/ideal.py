@@ -36,17 +36,19 @@ class PhaseOptimizer:
 
     Maximizes g^H (A^H A) g over the phases of g, with |g_k| fixed to the
     target magnitude at grid direction k.  Only the K x K Gram matrix
-    A^H A is stored.  phases is a read-only view of a private array that
-    only update writes, so the running copy of g that update keeps stays
-    in step with it; start a new optimizer to try other phases.
+    A^H A is stored.  gram, magnitudes and phases are read-only views, and
+    only update writes the array behind phases, so the running copy of g
+    and the per-k inputs that update keeps stay in step with them; start a
+    new optimizer to try other phases.
     """
 
     def __init__(self, gram, magnitudes, phases):
-        self.gram = np.asarray(gram, dtype=complex)
-        self.magnitudes = np.asarray(magnitudes, dtype=float)
+        self.gram = np.asarray(gram, dtype=complex).view()
+        self.magnitudes = np.asarray(magnitudes, dtype=float).view()
         self._phases = np.array(phases, dtype=float)
         self._phases_view = self._phases.view()
-        self._phases_view.setflags(write=False)
+        for a in (self.gram, self.magnitudes, self._phases_view):
+            a.setflags(write=False)
         k = self.gram.shape[0]
         if self.gram.shape != (k, k):
             raise ValueError("gram matrix must be square")
@@ -57,9 +59,13 @@ class PhaseOptimizer:
             _DEGENERATE_RTOL
             * np.linalg.norm(self.gram, axis=1)
             * np.linalg.norm(self.magnitudes)
-        )
+        ).tolist()
         # g itself, kept current by update one entry at a time
         self._gains = self.gains
+        # the other per-k inputs of update, in lists: faster to index
+        self._rows = list(self.gram)
+        self._diagonal = list(self.gram.diagonal())
+        self._magnitudes = list(self.magnitudes)
 
     @property
     def phases(self):
@@ -78,21 +84,27 @@ class PhaseOptimizer:
         and degenerate cross terms, at most roundoff relative to
         |gram[k]|.|g|, keep their previous phase.
         """
-        phases = self._phases
-        if self.magnitudes[k] == 0.0:
-            return phases[k]
+        magnitude = self._magnitudes[k]
+        if magnitude == 0.0:
+            return self._phases[k]
         # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
         g = self._gains
-        c = complex(self.gram[k] @ g - self.gram[k, k] * g[k])
+        c = complex(self._rows[k] @ g - self._diagonal[k] * g[k])
         if abs(c) <= self._degenerate[k]:
-            return phases[k]
-        phases[k] = np.angle(c)
-        g[k] = self.magnitudes[k] * np.exp(1j * phases[k])
-        return phases[k]
+            return self._phases[k]
+        # the phase of c: the ufunc np.angle runs, without its wrapper
+        phase = np.arctan2(c.imag, c.real)
+        self._phases[k] = phase
+        g[k] = magnitude * np.exp(1j * phase)
+        return phase
 
 
 def _target_gains(target, grid):
     mags = np.asarray(target(grid), dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(mags) & (mags >= 0)))[:1]
+    if bad.size:
+        raise SynthesisError("target magnitudes must be finite and nonnegative, "
+                             f"got {mags[bad][0]} at direction {grid[bad][0]}")
     if not np.any(mags > 0):
         raise SynthesisError("target magnitudes vanish on the whole grid")
     return mags

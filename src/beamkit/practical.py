@@ -13,9 +13,11 @@ cannot be accepted: no quantized pair comes closer to a target than the
 best continuous-phase pair, whose distance has a closed form, so a
 candidate whose distance bound exceeds the row's incumbent residual by more
 than rounding could never win, tie or be accepted.  Skipping it changes no
-index, residual or step count.
+index, residual or step count.  The remaining solves, the two-chain match
+and solve_two_rf run one kernel, _two_rf_solve.
 """
 
+import contextlib
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -50,10 +52,15 @@ _ROW_CAP_PER_PHASE = 64
 # fraction of the bound: the bound is exactly 0 for every target inside the
 # pair's reach, where a relative margin would be no margin at all.
 _BOUND_MARGIN = 256 * np.finfo(float).eps
-# Index offsets (d1, d2) searched around each rounded two-phasor branch.
-_NEIGHBORHOOD = np.array(
-    [(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
-)
+# The two-phasor kernel's constants: offsets -1, 0, 1 around each rounded
+# phase, as positions in phasor tables padded by one entry at each end; the
+# (branch, d1, d2) of the 18 candidates in search order; the sign of arccos
+# in (th1, th2) of branches a and b; and the arccos arguments 0/0 resolves
+# to, per phasor (anti-aligned phasors).
+_OFFSETS = np.array([0, 1, 2])[:, None]
+_CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
+_BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+_NAN_ARGS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +108,7 @@ def quantize_index(theta, bits):
     size = 2**bits
     x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
     idx = np.ceil(x).astype(int) - 1
-    return np.clip(idx, 0, size - 1)
+    return np.minimum(np.maximum(idx, 0), size - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,62 +180,71 @@ def design_nrf1(v, pset):
     return HybridCodeword(idx, pset.bits, digital)
 
 
-def _two_rf_branches(gamma, f1, f2):
-    """Continuous-phase branch solutions of the two-phasor match.
+def _two_rf_setup(f1, f2, pset):
+    """(|f1|, |f2|, then the constants _two_rf_solve needs of f1, f2, pset)."""
+    z1, z2 = abs(f1), abs(f2)
+    d = (z1 + z2) * (z1 - z2)
+    wrap = np.arange(-1, pset.size + 1) % pset.size  # the padded index table
+    return (z1, z2, np.array([[d], [-d]]), np.array([[2.0 * z1], [2.0 * z2]]),
+            np.array([[np.angle(f1)], [np.angle(f2)]]),
+            (f1 * pset.phasors)[wrap], (f2 * pset.phasors)[wrap], wrap, pset.bits)
 
-    Returns (th1a, th2a, th1b, th2b) for target array gamma and complex
-    digital entries f1, f2.  Infeasible triangles (target magnitude outside
-    [|z1-z2|, z1+z2]) clamp the arccos arguments, which aligns or
-    anti-aligns both phasors with the target -- the continuous optimum.
+
+def _two_rf_phases(gamma, alpha, setup):
+    """Both continuous branches of the two-phasor match, wrapped: th (2, 2, M)
+    with th[0] = (th1a, th2a), th[1] = (th1b, th2b).  Infeasible triangles
+    (|gamma| outside [|z1-z2|, z1+z2]) clamp the arccos arguments, which
+    aligns or anti-aligns both phasors with the target -- the optimum."""
+    z1, z2, offset, scale, angles = setup[:5]
+    # (alpha^2 +- (z1+z2)(z1-z2)) / (2 z alpha) per phasor.  A zero entry
+    # makes its own argument infinite or NaN and the other's at least 1, so
+    # the live phasor aligns with the target (the zero one's phase adds
+    # nothing); 0/0, alpha == 0 with z1 == z2, gives anti-aligned phasors.
+    arg = alpha**2 + offset
+    zero = not (z1 and z2 and alpha.all())
+    with np.errstate(divide="ignore", invalid="ignore") if zero else \
+            contextlib.nullcontext():
+        arg /= scale * alpha
+    if zero:
+        np.copyto(arg, _NAN_ARGS, where=np.isnan(arg))
+    np.clip(arg, -1.0, 1.0, out=arg)
+    beta = np.arctan2(gamma.imag, gamma.real)  # np.angle without its wrapper
+    # x + (-d) rounds exactly as x - d, and adding -a as subtracting a
+    return wrap_phase(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
+
+
+def _two_rf_solve(gamma, alpha, setup):
+    """solve_two_rf on 1-D gamma, given alpha = |gamma| and the setup.
+
+    Both branches' phases are rounded in one buffer; gamma - f1 e1 is formed
+    once per first-phase offset, and each candidate's residual is
+    |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
+    wins: branch a before b, offsets (d1, d2) in row-major order.
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    alpha = np.abs(gamma)
-    beta = np.angle(gamma)
-    z1, p1 = abs(f1), np.angle(f1)
-    z2, p2 = abs(f2), np.angle(f2)
-    # a zero entry makes its own argument infinite or NaN and the other's
-    # at least 1, so the live phasor aligns with the target; the phase of
-    # the zero-weight phasor is arbitrary and adds nothing
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg1 = (alpha**2 + (z1 + z2) * (z1 - z2)) / (2.0 * z1 * alpha)
-        arg2 = (alpha**2 - (z1 + z2) * (z1 - z2)) / (2.0 * z2 * alpha)
-    # alpha == 0 with z1 == z2 yields 0/0; resolve it to anti-aligned phasors
-    arg1 = np.nan_to_num(arg1, nan=1.0, posinf=1.0, neginf=-1.0)
-    arg2 = np.nan_to_num(arg2, nan=-1.0, posinf=1.0, neginf=-1.0)
-    a1 = np.arccos(np.clip(arg1, -1.0, 1.0))
-    a2 = np.arccos(np.clip(arg2, -1.0, 1.0))
-    th1a = wrap_phase(beta - p1 + a1)
-    th2a = wrap_phase(beta - p2 - a2)
-    th1b = wrap_phase(beta - p1 - a1)
-    th2b = wrap_phase(beta - p2 + a2)
-    return th1a, th2a, th1b, th2b
+    f1e, f2e, wrap, bits = setup[5:]
+    r = quantize_index(_two_rf_phases(gamma, alpha, setup), bits)
+    j = r[:, :, None] + _OFFSETS  # (branch, phasor, d, M), padded positions
+    residuals = np.abs((gamma - f1e[j[:, 0]])[:, :, None] - f2e[j[:, 1]][:, None])
+    residuals = residuals.reshape(18, -1)  # (branch, d1, d2) flattened
+    best = residuals.argmin(axis=0)  # first minimum wins ties
+    cols = np.arange(gamma.size)
+    branch, d1, d2 = _CANDIDATES[best].T
+    return (wrap[j[branch, 0, d1, cols]], wrap[j[branch, 1, d2, cols]],
+            residuals[best, cols])
 
 
 def solve_two_rf(gamma, f1, f2, pset):
     """Solve the two-phasor match gamma ~ f1 e^{j th1} + f2 e^{j th2}.
 
-    gamma is an array of complex targets; f1, f2 are the complex digital
-    entries of the two free phasors.
-
-    Both continuous branches are rounded to the nearest members of pset
-    and the 3x3 index neighborhood around each rounded pair is searched,
-    which recovers pairs that nearest-member rounding of the two coupled
-    phases misses; returns (idx1, idx2, residual) of the best of the 18
-    candidates.
+    gamma is a 1-D array of complex targets; f1, f2 are the complex digital
+    entries of the two free phasors.  Both continuous branches are rounded
+    to the nearest members of pset and the 3x3 index neighborhood of each
+    rounded pair is searched, which recovers pairs that rounding the two
+    coupled phases apart misses; returns (idx1, idx2, residual) of the best
+    of the 18 candidates.
     """
-    th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
     gamma = np.asarray(gamma, dtype=complex)
-    # candidates branch-major (a before b), offsets in _NEIGHBORHOOD order
-    r1 = quantize_index(np.stack([th1a, th1b]), pset.bits)[:, None]
-    r2 = quantize_index(np.stack([th2a, th2b]), pset.bits)[:, None]
-    j1 = ((r1 + _NEIGHBORHOOD[:, 0, None]) % pset.size).reshape(18, -1)
-    j2 = ((r2 + _NEIGHBORHOOD[:, 1, None]) % pset.size).reshape(18, -1)
-    residuals = np.abs(
-        gamma - (f1 * pset.phasors)[j1] - (f2 * pset.phasors)[j2]
-    )
-    best = np.argmin(residuals, axis=0)  # first minimum wins ties
-    cols = np.arange(gamma.size)
-    return j1[best, cols], j2[best, cols], residuals[best, cols]
+    return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
 def fs_row(target, fbb, pset, init_indices):
@@ -249,7 +265,9 @@ def fs_row(target, fbb, pset, init_indices):
     residual.  A skipped candidate's residual would exceed the incumbent,
     so it can neither win, nor tie the winner, nor be accepted; every
     candidate that can is still solved.  The result is the one an
-    exhaustive sweep gives.
+    exhaustive sweep gives.  A step's kept candidates are solved in one
+    kernel call, which reuses the bound's |gamma| and the constants of
+    f1, f2 (moduli, angles, phasor tables) set up once per call of fs_row.
 
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
@@ -265,7 +283,8 @@ def fs_row(target, fbb, pset, init_indices):
     # on an array may take a vector path that differs in the last bit
     start = target - np.sum(fbb * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
-    z1, z2 = abs(fbb[0]), abs(fbb[1])
+    setup = _two_rf_setup(fbb[0], fbb[1], pset)
+    z1, z2 = setup[:2]
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = np.zeros(target.size, dtype=int)
@@ -292,8 +311,8 @@ def fs_row(target, fbb, pset, init_indices):
         i1 = np.zeros(resid_targets.shape, dtype=int)
         i2 = np.zeros(resid_targets.shape, dtype=int)
         errs = np.full(resid_targets.shape, np.inf)
-        i1[keep], i2[keep], errs[keep] = solve_two_rf(
-            resid_targets[keep], fbb[0], fbb[1], pset)
+        i1[keep], i2[keep], errs[keep] = _two_rf_solve(
+            resid_targets[keep], alpha[keep], setup)
         best = np.argmin(errs, axis=1)
         at = (np.arange(active.size), best)
         new = np.column_stack([i1[at], i2[at], best])

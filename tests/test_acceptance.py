@@ -31,7 +31,7 @@ from beamkit import (
 )
 from beamkit.cli import main
 from beamkit.ideal import PhaseOptimizer
-from beamkit.practical import _two_rf_branches
+from beamkit.practical import _two_rf_phases, _two_rf_setup
 
 
 def _report(num, name, ok, detail):
@@ -142,8 +142,8 @@ def test_criterion_05_two_rf_oracle():
         )
         worst_gap = max(worst_gap, res[0] - best - (z1 + z2) * np.pi / 4)
         # both continuous branches, not only the better one, reach the target
-        th1a, th2a, th1b, th2b = _two_rf_branches(target, f1, f2)
-        for th1, th2 in ((th1a, th2a), (th1b, th2b)):
+        setup = _two_rf_setup(f1, f2, pset)
+        for th1, th2 in _two_rf_phases(target, np.abs(target), setup):
             cont = abs(target[0] - f1 * np.exp(1j * th1[0])
                        - f2 * np.exp(1j * th2[0]))
             worst_cont = max(worst_cont, cont)

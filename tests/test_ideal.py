@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from beamkit import ls_icd, main_lobe_mse, make_target, ps_icd, steering_matrix
+from beamkit import (
+    TargetPattern,
+    ls_icd,
+    main_lobe_mse,
+    make_target,
+    ps_icd,
+    steering_matrix,
+)
 from beamkit.arrays import beam_gain
 from beamkit.ideal import PhaseOptimizer, SynthesisError
 
@@ -74,6 +81,17 @@ def test_phases_are_read_only_and_follow_updates():
     new = opt.update(0)
     assert phases[0] == new
     assert opt.gains.tobytes() == opt._gains.tobytes()
+
+
+def test_gram_and_magnitudes_are_read_only_views():
+    # update keeps per-k copies of both, so a write could not reach it
+    sm = steering_matrix(8, 16)
+    gram, mags = sm.gram(), make_target("rect", (-1.0, 0.0))(sm.grid)
+    opt = PhaseOptimizer(gram, mags, np.zeros(16))
+    for array in (opt.gram, opt.magnitudes):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    gram[0, 0] = mags[0] = 0.0  # the caller's arrays stay writable
 
 
 def test_zero_magnitude_phase_is_kept():
@@ -163,6 +181,19 @@ def test_vanishing_target_raises():
         ls_icd(target, 16, 128)
     with pytest.raises(SynthesisError):
         ps_icd(target, 16, 128, 100, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_non_finite_or_negative_target_raises(bad):
+    # a magnitude profile that is NaN, infinite or negative on part of the
+    # grid would give a NaN or meaningless codeword
+    target = TargetPattern((-1.0, 0.0),
+                           lambda om: np.where(om < -0.5, bad, 1.0))
+    for design in (lambda: ls_icd(target, 8, 16),
+                   lambda: ps_icd(target, 8, 16, 50, seed=0)):
+        with pytest.raises(SynthesisError,
+                           match=f"finite and nonnegative, got {bad} at"):
+            design()
 
 
 def test_ps_icd_validates_target():

@@ -18,7 +18,14 @@ from beamkit import (
     wrap_phase,
 )
 from beamkit import SynthesisError, make_target
-from beamkit.practical import _two_rf_branches
+from beamkit.practical import _two_rf_phases, _two_rf_setup
+
+
+def _two_rf_branches(gamma, f1, f2):
+    """The continuous branches of the two-phasor match, (2, 2, M): branch a
+    then b, each (theta1, theta2)."""
+    setup = _two_rf_setup(f1, f2, phase_set(1))
+    return _two_rf_phases(gamma, np.abs(gamma), setup)
 
 
 def _solve_one(alpha, beta, z1, p1, z2, p2):
@@ -27,7 +34,7 @@ def _solve_one(alpha, beta, z1, p1, z2, p2):
     (theta1, theta2, residual)."""
     gamma = np.array([alpha * np.exp(1j * beta)])
     f1, f2 = z1 * np.exp(1j * p1), z2 * np.exp(1j * p2)
-    th1, th2, _, _ = _two_rf_branches(gamma, f1, f2)
+    th1, th2 = _two_rf_branches(gamma, f1, f2)[0]
     res = np.abs(gamma - f1 * np.exp(1j * th1) - f2 * np.exp(1j * th2))
     return float(th1[0]), float(th2[0]), float(res[0])
 
@@ -174,10 +181,9 @@ def _two_rf_reference(gamma, f1, f2, ps):
     pair with index offsets (d1, d2) in row-major order; only a strict
     improvement replaces the incumbent, so ties keep the earliest candidate.
     Also counts later distinct pairs that tie the incumbent exactly."""
-    th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
     best = [(np.inf, -1, -1)] * gamma.size
     ties = 0
-    for th1, th2 in ((th1a, th2a), (th1b, th2b)):
+    for th1, th2 in _two_rf_branches(gamma, f1, f2):
         r1 = quantize_index(th1, ps.bits)
         r2 = quantize_index(th2, ps.bits)
         for d1 in (-1, 0, 1):

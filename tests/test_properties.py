@@ -31,6 +31,7 @@ from beamkit import (
     solve_two_rf,
     steering_matrix,
 )
+from beamkit.ideal import _DEGENERATE_RTOL
 from beamkit.practical import _ROW_CAP_PER_PHASE
 from beamkit.serialization import load_hybrid, save_hybrid
 
@@ -80,9 +81,163 @@ def test_all_rows_fs_row_equals_one_row_calls(n_rf, bits, rows, data):
     assert steps == max(one_row_steps)
 
 
+# The two-phasor match as it was before its kernel was fused, kept as the
+# reference the kernel must equal bit for bit: one array per branch phase,
+# 18 full-size index and residual arrays, np.angle and np.clip throughout.
+_NEIGHBORHOOD = np.array([(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)])
+
+
+def _two_rf_branches(gamma, f1, f2):
+    """Continuous-phase branch solutions (th1a, th2a, th1b, th2b)."""
+    gamma = np.asarray(gamma, dtype=complex)
+    alpha = np.abs(gamma)
+    beta = np.angle(gamma)
+    z1, p1 = abs(f1), np.angle(f1)
+    z2, p2 = abs(f2), np.angle(f2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg1 = (alpha**2 + (z1 + z2) * (z1 - z2)) / (2.0 * z1 * alpha)
+        arg2 = (alpha**2 - (z1 + z2) * (z1 - z2)) / (2.0 * z2 * alpha)
+    arg1 = np.nan_to_num(arg1, nan=1.0, posinf=1.0, neginf=-1.0)
+    arg2 = np.nan_to_num(arg2, nan=-1.0, posinf=1.0, neginf=-1.0)
+    a1 = np.arccos(np.clip(arg1, -1.0, 1.0))
+    a2 = np.arccos(np.clip(arg2, -1.0, 1.0))
+    th1a = _reference_wrap(beta - p1 + a1)
+    th2a = _reference_wrap(beta - p2 - a2)
+    th1b = _reference_wrap(beta - p1 - a1)
+    th2b = _reference_wrap(beta - p2 + a2)
+    return th1a, th2a, th1b, th2b
+
+
+def _reference_wrap(theta):
+    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
+
+
+def _reference_quantize(theta, bits):
+    size = 2**bits
+    x = (_reference_wrap(theta) + np.pi) / (2.0 * np.pi / size)
+    idx = np.ceil(x).astype(int) - 1
+    return np.clip(idx, 0, size - 1)
+
+
+def _reference_solve_two_rf(gamma, f1, f2, pset):
+    """The quantized match: (idx1, idx2, residual) of the best of the 18
+    candidates, branch-major, offsets in _NEIGHBORHOOD order."""
+    th1a, th2a, th1b, th2b = _two_rf_branches(gamma, f1, f2)
+    gamma = np.asarray(gamma, dtype=complex)
+    r1 = _reference_quantize(np.stack([th1a, th1b]), pset.bits)[:, None]
+    r2 = _reference_quantize(np.stack([th2a, th2b]), pset.bits)[:, None]
+    j1 = ((r1 + _NEIGHBORHOOD[:, 0, None]) % pset.size).reshape(18, -1)
+    j2 = ((r2 + _NEIGHBORHOOD[:, 1, None]) % pset.size).reshape(18, -1)
+    residuals = np.abs(
+        gamma - (f1 * pset.phasors)[j1] - (f2 * pset.phasors)[j2]
+    )
+    best = np.argmin(residuals, axis=0)
+    cols = np.arange(gamma.size)
+    return j1[best, cols], j2[best, cols], residuals[best, cols]
+
+
+def _assert_same_bits(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _assert_solve_matches_reference(gamma, f1, f2, bits):
+    pset = phase_set(bits)
+    _assert_same_bits(solve_two_rf(gamma, f1, f2, pset),
+                      _reference_solve_two_rf(gamma, f1, f2, pset))
+
+
+@_SETTINGS
+@given(
+    gamma=arrays(complex, st.integers(1, 40), elements=_complex),
+    f1=_complex,
+    f2=_complex,
+    bits=st.integers(1, 8),
+)
+def test_two_rf_kernel_equals_reference_on_random_targets(gamma, f1, f2, bits):
+    _assert_solve_matches_reference(gamma, f1, f2, bits)
+
+
+@_SETTINGS
+@given(
+    gamma=arrays(complex, st.integers(1, 24), elements=_complex),
+    zeros=st.data(),
+    weights=st.sampled_from(["f1", "f2", "both", "neither"]),
+    f1=_complex,
+    f2=_complex,
+    bits=st.integers(1, 6),
+)
+def test_two_rf_kernel_equals_reference_with_zeros(gamma, zeros, weights, f1,
+                                                   f2, bits):
+    # zero targets anywhere in the batch, and zero digital entries: the
+    # 0/0 and x/0 arccos arguments the kernel resolves only when they occur
+    gamma[zeros.draw(arrays(bool, gamma.size))] = 0.0
+    f1 = 0.0j if weights in ("f1", "both") else f1
+    f2 = 0.0j if weights in ("f2", "both") else f2
+    _assert_solve_matches_reference(gamma, np.complex128(f1),
+                                    np.complex128(f2), bits)
+
+
+@_SETTINGS
+@given(
+    rows=st.integers(1, 16),
+    edge=st.sampled_from(["outer", "inner", "equal"]),
+    ulps=st.integers(-4, 4),
+    bits=st.integers(1, 8),
+    data=st.data(),
+)
+def test_two_rf_kernel_equals_reference_at_the_ring_edges(rows, edge, ulps,
+                                                          bits, data):
+    # |gamma| at |f1| + |f2| (outer) or ||f1| - |f2|| (inner; 0 when the
+    # moduli are equal), a few ulps either side, where the arccos arguments
+    # reach +-1 and are clipped
+    mags = st.floats(0.25, 4.0)
+    z1 = data.draw(mags)
+    z2 = z1 if edge == "equal" else data.draw(mags)
+    f1 = z1 * np.exp(1j * data.draw(st.floats(-np.pi, np.pi)))
+    f2 = z2 * np.exp(1j * data.draw(st.floats(-np.pi, np.pi)))
+    radius = z1 + z2 if edge == "outer" else abs(z1 - z2)
+    angles = data.draw(arrays(float, rows, elements=st.floats(-np.pi, np.pi)))
+    gamma = radius * (1.0 + ulps * np.finfo(float).eps) * np.exp(1j * angles)
+    _assert_solve_matches_reference(gamma, f1, f2, bits)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 6])
+def test_two_rf_kernel_equals_reference_at_rounding_boundaries(bits):
+    # targets reached exactly by phases at phase-set members, at the
+    # midpoints between them and near 0, a few ulps either side, so the
+    # continuous branches land within rounding of a quantization boundary
+    # or of +-pi.  With a signed-zero digital entry (the phase of -0.0 + 0j
+    # is pi) every offset of that entry's phase ties, the first one wins,
+    # and the rounded index itself is returned: there the second wrap
+    # decides the result.
+    pset = phase_set(bits)
+    half = np.pi / pset.size
+    ulps = np.arange(-6, 7)
+    points = np.concatenate([pset.values, pset.values + half])
+    grid = np.concatenate([(points[:, None] * (1.0 + ulps * np.finfo(float).eps)
+                            ).ravel(), ulps * 1e-17])
+    minus_zero = complex(-0.0, 0.0)
+    for f1, f2 in ((1.0, 1.0), (1.0, 0.5), (0.75 + 0.5j, 1.0 - 1.0j),
+                   (1.0, minus_zero), (minus_zero, 1j), (1j, -minus_zero)):
+        f1, f2 = np.complex128(f1), np.complex128(f2)
+        for t2 in (pset.values[0], half, -half):
+            gamma = f1 * np.exp(1j * grid) + f2 * np.exp(1j * t2)
+            _assert_solve_matches_reference(gamma, f1, f2, bits)
+
+
+def test_two_rf_kernel_on_no_targets():
+    pset = phase_set(4)
+    empty = np.zeros(0, dtype=complex)
+    _assert_same_bits(solve_two_rf(empty, 1.0 + 0j, 0.5j, pset),
+                      _reference_solve_two_rf(empty, 1.0 + 0j, 0.5j, pset))
+
+
 def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     """The reference sweep: fs_row's loop with no bound test, so every step
-    solves the two-phasor match for every candidate of every active row.
+    solves the two-phasor match for every candidate of every active row,
+    each through the reference match _reference_solve_two_rf.
 
     gaps, if given, collects (step, row, kind, gap) for every decision whose
     outcome changes indices: the winner against the runner-up where the
@@ -111,7 +266,8 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
                                fp.real * ep.imag + fp.imag * ep.real])
         fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
         resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
-        i1, i2, errs = solve_two_rf(resid_targets.ravel(), fbb[0], fbb[1], pset)
+        i1, i2, errs = _reference_solve_two_rf(resid_targets.ravel(), fbb[0],
+                                               fbb[1], pset)
         best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
         pick = np.arange(active.size) * pset.size + best
         new = np.column_stack([i1[pick], i2[pick], best])
@@ -349,6 +505,77 @@ def test_phase_updates_keep_running_gains_exact_and_never_lose(n, oversample,
         cur = _objective(opt)
         assert cur >= prev - 1e-12 * max(1.0, abs(prev))
         prev = cur
+
+
+class _ReferencePhaseOptimizer:
+    """PhaseOptimizer's update as it was before it kept per-k lists and
+    called arctan2 directly: the reference the optimizer must equal bit for
+    bit, phase by phase."""
+
+    def __init__(self, gram, magnitudes, phases):
+        self.gram = np.asarray(gram, dtype=complex)
+        self.magnitudes = np.asarray(magnitudes, dtype=float)
+        self.phases = np.array(phases, dtype=float)
+        self.degenerate = (_DEGENERATE_RTOL * np.linalg.norm(self.gram, axis=1)
+                           * np.linalg.norm(self.magnitudes))
+        self.gains = self.magnitudes * np.exp(1j * self.phases)
+
+    def update(self, k):
+        phases = self.phases
+        if self.magnitudes[k] == 0.0:
+            return phases[k]
+        g = self.gains
+        c = complex(self.gram[k] @ g - self.gram[k, k] * g[k])
+        if abs(c) <= self.degenerate[k]:
+            return phases[k]
+        phases[k] = np.angle(c)
+        g[k] = self.magnitudes[k] * np.exp(1j * phases[k])
+        return phases[k]
+
+
+def _assert_updates_match_reference(gram, mags, phases, order):
+    """Run the same updates on PhaseOptimizer and the reference, requiring
+    equal bits after each; returns how many updates moved a phase."""
+    opt = PhaseOptimizer(gram, mags, phases)
+    ref = _ReferencePhaseOptimizer(gram, mags, phases)
+    moved = 0
+    for k in order:
+        before = ref.phases[k]
+        got, expected = opt.update(k), ref.update(k)
+        assert type(got) is type(expected)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert opt.phases.tobytes() == ref.phases.tobytes()
+        assert opt._gains.tobytes() == ref.gains.tobytes()
+        moved += bool(expected != before)
+    return moved
+
+
+@_SETTINGS
+@given(
+    n=st.integers(2, 8),
+    oversample=st.integers(1, 4),
+    data=st.data(),
+)
+def test_phase_updates_equal_reference(n, oversample, data):
+    k = n * oversample
+    mags = data.draw(arrays(float, k, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 2.0))))
+    phases = data.draw(arrays(float, k, elements=st.floats(-np.pi, np.pi)))
+    order = data.draw(st.lists(st.integers(0, k - 1), max_size=4 * k))
+    _assert_updates_match_reference(steering_matrix(n, k).gram(), mags, phases,
+                                     order)
+
+
+@pytest.mark.parametrize("n,k", [(8, 8), (16, 16), (8, 32), (16, 64)])
+def test_cyclic_phase_updates_equal_reference(n, k):
+    # ps_icd's order over a rect target (zero magnitudes outside it); at
+    # K = N every cross term is roundoff, so no update moves a phase
+    sm = steering_matrix(n, k)
+    mags = make_target("rect", (-0.75, 0.0))(sm.grid)
+    phases = np.random.default_rng(k).uniform(-np.pi, np.pi, k)
+    moved = _assert_updates_match_reference(sm.gram(), mags, phases,
+                                            [i % k for i in range(4 * k)])
+    assert (moved == 0) == (k == n)
 
 
 @_SETTINGS

@@ -128,6 +128,13 @@ MALFORMED_CODEBOOKS = {
     "hw-too-many-chains": (("hw", "n_rf"), lambda n: 9, "hw n_rf must be in [1, 8]"),
     "hw-other-b": (("hw",), lambda hw: {"n_rf": 7, "b": 2, "t_max": 5},
                    "'b': 2, 't_max': 5}, but hybrid b = [4]"),
+    "hw-other-n_rf": (("hw", "n_rf"), lambda n: 7,
+                      "hw n_rf = 7, but layer 1 hybrids have [2] chains"),
+    "bottom-two-chains": (("layers", 2, 5, "hybrid"), lambda h: {
+        **h, "n_rf": 2, "analog_phase_indices": [[i[0], 0] for i in
+                                                 h["analog_phase_indices"]],
+        "digital": h["digital"] + [[0.0, 0.0]]},
+        "hw n_rf = 2, but layer 3 hybrids have [1, 2] chains, expected 1"),
     "hw-null-over-hybrids": (("hw",), lambda hw: None,
                              "hw = None, but hybrid b = [4]"),
     "hw-over-no-hybrids": (("layers",), lambda layers: [

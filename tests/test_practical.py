@@ -21,7 +21,7 @@ from beamkit import SynthesisError, make_target
 from beamkit.practical import _two_rf_phases, _two_rf_setup
 
 
-def _two_rf_branches(gamma, f1, f2):
+def _continuous_branches(gamma, f1, f2):
     """The continuous branches of the two-phasor match, (2, 2, M): branch a
     then b, each (theta1, theta2)."""
     setup = _two_rf_setup(f1, f2, phase_set(1))
@@ -34,7 +34,7 @@ def _solve_one(alpha, beta, z1, p1, z2, p2):
     (theta1, theta2, residual)."""
     gamma = np.array([alpha * np.exp(1j * beta)])
     f1, f2 = z1 * np.exp(1j * p1), z2 * np.exp(1j * p2)
-    th1, th2 = _two_rf_branches(gamma, f1, f2)[0]
+    th1, th2 = _continuous_branches(gamma, f1, f2)[0]
     res = np.abs(gamma - f1 * np.exp(1j * th1) - f2 * np.exp(1j * th2))
     return float(th1[0]), float(th2[0]), float(res[0])
 
@@ -183,7 +183,7 @@ def _two_rf_reference(gamma, f1, f2, ps):
     Also counts later distinct pairs that tie the incumbent exactly."""
     best = [(np.inf, -1, -1)] * gamma.size
     ties = 0
-    for th1, th2 in _two_rf_branches(gamma, f1, f2):
+    for th1, th2 in _continuous_branches(gamma, f1, f2):
         r1 = quantize_index(th1, ps.bits)
         r2 = quantize_index(th2, ps.bits)
         for d1 in (-1, 0, 1):

@@ -241,9 +241,16 @@ def solve_two_rf(gamma, f1, f2, pset):
     to the nearest members of pset and the 3x3 index neighborhood of each
     rounded pair is searched, which recovers pairs that rounding the two
     coupled phases apart misses; returns (idx1, idx2, residual) of the best
-    of the 18 candidates.
+    of the 18 candidates.  A non-finite target or digital entry raises
+    ValueError.
     """
     gamma = np.asarray(gamma, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(gamma))
+    if bad.size:
+        raise ValueError(f"target entry {bad[0]} is not finite: {gamma.flat[bad[0]]}")
+    for name, f in (("f1", f1), ("f2", f2)):
+        if not np.isfinite(f):
+            raise ValueError(f"digital entry {name} is not finite: {f}")
     return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
@@ -386,7 +393,8 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     for _ in range(int(t_max)):
         if n_rf == 2:
             # all rows in closed form; a row keeps its phases if they are better
-            i1, i2, new_res = solve_two_rf(v, fbb[0], fbb[1], pset)
+            i1, i2, new_res = _two_rf_solve(
+                v, np.abs(v), _two_rf_setup(fbb[0], fbb[1], pset))
             # gathered, not the strided analog[:, 0]: a complex product
             # over a strided array may round differently in the last bit
             old = np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]

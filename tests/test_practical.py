@@ -220,6 +220,21 @@ def test_two_rf_solve_matches_candidate_loop(bits):
     assert ties > 0  # the first-minimum rule was exercised
 
 
+@pytest.mark.parametrize(
+    "gamma, f1, f2, message",
+    [
+        ([np.inf, np.nan, 1 + 1j], 1, 0.5, r"target entry 0 is not finite: \(inf"),
+        ([1 + 1j, complex(0, np.nan)], 1, 0.5, "target entry 1 is not finite"),
+        ([1 + 1j], np.inf, 0.5, "digital entry f1 is not finite: inf"),
+        ([1 + 1j], 1, complex(0.5, -np.inf), "digital entry f2 is not finite"),
+    ],
+)
+def test_two_rf_solve_rejects_non_finite_input(gamma, f1, f2, message):
+    # the kernel would return arbitrary indices and an inf or NaN residual
+    with pytest.raises(ValueError, match=message):
+        solve_two_rf(np.array(gamma, dtype=complex), f1, f2, phase_set(4))
+
+
 def _row_exhaustive(target, fbb, ps):
     best = np.inf
     for combo in itertools.product(range(ps.size), repeat=fbb.size):

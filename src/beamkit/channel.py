@@ -7,6 +7,7 @@ trial succeeds when the selected bottom-layer pair coincides with the
 noiseless exhaustive optimum over bottom-layer pairs.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +28,15 @@ __all__ = [
 
 # the per-component scale of unit-variance circular complex Gaussians
 _SQRT2 = np.sqrt(2)
+_JPI = 1j * np.pi  # the steering phase factor j pi
+
+
+@functools.lru_cache(maxsize=None)
+def _index_column(n):
+    """The read-only (n, 1) column arange(n)[:, None], built once per n."""
+    col = np.arange(n)[:, None]
+    col.setflags(write=False)
+    return col
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +69,11 @@ class Channel:
             if shape != (l,):
                 raise ValueError(f"{name} must have length {l}, got shape {shape}")
         # sqrt(n) factors of the steering vectors cancel against the leading scale
-        ar = np.exp(1j * np.pi * (np.arange(self.n_r)[:, None] * self.aoa))
-        at = np.exp(1j * np.pi * (np.arange(self.n_t)[:, None] * self.aod))
-        matrix = (ar * self.gains) @ at.conj().T / np.sqrt(l)
+        ar = np.exp(_JPI * (_index_column(self.n_r) * self.aoa))
+        at = np.exp(_JPI * (_index_column(self.n_t) * self.aod))
+        ar *= self.gains
+        matrix = ar @ at.conj().T
+        matrix /= math.sqrt(l)  # a reciprocal multiply need not round the same
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -74,8 +86,19 @@ def draw_channel(n_t, n_r, l, seed=None):
     np.random.default_rng takes; a Generator is used as it is.
     """
     rng = np.random.default_rng(seed)
-    gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / _SQRT2
+    gains = _normal_pairs(rng, l)
+    gains /= _SQRT2
     return Channel(n_t, n_r, gains, rng.uniform(-1, 1, l), rng.uniform(-1, 1, l))
+
+
+def _normal_pairs(rng, n):
+    """z[:n] + j z[n:] for one draw z of 2n standard normals: the same
+    stream as a draw of n real parts, then one of n imaginary parts."""
+    z = rng.standard_normal(2 * n)
+    out = np.empty(n, dtype=complex)
+    out.real = z[:n]
+    out.imag = z[n:]
+    return out
 
 
 def _snr_params(snr_db):
@@ -95,16 +118,23 @@ def measure(v, w, ch, snr_db, rng):
     y = sqrt(P) w^H H v + w^H eta with eta circular Gaussian of unit
     per-entry variance; P is set by snr_db.  snr_db of +/-inf selects the
     noiseless and pure-noise limits; NaN raises ValueError.
+
+    Bit for bit, with n = N_r: z is one draw of 2n standard normals from
+    rng, and eta = (z[:n] + j z[n:]) * sigma / sqrt(2) in complex
+    arithmetic, where sigma is 0 at snr_db = +inf and 1 otherwise (a
+    factor of 1 is exact and skipped).  P is 10^(snr_db / 10), 1 at +inf
+    and 0 at -inf.  y = sqrt(P) * ((conj(w) H) v) + conj(w) eta, with the
+    products in that order, and the result is float(np.abs(y) ** 2).
     """
     p, sigma = _snr_params(snr_db)
     h = ch.matrix
-    n_r = h.shape[0]
     w_h = np.asarray(w, dtype=complex).conj()
-    # one draw of 2 n_r normals is the same stream as two draws of n_r
-    z = rng.standard_normal(2 * n_r)
-    eta = (z[:n_r] + 1j * z[n_r:]) * sigma / _SQRT2
-    y = np.sqrt(p) * (w_h @ h @ np.asarray(v, dtype=complex))
-    y += w_h @ eta
+    eta = _normal_pairs(rng, h.shape[0])
+    if sigma != 1.0:  # x * (1 + 0j) is x exactly
+        eta *= sigma
+    eta /= _SQRT2
+    y = math.sqrt(p) * np.dot(np.dot(w_h, h), np.asarray(v, dtype=complex))
+    y += np.dot(w_h, eta)
     # np.abs, not abs(): the two round differently in the last bit
     return float(np.abs(y) ** 2)
 
@@ -138,35 +168,37 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     """
     _check_dims(tx_cb, rx_cb, ch)
     m = tx_cb.m
+    rx_layers = rx_cb.layers
     ti = ri = 0  # selected entry (0-based) at the current layer
     count = 0
-    for s in range(1, tx_cb.s + 1):
-        # a transmit-only layer keeps the selected receive beam as its one child
-        joint = s <= rx_cb.s
-        rx_layer = rx_cb.layers[s - 1] if joint else rx_cb.bottom
-        rx_children = range(m * ri, m * ri + m) if joint else (ri,)
+    for s, tx_layer in enumerate(tx_cb.layers):
+        if s < len(rx_layers):
+            rx_layer, rx_children = rx_layers[s], range(m * ri, m * ri + m)
+        else:  # a transmit-only layer keeps the selected receive beam
+            rx_layer, rx_children = rx_layers[-1], (ri,)
         rx_beams = [(b, rx_layer[b].codeword(use_practical)) for b in rx_children]
-        tx_layer = tx_cb.layers[s - 1]
         best = None
         for a in range(m * ti, m * ti + m):
             for b, wb in rx_beams:
-                va = tx_layer[a].codeword(use_practical)
-                power = measure(va, wb, ch, snr_db, rng)
+                power = measure(tx_layer[a].codeword(use_practical), wb, ch,
+                                snr_db, rng)
                 count += 1
-                if best is None or power > best[0]:
-                    best = (power, a, b)
-        _, ti, ri = best
+                if best is None or power > best:
+                    best, best_a, best_b = power, a, b
+        ti, ri = best_a, best_b
     return ti, ri, count
 
 
 def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
     """Noiseless argmax of |w^H H v| over all bottom-layer pairs (0-based)."""
     _check_dims(tx_cb, rx_cb, ch)
-    # the C-contiguous (n, entries) layout of np.column_stack, built faster
+    # the layouts np.column_stack gave, for the same BLAS products: v is
+    # C-contiguous (n_t, entries), w^H the F-contiguous (entries, n_r)
     v = np.array([e.codeword(use_practical) for e in tx_cb.bottom]).T.copy()
-    w = np.array([e.codeword(use_practical) for e in rx_cb.bottom]).T.copy()
-    scores = np.abs(w.conj().T @ ch.matrix @ v)  # (rx, tx)
-    ri, ti = divmod(int(np.argmax(scores)), scores.shape[1])
+    w_h = np.conjugate(np.array([e.codeword(use_practical) for e in rx_cb.bottom]),
+                       order="F")
+    scores = np.abs(w_h @ ch.matrix @ v)  # (rx, tx)
+    ri, ti = divmod(int(scores.argmax()), scores.shape[1])
     return ti, ri
 
 
@@ -199,30 +231,24 @@ def success_rate(cfg):
     rate, ci95 (normal-approximation 95% half width), successes, trials,
     and the per-trial records.
     """
-    n_t = cfg.tx_codebook.n
-    n_r = cfg.rx_codebook.n
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    tx, rx, practical = cfg.tx_codebook, cfg.rx_codebook, cfg.use_practical
     successes = 0
     records = []
-    for t in range(cfg.trials):
-        ch_ss, noise_ss = streams[t].spawn(2)
-        ch = draw_channel(n_t, n_r, cfg.paths, ch_ss)
-        noise_rng = np.random.default_rng(noise_ss)
+    for t, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        ch_ss, noise_ss = stream.spawn(2)
+        ch = draw_channel(tx.n, rx.n, cfg.paths, ch_ss)
         ti, ri, n_meas = hierarchical_search(
-            cfg.tx_codebook, cfg.rx_codebook, ch, cfg.snr_db, noise_rng,
-            cfg.use_practical,
+            tx, rx, ch, cfg.snr_db, np.random.default_rng(noise_ss), practical
         )
-        bt, br = exhaustive_best_pair(
-            cfg.tx_codebook, cfg.rx_codebook, ch, cfg.use_practical
-        )
-        ok = (ti, ri) == (bt, br)
+        bt, br = exhaustive_best_pair(tx, rx, ch, practical)
+        ok = ti == bt and ri == br
         successes += ok
         records.append(
             {
                 "trial": t,
                 "selected": [ti, ri],
                 "best": [bt, br],
-                "success": bool(ok),
+                "success": ok,
                 "measurements": n_meas,
             }
         )

@@ -191,10 +191,33 @@ def _tie_outputs():
         yield f"ties/fs_altmin/b{b}/nrf2/digital", h.digital
 
 
-def _campaign_outputs(label, tx, rx, practical):
+def campaign_configs(tx, rx, practical):
+    """(snr, TrainingConfig) of each ledger campaign on one pair of codebooks."""
     for snr in CAMPAIGN_SNRS:
-        out = success_rate(TrainingConfig(tx, rx, snr, 100, seed=7, paths=3,
-                                          use_practical=practical))
+        yield snr, TrainingConfig(tx, rx, snr, 100, seed=7, paths=3,
+                                  use_practical=practical)
+
+
+def campaign_links():
+    """The codebooks of the ledger's campaigns and best-pair runs, as
+    {link: {half: (tx, rx, practical)}}.  The ideal transmit codebook at
+    N_t = 32 is the ledger's ls-icd/n32 one."""
+    hw = {"n_rf": 2, "b": 6}
+    tx, rx, tx16, rx8 = (build_codebook(n, seed=5, hw=hw) for n in (32, 16, 16, 8))
+    ls_tx32 = build_codebook(32, seed=4, method="ls-icd")
+    rx_ls, rx8_ls = (build_codebook(n, seed=5, method="ls-icd") for n in (16, 8))
+    return {
+        "32x16": {"practical": (tx, rx, True), "ideal": (ls_tx32, rx_ls, False)},
+        "32x8": {"practical": (tx, rx8, True), "ideal": (ls_tx32, rx8_ls, False)},
+        "16x16": {"practical": (tx16, rx, True),
+                  "ideal": (build_codebook(16, seed=6, method="ls-icd"), rx_ls,
+                            False)},
+    }
+
+
+def _campaign_outputs(label, tx, rx, practical):
+    for snr, cfg in campaign_configs(tx, rx, practical):
+        out = success_rate(cfg)
         records = np.array([r["selected"] + r["best"]
                             + [r["success"], r["measurements"]]
                             for r in out["records"]], dtype=np.int64)
@@ -306,34 +329,17 @@ def outputs():
     books["ps-icd-2rf/n16"] = build_codebook(16, seed=3, method="ps-icd",
                                              hw={"n_rf": 2, "b": 6})
     yield from _codebook_outputs("ps-icd-2rf/n16", books["ps-icd-2rf/n16"])
-    ideal = {}
     for method in ("ps-icd", "ls-icd"):
         for n in (8, 32):
-            ideal[method, n] = build_codebook(n, seed=4, method=method)
-            books[f"{method}/n{n}"] = ideal[method, n]
-            yield from _codebook_outputs(f"{method}/n{n}", ideal[method, n])
+            books[f"{method}/n{n}"] = build_codebook(n, seed=4, method=method)
+            yield from _codebook_outputs(f"{method}/n{n}", books[f"{method}/n{n}"])
     yield from _tie_outputs()
-    hw = {"n_rf": 2, "b": 6}
-    tx, rx = (build_codebook(n, seed=5, hw=hw) for n in (32, 16))
-    yield from _campaign_outputs("campaign/practical", tx, rx, True)
-    rx_ls = build_codebook(16, seed=5, method="ls-icd")
-    yield from _campaign_outputs("campaign/ideal", ideal["ls-icd", 32], rx_ls,
-                                 False)
-    halves = {"practical": (tx, rx, True), "ideal": (ideal["ls-icd", 32], rx_ls,
-                                                     False)}
+    links = campaign_links()
+    halves = links["32x16"]
+    yield from _campaign_outputs("campaign/practical", *halves["practical"])
+    yield from _campaign_outputs("campaign/ideal", *halves["ideal"])
     for half, args in halves.items():
         yield from _measure_outputs(f"measure/{half}/32x16", *args)
-    tx16 = build_codebook(16, seed=5, hw=hw)
-    rx8 = build_codebook(8, seed=5, hw=hw)
-    rx8_ls = build_codebook(8, seed=5, method="ls-icd")
-    links = {
-        "32x16": halves,
-        "32x8": {"practical": (tx, rx8, True),
-                 "ideal": (ideal["ls-icd", 32], rx8_ls, False)},
-        "16x16": {"practical": (tx16, rx, True),
-                  "ideal": (build_codebook(16, seed=6, method="ls-icd"), rx_ls,
-                            False)},
-    }
     for link, link_halves in links.items():
         for half, args in link_halves.items():
             yield from _best_pair_outputs(f"best_pair/{half}/{link}", *args)
@@ -341,9 +347,13 @@ def outputs():
         for half, args in links[link].items():
             yield from _campaign_outputs(f"campaign/{half}/{link}", *args)
     yield from _channel_outputs()
-    # tx16 is built from the same inputs as rx, so it is not hashed twice
-    books.update({"hw/n32/seed5": tx, "hw/n16/seed5": rx, "hw/n8/seed5": rx8,
-                  "ls-icd/n16/seed5": rx_ls, "ls-icd/n8/seed5": rx8_ls,
+    # links["16x16"]["practical"][0] is built from the same inputs as the
+    # 32x16 receive codebook, so it is not hashed twice
+    (tx, rx, _), (_, rx_ls, _) = halves.values()
+    books.update({"hw/n32/seed5": tx, "hw/n16/seed5": rx,
+                  "hw/n8/seed5": links["32x8"]["practical"][1],
+                  "ls-icd/n16/seed5": rx_ls,
+                  "ls-icd/n8/seed5": links["32x8"]["ideal"][1],
                   "ls-icd/n16/seed6": links["16x16"]["ideal"][0]})
     yield from _codebook_file_outputs(books)
     yield from _two_rf_zero_outputs()

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import beamkit
+import beamkit.channel
 import beamkit.practical
-from test_properties import _exhaustive_fs_row
+from test_properties import _exhaustive_fs_row, _reference_best_pair
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
@@ -119,3 +120,63 @@ def test_ledger_fs_row_decisions_clear_roundoff(monkeypatch):
     init = rng.integers(0, 2, (16, 3))
     tie = _gaps(target, fbb, pset, init, fs_row(target, fbb, pset, init))
     assert min(g[3] for g in tie) == 0.0
+
+
+def _relative_gap(values):
+    """(largest - second largest) / largest of a flat array."""
+    top = np.sort(values, axis=None)[-2:]
+    return (top[1] - top[0]) / top[1]
+
+
+def test_ledger_campaign_decisions_clear_roundoff(monkeypatch):
+    # reruns the ledger's campaigns (32/16, 32/8 and 16/16, both halves, 0 dB
+    # and +inf) and records the gap behind every selection: each descent
+    # layer's best measured power against its second best, and each trial's
+    # exhaustive best score against its runner-up
+    channel = beamkit.channel
+    measure, search = channel.measure, channel.hierarchical_search
+    best_pair = channel.exhaustive_best_pair
+    powers, descent, scored = [], [], []
+
+    def recorded_measure(*args):
+        powers.append(measure(*args))
+        return powers[-1]
+
+    def recorded_search(tx_cb, rx_cb, *args):
+        out = search(tx_cb, rx_cb, *args)
+        m, joint = tx_cb.m, rx_cb.s
+        sizes = [m * m] * joint + [m] * (tx_cb.s - joint)
+        starts = np.cumsum([0] + sizes)
+        assert starts[-1] == len(powers) == out[2]
+        descent.append([_relative_gap(powers[a:b])
+                        for a, b in zip(starts, starts[1:])])
+        powers.clear()
+        return out
+
+    def scored_best_pair(tx_cb, rx_cb, ch, practical):
+        out = best_pair(tx_cb, rx_cb, ch, practical)
+        ti, ri, scores = _reference_best_pair(
+            [e.codeword(practical) for e in tx_cb.bottom],
+            [e.codeword(practical) for e in rx_cb.bottom], ch.matrix)
+        assert (ti, ri) == out
+        scored.append(_relative_gap(scores))
+        return out
+
+    monkeypatch.setattr(channel, "measure", recorded_measure)
+    monkeypatch.setattr(channel, "hierarchical_search", recorded_search)
+    monkeypatch.setattr(channel, "exhaustive_best_pair", scored_best_pair)
+    close, audited = [], 0
+    for link, halves in make_golden.campaign_links().items():
+        for half, args in halves.items():
+            for snr, cfg in make_golden.campaign_configs(*args):
+                beamkit.success_rate(cfg)
+                for kind, gaps in (("descent", np.array(descent)),
+                                   ("best pair", np.array(scored))):
+                    trials = np.nonzero(gaps <= _DECISION_MARGIN)[0]
+                    close += [(g, link, half, snr, kind, int(t)) for g, t in
+                              zip(gaps[gaps <= _DECISION_MARGIN], trials)]
+                    audited += gaps.size
+                descent.clear()
+                scored.clear()
+    assert audited == 5600 + 1200  # descent layers, then trials
+    assert close == [], "(gap, link, half, snr, gap kind, trial)"

@@ -17,15 +17,19 @@ from hypothesis.extra.numpy import arrays
 
 from beamkit import (
     Channel,
+    CodebookEntry,
+    HierarchicalCodebook,
     HybridCodeword,
     PhaseOptimizer,
     SynthesisError,
     build_codebook,
     draw_channel,
+    exhaustive_best_pair,
     fs_altmin,
     fs_row,
     ls_icd,
     make_target,
+    measure,
     phase_set,
     ps_icd,
     solve_two_rf,
@@ -598,3 +602,125 @@ def test_ideal_designs_are_finite_and_unit_norm(n, oversample, lo, width,
     for v in designs:
         assert v.shape == (n,) and np.all(np.isfinite(v))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+# The simulator's per-trial kernels against their plain numpy forms: a
+# channel's matrix and draw, a noisy measurement and the exhaustive best
+# pair give the same bytes as these.
+
+def _reference_channel_matrix(n_t, n_r, gains, aod, aoa):
+    ar = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * aoa))
+    at = np.exp(1j * np.pi * (np.arange(n_t)[:, None] * aod))
+    return (ar * gains) @ at.conj().T / np.sqrt(gains.size)
+
+
+def _reference_draw_channel(n_t, n_r, l, seed):
+    """(gains, aod, aoa, matrix) of draw_channel(n_t, n_r, l, seed)."""
+    rng = np.random.default_rng(seed)
+    gains = (rng.standard_normal(l) + 1j * rng.standard_normal(l)) / np.sqrt(2)
+    aod, aoa = rng.uniform(-1, 1, l), rng.uniform(-1, 1, l)
+    return gains, aod, aoa, _reference_channel_matrix(n_t, n_r, gains, aod, aoa)
+
+
+def _reference_measure(v, w, h, snr_db, rng):
+    p, sigma = {np.inf: (1.0, 0.0), -np.inf: (0.0, 1.0)}.get(
+        snr_db, (10.0 ** (snr_db / 10.0), 1.0))
+    n_r = h.shape[0]
+    w_h = np.asarray(w, dtype=complex).conj()
+    z = rng.standard_normal(2 * n_r)
+    eta = (z[:n_r] + 1j * z[n_r:]) * sigma / np.sqrt(2)
+    y = np.sqrt(p) * (w_h @ h @ np.asarray(v, dtype=complex))
+    y += w_h @ eta
+    return float(np.abs(y) ** 2)
+
+
+def _reference_best_pair(tx_words, rx_words, h):
+    """(tx, rx, scores): the first largest |w^H H v| in row-major (rx, tx)
+    order, and the (rx, tx) scores."""
+    v, w = np.column_stack(tx_words), np.column_stack(rx_words)
+    scores = np.abs(w.conj().T @ h @ v)
+    ri, ti = divmod(int(np.argmax(scores)), scores.shape[1])
+    return ti, ri, scores
+
+
+def _codewords(rng, n, count, zeros, layout):
+    """count random complex codewords of length n.  With zeros, about a
+    third of the entries are 0, the first word is all 0 and the last equals
+    the second.  layout is writable, read-only or strided (a view of every
+    other entry of a longer array)."""
+    step = 2 if layout == "strided" else 1
+    shape = (count, step * n)
+    words = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if zeros:
+        words[rng.random(words.shape) < 1 / 3] = 0.0
+        words[0] = 0.0
+        words[-1] = words[min(1, count - 1)]
+    if layout == "read-only":
+        words.setflags(write=False)
+    return [word[::step] for word in words]
+
+
+_SIZES = st.integers(4, 64)
+_LAYOUTS = st.sampled_from(["writable", "read-only", "strided"])
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@_SETTINGS
+@given(n_t=_SIZES, n_r=_SIZES, l=st.integers(1, 4), seed=_SEEDS,
+       zeros=st.booleans())
+def test_channel_matrix_and_draw_equal_reference(n_t, n_r, l, seed, zeros):
+    rng = np.random.default_rng(seed)
+    gains = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+    aod, aoa = rng.uniform(-1, 1, (2, l))
+    if zeros:
+        gains[0], aod[-1], aoa[-1] = 0.0, 0.0, -1.0
+    _assert_same_bits([Channel(n_t, n_r, gains, aod, aoa).matrix],
+                      [_reference_channel_matrix(n_t, n_r, gains, aod, aoa)])
+    ch = draw_channel(n_t, n_r, l, seed)
+    _assert_same_bits([ch.gains, ch.aod, ch.aoa, ch.matrix],
+                      _reference_draw_channel(n_t, n_r, l, seed))
+
+
+@_SETTINGS
+@given(n_t=_SIZES, n_r=_SIZES, l=st.integers(1, 4), seed=_SEEDS,
+       snr_db=st.floats(-30.0, 30.0), zeros=st.booleans(), layout=_LAYOUTS)
+def test_measure_equals_reference(n_t, n_r, l, seed, snr_db, zeros, layout):
+    ch = draw_channel(n_t, n_r, l, seed)
+    rng = np.random.default_rng([seed, 1])
+    vs = _codewords(rng, n_t, 3, zeros, layout)
+    ws = _codewords(rng, n_r, 3, zeros, layout)
+    for snr in (snr_db, np.inf, -np.inf):
+        got_rng, want_rng = (np.random.default_rng([seed, 2]) for _ in range(2))
+        got = [measure(v, w, ch, snr, got_rng) for v in vs for w in ws]
+        want = [_reference_measure(v, w, ch.matrix, snr, want_rng)
+                for v in vs for w in ws]
+        _assert_same_bits([np.array(got)], [np.array(want)])
+        # one draw of 2 N_r normals per measurement
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _flat_codebook(rng, n, zeros, layout):
+    """A hierarchical codebook (M = 2) of random codewords."""
+    layers = []
+    for s in range(1, int(np.log2(n)) + 1):
+        words = _codewords(rng, n, 2**s, zeros, layout)
+        width = 2.0 / 2**s
+        layers.append([CodebookEntry((-1.0 + i * width, -1.0 + (i + 1) * width), u)
+                       for i, u in enumerate(words)])
+    return HierarchicalCodebook(n, 2, 0, layers)
+
+
+@_SETTINGS
+@given(s_t=st.integers(2, 6), s_r=st.integers(2, 6), l=st.integers(1, 4),
+       seed=_SEEDS, zeros=st.booleans(), layout=_LAYOUTS)
+def test_exhaustive_best_pair_equals_reference(s_t, s_r, l, seed, zeros,
+                                               layout):
+    n_t, n_r = 2**max(s_t, s_r), 2**min(s_t, s_r)
+    rng = np.random.default_rng([seed, 3])
+    tx = _flat_codebook(rng, n_t, zeros, layout)
+    rx = _flat_codebook(rng, n_r, zeros, layout)
+    for k in range(3):
+        ch = draw_channel(n_t, n_r, l, [seed, k])
+        want = _reference_best_pair([e.ideal for e in tx.bottom],
+                                    [e.ideal for e in rx.bottom], ch.matrix)
+        assert exhaustive_best_pair(tx, rx, ch) == want[:2]

@@ -7,9 +7,14 @@ benchmark suite, as a missing span.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import beamkit.channel as channel
+import beamkit.practical as practical
+from beamkit import TrainingConfig, build_codebook, success_rate, training_test_count
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracing",
@@ -29,3 +34,35 @@ def test_traced_name_resolves(module, attr):
     owner = getattr(home, owner_name) if owner_name else home
     # the tracer looks the member up on its owner itself, not on a base class
     assert vars(owner).get(member) is not None
+
+
+def test_campaign_calls_go_through_the_traced_names(monkeypatch):
+    # the tracer rebinds module globals and class members; a call made
+    # through a local alias, or a read that bypasses the property, would
+    # escape its counts (the benchmark pins measure and realized counts)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("measure", "draw_channel", "hierarchical_search",
+                 "exhaustive_best_pair"):
+        monkeypatch.setattr(channel, name, counted(name, getattr(channel, name)))
+    realized = vars(practical.HybridCodeword)["realized"]
+    monkeypatch.setattr(practical.HybridCodeword, "realized",
+                        property(counted("realized", realized.fget)))
+    hw = {"n_rf": 2, "b": 4, "t_max": 5}
+    tx, rx = (build_codebook(n, k=32, r_max=100, seed=n, hw=hw) for n in (8, 4))
+    calls.clear()  # count the campaign only
+    trials = 5
+    success_rate(TrainingConfig(tx, rx, 0.0, trials, paths=2, use_practical=True))
+    # per trial: the descent reads m receive and m^2 transmit codewords on
+    # each of the log_m N_r joint layers and 1 + m on each other layer, and
+    # the exhaustive search reads every bottom-layer codeword of both
+    reads = 2 * (2 + 4) + 1 * (1 + 2) + 8 + 4
+    assert calls == {"measure": training_test_count(8, 4, 2) * trials,
+                     "draw_channel": trials, "hierarchical_search": trials,
+                     "exhaustive_best_pair": trials, "realized": reads * trials}

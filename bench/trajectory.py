@@ -14,7 +14,10 @@ OpenBLAS is held to one thread.  The cases:
 - a 500-trial success_rate campaign at N_t = N_r = 32, 3 paths, 0 dB,
   practical (ps-icd codebooks, 2 RF chains, 6 bits) and ideal (ls-icd);
 - 1000 seeded measure calls on one N_t = 32, N_r = 16, 3-path channel at
-  0 dB, cycling over the pairs of bottom-layer steering beams.
+  0 dB, cycling over the pairs of bottom-layer steering beams;
+- 1000 seeded draw_channel and exhaustive_best_pair calls at N_t = 32,
+  N_r = 16, 3 paths, on the practical bottom layers of the campaign's
+  codebooks, one spawned seed per call as in success_rate.
 
     python bench/trajectory.py --label change --out BENCH_11.json
     python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
@@ -59,6 +62,8 @@ FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
                      "paths": 3, "snr_db": 0.0, "hw": {"n_rf": 2, "b": 6}},
         "measure": {"n_t": 32, "n_r": 16, "paths": 3, "snr_db": 0.0,
                     "calls": 1000},
+        "channel": {"n_t": 32, "n_r": 16, "paths": 3, "calls": 1000,
+                    "k": 128, "r_max": 2000, "hw": {"n_rf": 2, "b": 6}},
         "repeats": 5, "seconds": 2.0}
 TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
        "targets": 64,
@@ -68,6 +73,8 @@ TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
                     "snr_db": 0.0, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
        "measure": {"n_t": 8, "n_r": 4, "paths": 3, "snr_db": 0.0,
                    "calls": 20},
+       "channel": {"n_t": 8, "n_r": 4, "paths": 3, "calls": 20, "k": 32,
+                   "r_max": 100, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
        "repeats": 2, "seconds": 0.0}
 
 
@@ -211,9 +218,34 @@ def cases(bk, size):
         return (f"measure/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
                 call, score)
 
+    def channel_case():
+        def setup():
+            tx, rx = (bk.build_codebook(n, k=c["k"], r_max=c["r_max"],
+                                        seed=SEED + i, hw=c["hw"])
+                      for i, n in enumerate((c["n_t"], c["n_r"])))
+            return tx, rx, np.random.SeedSequence(SEED).spawn(c["calls"])
+
+        def call(args):
+            tx, rx, seeds = args
+            channels = [bk.draw_channel(c["n_t"], c["n_r"], c["paths"], ss)
+                        for ss in seeds]
+            return channels, [bk.exhaustive_best_pair(tx, rx, ch, True)
+                              for ch in channels]
+
+        def score(result):
+            channels, pairs = result
+            matrices = [ch.matrix for ch in channels]
+            return ({"gain_mean": float(np.mean(np.abs(matrices) ** 2)),
+                     "pairs_distinct": len(set(pairs))},
+                    digest(*matrices, np.array(pairs, dtype=np.int64)))
+
+        c = size["channel"]
+        return (f"channel/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
+                call, score)
+
     return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
             row_case(), solve_case(), icd_case(), campaign_case(True),
-            campaign_case(False), measure_case()]
+            campaign_case(False), measure_case(), channel_case()]
 
 
 def time_case(setup, call, score, repeats, seconds):

@@ -26,12 +26,15 @@ __all__ = [
 ]
 
 
-# the per-component scale of unit-variance circular complex Gaussians
-_SQRT2 = np.sqrt(2)
+# the per-component scale of unit-variance circular complex Gaussians, as
+# the complex 0-d array a complex array's division casts sqrt(2) to: the
+# same division, without a scalar cast on every call
+_SQRT2 = np.array(np.sqrt(2) + 0j)
+_SQRT2.setflags(write=False)
 _JPI = 1j * np.pi  # the steering phase factor j pi
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _index_column(n):
     """The read-only (n, 1) column arange(n)[:, None], built once per n."""
     col = np.arange(n)[:, None]

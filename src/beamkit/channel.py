@@ -7,7 +7,6 @@ trial succeeds when the selected bottom-layer pair coincides with the
 noiseless exhaustive optimum over bottom-layer pairs.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,17 +28,8 @@ __all__ = [
 # the per-component scale of unit-variance circular complex Gaussians, as
 # the complex 0-d array a complex array's division casts sqrt(2) to: the
 # same division, without a scalar cast on every call
-_SQRT2 = np.array(np.sqrt(2) + 0j)
+_SQRT2 = np.array(np.sqrt(2), dtype=complex)
 _SQRT2.setflags(write=False)
-_JPI = 1j * np.pi  # the steering phase factor j pi
-
-
-@functools.lru_cache(maxsize=16)
-def _index_column(n):
-    """The read-only (n, 1) column arange(n)[:, None], built once per n."""
-    col = np.arange(n)[:, None]
-    col.setflags(write=False)
-    return col
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +62,8 @@ class Channel:
             if shape != (l,):
                 raise ValueError(f"{name} must have length {l}, got shape {shape}")
         # sqrt(n) factors of the steering vectors cancel against the leading scale
-        ar = np.exp(_JPI * (_index_column(self.n_r) * self.aoa))
-        at = np.exp(_JPI * (_index_column(self.n_t) * self.aod))
+        ar = np.exp(1j * np.pi * (np.arange(self.n_r)[:, None] * self.aoa))
+        at = np.exp(1j * np.pi * (np.arange(self.n_t)[:, None] * self.aod))
         ar *= self.gains
         matrix = ar @ at.conj().T
         matrix /= math.sqrt(l)  # a reciprocal multiply need not round the same

@@ -37,9 +37,10 @@ def test_traced_name_resolves(module, attr):
 
 
 def test_campaign_calls_go_through_the_traced_names(monkeypatch):
-    # the tracer rebinds module globals and class members; a call made
-    # through a local alias, or a read that bypasses the property, would
-    # escape its counts (the benchmark pins measure and realized counts)
+    # the tracer rebinds module globals and class members; a call through a
+    # name bound before it runs (a default argument, say), or a read that
+    # bypasses the property, would escape its counts (the benchmark pins
+    # the measure and realized counts)
     calls = Counter()
 
     def counted(name, fn):

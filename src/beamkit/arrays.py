@@ -21,14 +21,23 @@ __all__ = [
 ]
 
 
+def _count(name, value, lo, hi=None):
+    """The count or size named name, as a Python int: a Python or numpy
+    integer, not a bool, in [lo, hi] (hi None: no upper bound).  Anything
+    else raises ValueError naming the parameter, its range and the value."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and lo <= value and (hi is None or value <= hi)):
+        return int(value)
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
+
+
 def steering_vector(n, omega):
     """Unit-norm steering vector of an n-element half-wavelength ULA.
 
     Entry i (0-based) is (1/sqrt(n)) * exp(j*pi*i*omega).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"antenna count must be positive, got {n}")
+    n = _count("n", n, 1)
     return np.exp(1j * np.pi * np.arange(n) * omega) / np.sqrt(n)
 
 
@@ -85,13 +94,8 @@ class SteeringMatrix:
     """
 
     def __init__(self, n, k):
-        n, k = int(n), int(k)
-        if n < 1:
-            raise ValueError(f"antenna count must be positive, got {n}")
-        if k < n:
-            raise ValueError(f"grid size {k} must be >= antenna count {n}")
-        self.n = n
-        self.k = k
+        self.n = n = _count("n", n, 1)
+        self.k = k = _count("k", k, n)
         self.grid = -1.0 + (2.0 * np.arange(1, k + 1) - 1.0) / k
         self.matrix = np.exp(1j * np.pi * np.outer(np.arange(n), self.grid))
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import _count
 from .codebook import HierarchicalCodebook
 
 __all__ = [
@@ -39,7 +40,8 @@ class Channel:
     gains (complex), aod and aoa (directions in [-1, 1]) have one entry per
     path; matrix (n_r, n_t) is the sum of the L path outer products over
     sqrt(L).  The path arrays are read-only copies of the ones given, and
-    matrix is read-only.  Mismatched lengths or L = 0 raise ValueError.
+    matrix is read-only.  n_t and n_r are positive integers, stored as
+    Python ints.  Mismatched lengths or L = 0 raise ValueError.
     """
 
     n_t: int
@@ -50,13 +52,13 @@ class Channel:
     matrix: np.ndarray = field(init=False, repr=False)  # (n_r, n_t)
 
     def __post_init__(self):
+        for name in ("n_t", "n_r"):
+            object.__setattr__(self, name, _count(name, getattr(self, name), 1))
         for name, dtype in (("gains", complex), ("aod", float), ("aoa", float)):
             a = np.array(getattr(self, name), dtype=dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        l = max(self.gains.size, self.aod.size, self.aoa.size)
-        if l < 1:
-            raise ValueError(f"path count must be positive, got {l}")
+        l = _count("path count", max(self.gains.size, self.aod.size, self.aoa.size), 1)
         for name in ("gains", "aod", "aoa"):
             shape = getattr(self, name).shape
             if shape != (l,):
@@ -78,6 +80,7 @@ def draw_channel(n_t, n_r, l, seed=None):
     arrival directions are uniform on [-1, 1].  seed is anything
     np.random.default_rng takes; a Generator is used as it is.
     """
+    l = _count("l", l, 1)
     rng = np.random.default_rng(seed)
     gains = _normal_pairs(rng, l)
     gains /= _SQRT2
@@ -208,10 +211,9 @@ class TrainingConfig:
     use_practical: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.paths < 1:
-            raise ValueError(f"path count must be positive, got {self.paths}")
+        self.trials = _count("trials", self.trials, 1)
+        self.seed = _count("seed", self.seed, 0)
+        self.paths = _count("paths", self.paths, 1)
         _snr_params(self.snr_db)  # rejects NaN
 
 

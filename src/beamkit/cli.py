@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .arrays import main_lobe_mse, pattern_csv, sample_pattern
+from .arrays import _count, main_lobe_mse, pattern_csv, sample_pattern
 from .channel import TrainingConfig, success_rate
 from .codebook import build_codebook
 from .ideal import ls_icd, ps_icd
@@ -86,17 +86,11 @@ def float_list(text):
 
 
 def positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise ValueError(text)
-    return n
+    return _count("count", int(text), 1)
 
 
 def non_negative_int(text):
-    n = int(text)
-    if n < 0:
-        raise ValueError(text)
-    return n
+    return _count("count", int(text), 0)
 
 
 def positive_int_list(text):

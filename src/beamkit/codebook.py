@@ -12,9 +12,9 @@ from typing import Optional
 
 import numpy as np
 
-from .arrays import steering_vector
+from .arrays import _count, steering_vector
 from .ideal import ls_icd, ps_icd
-from .practical import HybridCodeword, design_nrf1, fs_altmin, phase_set
+from .practical import _MAX_BITS, HybridCodeword, design_nrf1, fs_altmin, phase_set
 from .targets import make_target
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
 def layer_count(n, m):
     """Depth s of a hierarchical codebook for n = m^s antennas, s >= 1;
     any other n raises ValueError."""
-    if m < 2:
-        raise ValueError(f"hierarchical factor must be >= 2, got {m}")
+    n, m = _count("n", n, 1), _count("m", m, 2)
     s = 1
     while m**s < n:
         s += 1
@@ -46,22 +45,21 @@ def training_test_count(n_t, n_r, m):
     exhaustive sweep.  Both antenna counts must be powers of M, and the
     descent needs N_r <= N_t.
     """
+    n_t, n_r, m = _count("n_t", n_t, 1), _count("n_r", n_r, 1), _count("m", m, 2)
     if n_r > n_t:
         raise ValueError(f"N_r must not exceed N_t, got {n_r} > {n_t}")
     return m * layer_count(n_t, m) + (m * m - m) * layer_count(n_r, m)
 
 
 def _check_hw(hw, n):
-    """Check a hardware header: None, or exactly the integer keys n_rf, b and
-    t_max with 1 <= n_rf <= n, 1 <= b <= 16 and t_max >= 0."""
+    """hw checked, as a new dict of Python ints in hw's key order: None, or
+    exactly the keys n_rf, b and t_max, 1 <= n_rf <= n, 1 <= b <= 16, t_max >= 0."""
     if hw is None:
-        return
+        return None
     if hw.keys() != {"n_rf", "b", "t_max"}:
         raise ValueError(f"hw keys must be n_rf, b and t_max, got {list(hw)}")
-    for key, lo, hi in (("n_rf", 1, n), ("b", 1, 16), ("t_max", 0, None)):
-        value, bound = hw[key], f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        if type(value) is not int or value < lo or hi is not None and value > hi:
-            raise ValueError(f"hw {key} must be {bound} and an integer, got {value!r}")
+    ranges = {"n_rf": (1, n), "b": (1, _MAX_BITS), "t_max": (0, None)}
+    return {key: _count(f"hw {key}", value, *ranges[key]) for key, value in hw.items()}
 
 
 @dataclass(eq=False)
@@ -94,7 +92,10 @@ class HierarchicalCodebook:
     def __post_init__(self):
         """Check that layer s of the s = log_m n layers holds m^s codewords of
         length n, and that hw is set exactly when they carry b-bit hybrids,
-        with hw n_rf chains above the bottom layer and one chain in it."""
+        with hw n_rf chains above the bottom layer and one chain in it.  n, m,
+        seed and the hw values are stored as Python ints."""
+        self.n, self.m = _count("n", self.n, 1), _count("m", self.m, 2)
+        self.seed = _count("seed", self.seed, 0)
         n, m, layers = self.n, self.m, self.layers
         s_total = layer_count(n, m)
         if len(layers) != s_total:
@@ -106,7 +107,7 @@ class HierarchicalCodebook:
                 if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
                     raise ValueError(
                         f"layer {s} entry {i}: codeword length is not n = {n}")
-        _check_hw(self.hw, n)
+        self.hw = _check_hw(self.hw, n)
         bits = {e.hybrid.bits for layer in layers for e in layer if e.hybrid}
         if bits != ({self.hw["b"]} if self.hw else set()):
             raise ValueError(f"hw = {self.hw}, but hybrid b = {sorted(bits)}")
@@ -128,7 +129,7 @@ class HierarchicalCodebook:
 
 
 def _entry_seed(master, layer, index):
-    ss = np.random.SeedSequence([int(master), int(layer), int(index)])
+    ss = np.random.SeedSequence([master, layer, index])
     return int(ss.generate_state(1)[0])
 
 
@@ -148,15 +149,12 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     """
     if method not in ("ps-icd", "ls-icd"):
         raise ValueError(f"unknown ideal design method {method!r}")
+    n, m, seed = _count("n", n, 1), _count("m", m, 2), _count("seed", seed, 0)
     s_total = layer_count(n, m)
-    if k < n:
-        raise ValueError(f"grid size {k} must be >= antenna count {n}")
-    if r_max < 0:
-        raise ValueError(f"update count r_max must be >= 0, got {r_max}")
+    k, r_max = _count("k", k, n), _count("r_max", r_max, 0)
     if hw is not None:
-        hw = dict(hw)
-        hw.setdefault("t_max", 50)
-    _check_hw(hw, n)
+        hw = {**hw, "t_max": hw.get("t_max", 50)}
+    hw = _check_hw(hw, n)
     layers = []
     for s in range(1, s_total + 1):
         width = 2.0 / m**s
@@ -168,26 +166,15 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
             try:
                 if s == s_total:
                     ideal = steering_vector(n, 0.5 * (lo + hi))
-                    hybrid = (
-                        design_nrf1(ideal, phase_set(hw["b"])) if hw else None
-                    )
+                    hybrid = design_nrf1(ideal, phase_set(hw["b"])) if hw else None
                 else:
                     target = make_target("rect", (lo, hi))
                     if method == "ps-icd":
                         ideal = ps_icd(target, n, k, r_max, sub_seed)
                     else:
                         ideal = ls_icd(target, n, k)
-                    hybrid = (
-                        fs_altmin(
-                            ideal,
-                            hw["n_rf"],
-                            hw["b"],
-                            t_max=hw["t_max"],
-                            seed=sub_seed,
-                        )
-                        if hw
-                        else None
-                    )
+                    hybrid = fs_altmin(ideal, hw["n_rf"], hw["b"], t_max=hw["t_max"],
+                                       seed=sub_seed) if hw else None
             except Exception as exc:
                 raise RuntimeError(
                     f"codeword synthesis failed at layer {s}, index {idx}"

@@ -9,7 +9,7 @@ is cheap and the quadratic objective never decreases.
 
 import numpy as np
 
-from .arrays import steering_matrix
+from .arrays import _count, steering_matrix
 
 __all__ = [
     "SynthesisError",
@@ -135,13 +135,12 @@ def ps_icd(target, n, k, r_max, seed):
     """
     if not callable(target):
         raise TypeError("target must be a TargetPattern or callable")
-    if r_max < 0:
-        raise ValueError(f"update count r_max must be >= 0, got {r_max}")
+    r_max = _count("r_max", r_max, 0)
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)
     opt = PhaseOptimizer(sm.gram(), mags, rng.uniform(-np.pi, np.pi, k))
-    for i in range(int(r_max)):
+    for i in range(r_max):
         opt.update(i % k)
     return _assemble(sm.matrix, opt._gains, k)
 

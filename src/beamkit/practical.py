@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import _count
 from .ideal import SynthesisError
 
 __all__ = [
@@ -40,6 +41,8 @@ __all__ = [
     "deviation",
 ]
 
+# Phase-shifter resolutions accepted, in bits: 1 to _MAX_BITS.
+_MAX_BITS = 16
 # Digital-vector fixed-point tolerance for the outer alternation.
 _FBB_TOL = 1e-10
 # Safety cap on inner search cycles; the primary stop is an unchanged cycle.
@@ -81,12 +84,11 @@ class PhaseSet:
         return 2**self.bits
 
 
-@functools.lru_cache(maxsize=16)
+# typed: else 4.0 would hit np.int64(4)'s entry (equal hashes), unchecked
+@functools.lru_cache(maxsize=16, typed=True)
 def phase_set(bits):
     """The b-bit quantized phase set, built once per b."""
-    bits = int(bits)
-    if not 1 <= bits <= 16:
-        raise ValueError(f"bits must be in [1, 16], got {bits}")
+    bits = _count("bits", bits, 1, _MAX_BITS)
     m = np.arange(2**bits)
     values = np.pi * (-1.0 + (2.0 * m + 1.0) / 2**bits)
     phasors = np.exp(1j * values)
@@ -103,8 +105,18 @@ def wrap_phase(theta):
 def quantize_index(theta, bits):
     """Index of the phase-set member closest (circularly) to theta.
 
-    Equidistant ties resolve to the smaller phase value.  Vectorized.
+    Equidistant ties resolve to the smaller phase value.  Vectorized.  A
+    non-finite theta, or bits outside [1, 16], raises ValueError.
     """
+    theta = np.asarray(theta, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"theta entry {bad[0]} is not finite: {theta.flat[bad[0]]}")
+    return _quantize_index(theta, _count("bits", bits, 1, _MAX_BITS))
+
+
+def _quantize_index(theta, bits):
+    """quantize_index on inputs already checked."""
     size = 2**bits
     x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
     idx = np.ceil(x).astype(int) - 1
@@ -127,6 +139,7 @@ class HybridCodeword:
     _realized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", _count("bits", self.bits, 1, _MAX_BITS))
         for name in ("phase_indices", "digital"):
             a = np.array(getattr(self, name))
             a.setflags(write=False)
@@ -175,7 +188,7 @@ def design_nrf1(v, pset):
     exactly, since every analog entry has unit modulus.
     """
     v = _design_input(v)
-    idx = quantize_index(np.angle(v), pset.bits)[:, None]
+    idx = _quantize_index(np.angle(v), pset.bits)[:, None]
     digital = np.array([1.0 / np.sqrt(v.size)], dtype=complex)
     return HybridCodeword(idx, pset.bits, digital)
 
@@ -222,7 +235,7 @@ def _two_rf_solve(gamma, alpha, setup):
     wins: branch a before b, offsets (d1, d2) in row-major order.
     """
     f1e, f2e, wrap, bits = setup[5:]
-    r = quantize_index(_two_rf_phases(gamma, alpha, setup), bits)
+    r = _quantize_index(_two_rf_phases(gamma, alpha, setup), bits)
     j = r[:, :, None] + _OFFSETS  # (branch, phasor, d, M), padded positions
     residuals = np.abs((gamma - f1e[j[:, 0]])[:, :, None] - f2e[j[:, 1]][:, None])
     residuals = residuals.reshape(18, -1)  # (branch, d1, d2) flattened
@@ -339,10 +352,14 @@ def ls_fbb(analog, v):
     """Least-squares digital vector for a fixed analog matrix.
 
     Solves (F^H F) f = F^H v; a near-singular Gram matrix (duplicated
-    analog columns) falls back to the pseudo-inverse with a warning.
+    analog columns) falls back to the pseudo-inverse with a warning.  An
+    analog matrix or v whose norm is not finite raises ValueError.
     """
     analog = np.asarray(analog, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    for name, a in (("analog", analog), ("v", v)):
+        if not np.isfinite(np.linalg.norm(a)):
+            raise ValueError(f"{name} has norm {np.linalg.norm(a)}")
     gram = analog.conj().T @ analog
     if np.linalg.cond(gram) > 1e12:
         warnings.warn(
@@ -372,11 +389,9 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     raises SynthesisError.
     """
     v = _design_input(v)
-    if not 1 <= n_rf <= v.size:
-        raise ValueError(f"n_rf must be in [1, {v.size}], got {n_rf}")
-    if t_max < 0:
-        raise ValueError(f"iteration count t_max must be >= 0, got {t_max}")
-    pset = phase_set(b)
+    n_rf = _count("n_rf", n_rf, 1, v.size)
+    t_max = _count("t_max", t_max, 0)
+    pset = phase_set(_count("b", b, 1, _MAX_BITS))
     if n_rf == 1 and t_max > 0:
         hybrid = design_nrf1(v, pset)
         if trace is not None:
@@ -390,7 +405,7 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     fbb = ls_fbb(analog, v)
     if trace is not None:
         trace.append(float(np.linalg.norm(v - analog @ fbb)))
-    for _ in range(int(t_max)):
+    for _ in range(t_max):
         if n_rf == 2:
             # all rows in closed form; a row keeps its phases if they are better
             i1, i2, new_res = _two_rf_solve(

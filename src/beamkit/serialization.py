@@ -12,8 +12,9 @@ import json
 
 import numpy as np
 
+from .arrays import _count
 from .codebook import CodebookEntry, HierarchicalCodebook
-from .practical import HybridCodeword
+from .practical import _MAX_BITS, HybridCodeword
 
 __all__ = [
     "save_codeword",
@@ -69,16 +70,14 @@ def _complex(doc, key, size=None, where=""):
 
 
 def _hybrid_doc(h):
-    return {"n_rf": int(h.n_rf), "b": int(h.bits),
+    return {"n_rf": h.n_rf, "b": h.bits,
             "analog_phase_indices": h.phase_indices.astype(int).tolist(),
             "digital": _to_pairs(h.digital)}
 
 
 def _hybrid(doc, where=""):
-    n_rf = _field(doc, "n_rf", int, where)
-    b = _field(doc, "b", int, where)
-    if n_rf < 1 or not 1 <= b <= 16:
-        raise ValueError(f"fields {where}n_rf = {n_rf}, {where}b = {b} out of range")
+    n_rf = _count(f"field {where}n_rf", _field(doc, "n_rf", int, where), 1)
+    b = _count(f"field {where}b", _field(doc, "b", int, where), 1, _MAX_BITS)
     rows, top = _field(doc, "analog_phase_indices", list, where), 2**b
     if not rows or not all(type(r) is list and len(r) == n_rf and all(
             type(i) is int and 0 <= i < top for i in r) for r in rows):

@@ -50,11 +50,36 @@ def test_channel_multipath_superposition():
 
 
 def test_draw_channel_validates():
-    # the L >= 1 check lives in the Channel constructor
-    with pytest.raises(ValueError, match="path count must be positive, got 0"):
+    # draw_channel checks l, and a Channel the length of its path arrays
+    with pytest.raises(ValueError, match="l must be >= 1 and an integer, got 0"):
         draw_channel(4, 4, 0)
-    with pytest.raises(ValueError, match="path count must be positive, got 0"):
+    with pytest.raises(ValueError,
+                       match="path count must be >= 1 and an integer, got 0"):
         Channel(4, 4, [], [], [])
+
+
+@pytest.mark.parametrize("n_t, n_r, message", [
+    (4.5, 4, "n_t must be >= 1 and an integer, got 4.5"),
+    (0, 4, "n_t must be >= 1 and an integer, got 0"),
+    (4, -3, "n_r must be >= 1 and an integer, got -3"),
+    (4, True, "n_r must be >= 1 and an integer, got True"),
+])
+def test_channel_rejects_a_bad_antenna_count(n_t, n_r, message):
+    # np.arange takes any such count: 4.5 gave a (4, 5) matrix, 0 a (4, 0) one
+    with pytest.raises(ValueError, match=message):
+        Channel(n_t, n_r, [1.0], [0.1], [0.2])
+    with pytest.raises(ValueError, match=message):
+        draw_channel(n_t, n_r, 1, seed=0)
+
+
+def test_channel_counts_may_be_numpy_ints_and_path_count_must_be_integral():
+    ch = draw_channel(np.int64(8), np.int32(4), np.uint8(2), seed=3)
+    want = draw_channel(8, 4, 2, seed=3)
+    assert type(ch.n_t) is int and type(ch.n_r) is int
+    assert ch.matrix.tobytes() == want.matrix.tobytes()
+    # numpy's own error named neither l nor its value: got '3.0'
+    with pytest.raises(ValueError, match="l must be >= 1 and an integer, got 1.5"):
+        draw_channel(4, 4, 1.5)
 
 
 def test_draw_channel_accepts_a_seed_sequence_or_a_generator():
@@ -215,7 +240,8 @@ def test_training_config_validation(small_codebooks):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=0)
     with pytest.raises(ValueError, match="NaN"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=np.nan, trials=5)
-    with pytest.raises(ValueError, match="path count must be positive, got -1"):
+    with pytest.raises(ValueError,
+                       match="paths must be >= 1 and an integer, got -1"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
                        paths=-1)
 

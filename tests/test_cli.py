@@ -123,7 +123,7 @@ def test_build_codebook_grid_smaller_than_array_is_usage_error(tmp_path,
     rc = main(["build-codebook", "--n", "16", "--k", "8",
                "--out", str(tmp_path / "cb.json")])
     assert rc == 2
-    assert "grid size 8" in capsys.readouterr().err
+    assert "k must be >= 16 and an integer, got 8" in capsys.readouterr().err
     rc = main(["build-codebook", "--n", "12",
                "--out", str(tmp_path / "cb.json")])
     assert rc == 2

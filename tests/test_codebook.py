@@ -125,7 +125,7 @@ def test_build_failure_reports_location(monkeypatch):
 
 
 def test_build_rejects_grid_smaller_than_array():
-    with pytest.raises(ValueError, match="grid size 8"):
+    with pytest.raises(ValueError, match="k must be >= 16 and an integer, got 8"):
         build_codebook(16, m=2, k=8, r_max=100, seed=0)
 
 
@@ -178,3 +178,40 @@ def test_build_rejects_a_bad_hw_header(hw, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build_codebook(4, k=8, r_max=10, seed=0, hw=hw)
 
+
+
+def test_numpy_int_counts_save_as_ints_and_float_counts_fail_first(tmp_path,
+                                                                   monkeypatch):
+    # numpy integers are stored as Python ints, so the codebook saves (the
+    # JSON encoder rejects np.int64); the caller's hw dict is left alone
+    from beamkit.serialization import load_codebook, save_codebook
+
+    def saved(name, cb):
+        path = tmp_path / f"{name}.json"
+        save_codebook(cb, path)
+        return path.read_bytes()
+
+    base = dict(n=8, m=2, k=16, r_max=20, seed=3)
+    hw = {"n_rf": 2, "b": 4, "t_max": 3}
+    want = saved("int", build_codebook(**base, hw=hw))
+    np_hw = {key: np.int64(value) for key, value in hw.items()}
+    cb = build_codebook(**{key: np.int64(value) for key, value in base.items()},
+                        hw=np_hw)
+    assert saved("numpy", cb) == want
+    assert all(type(value) is int for value in (cb.n, cb.m, cb.seed, *cb.hw.values()))
+    assert all(type(value) is np.int64 for value in np_hw.values())
+    assert saved("loaded", load_codebook(tmp_path / "numpy.json")) == want
+
+    # a float count is rejected before any codeword is designed
+    def design(*args, **kwargs):
+        raise AssertionError("a codeword was designed")
+
+    monkeypatch.setattr(beamkit.codebook, "ps_icd", design)
+    for key, value in (("n", 8.0), ("m", 2.0), ("k", 16.0), ("r_max", 20.0),
+                       ("seed", 2.5)):
+        with pytest.raises(ValueError, match=f"{key} must be >= .* and an "
+                                             f"integer, got {value}"):
+            build_codebook(**{**base, key: value}, hw=hw)
+    with pytest.raises(ValueError, match=re.escape(
+            "hw b must be in [1, 16] and an integer, got 4.0")):
+        build_codebook(**base, hw={**hw, "b": 4.0})

@@ -1,0 +1,279 @@
+"""Fuzz of every public count parameter and of the CLI's integer options.
+
+Each count is given Python and numpy integers in its range, and floats,
+bools, 0, negatives, out-of-range values and other junk.  A call either
+raises ValueError naming the parameter and the value given, or returns
+byte for byte what the equal Python int gives.  Examples are derandomized,
+and every valid size is small, so no example allocates or loops at scale.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamkit import (
+    Channel,
+    HierarchicalCodebook,
+    HybridCodeword,
+    TrainingConfig,
+    build_codebook,
+    draw_channel,
+    fs_altmin,
+    layer_count,
+    ls_icd,
+    make_target,
+    phase_set,
+    ps_icd,
+    quantize_index,
+    steering_matrix,
+    steering_vector,
+    success_rate,
+    training_test_count,
+)
+from beamkit.cli import main
+from beamkit.serialization import save_codebook
+
+_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
+                     database=None)
+
+_TARGET = make_target("rect", (-1.0, 0.0))
+_V = ps_icd(_TARGET, 6, 16, 50, seed=0)
+_SMALL_CB = build_codebook(4, k=8, r_max=10, seed=0, hw={"n_rf": 2, "b": 3,
+                                                          "t_max": 2})
+_RX_CB = build_codebook(2, k=8, r_max=10, seed=1, hw={"n_rf": 1, "b": 3,
+                                                       "t_max": 2})
+
+
+def _bits_of(*arrays):
+    return [(a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+            for a in map(np.asarray, arrays)]
+
+
+def _codebook_bytes(cb):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cb.json")
+        save_codebook(cb, path)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _types(*values):
+    return [type(v).__name__ for v in values]
+
+
+def _hw_codebook(hw_n_rf=2, hw_b=3, hw_t_max=2, **kw):
+    hw = {"n_rf": hw_n_rf, "b": hw_b, "t_max": hw_t_max}
+    cb = build_codebook(**{"n": 4, "k": 8, "r_max": 10, "seed": 0, **kw}, hw=hw)
+    return _codebook_bytes(cb), _types(*cb.hw.values())
+
+
+def _codebook(**kw):
+    cb = build_codebook(**{"n": 4, "m": 2, "k": 8, "r_max": 10, "seed": 0, **kw})
+    return _codebook_bytes(cb), _types(cb.n, cb.m, cb.seed)
+
+
+def _hand_built(**kw):
+    cb = HierarchicalCodebook(**{"n": 4, "m": 2, "seed": 0, **kw},
+                              layers=_SMALL_CB.layers, hw=_SMALL_CB.hw)
+    return _codebook_bytes(cb), _types(cb.n, cb.m, cb.seed)
+
+
+def _channel(**kw):
+    ch = Channel(**{"n_t": 4, "n_r": 3, **kw}, gains=[1.0, 0.5j], aod=[0.1, -0.4],
+                 aoa=[0.3, 0.2])
+    return _bits_of(ch.matrix), _types(ch.n_t, ch.n_r)
+
+
+def _drawn_channel(**kw):
+    ch = draw_channel(**{"n_t": 4, "n_r": 2, "l": 2, "seed": 5, **kw})
+    return _bits_of(ch.gains, ch.aod, ch.aoa, ch.matrix), _types(ch.n_t, ch.n_r)
+
+
+def _campaign(**kw):
+    cfg = TrainingConfig(_SMALL_CB, _RX_CB, 0.0,
+                         **{"trials": 3, "seed": 0, "paths": 1, **kw},
+                         use_practical=True)
+    out = success_rate(cfg)
+    return out, _types(cfg.trials, cfg.seed, cfg.paths)
+
+
+def _hybrid(bits):
+    h = HybridCodeword(np.zeros((3, 2), dtype=int), bits, np.array([1.0, 0.5j]))
+    return _bits_of(h.realized), _types(h.bits)
+
+
+def _factored(**kw):
+    h = fs_altmin(_V, **{"n_rf": 2, "b": 3, "t_max": 2, "seed": 0, **kw})
+    return _bits_of(h.phase_indices, h.digital), _types(h.bits)
+
+
+def _steering_matrix(**kw):
+    sm = steering_matrix(**{"n": 4, "k": 8, **kw})
+    return _bits_of(sm.grid, sm.matrix), _types(sm.n, sm.k)
+
+
+# case: (call taking the counts as keywords, {count: (lo, hi, valid values)});
+# the error names the count as given, or "hw <key>" for an hw key
+CASES = {
+    "steering_vector": (lambda n: _bits_of(steering_vector(n, 0.3)),
+                        {"n": (1, None, [1, 2, 5])}),
+    "steering_matrix": (_steering_matrix,
+                        {"n": (1, None, [1, 4, 8]), "k": (4, None, [4, 9, 16])}),
+    "ps_icd": (lambda n=4, k=8, r_max=20: _bits_of(ps_icd(_TARGET, n, k, r_max, 3)),
+               {"n": (1, None, [2, 4, 8]), "k": (4, None, [4, 8, 12]),
+                "r_max": (0, None, [0, 7, 20])}),
+    "ls_icd": (lambda n=4, k=8: _bits_of(ls_icd(_TARGET, n, k)),
+               {"n": (1, None, [1, 4]), "k": (4, None, [4, 16])}),
+    "phase_set": (lambda bits: (_bits_of(phase_set(bits).values,
+                                         phase_set(bits).phasors),
+                                _types(phase_set(bits).bits)),
+                  {"bits": (1, 16, [1, 2, 6, 16])}),
+    "quantize_index": (lambda bits: _bits_of(quantize_index([-3.0, 0.1, 2.5], bits)),
+                       {"bits": (1, 16, [1, 3, 16])}),
+    "HybridCodeword": (_hybrid, {"bits": (1, 16, [1, 4, 16])}),
+    "fs_altmin": (_factored, {"n_rf": (1, 6, [1, 2, 3]), "b": (1, 16, [1, 3, 6]),
+                              "t_max": (0, None, [0, 1, 3])}),
+    "layer_count": (lambda n=16, m=2: layer_count(n, m),
+                    {"n": (1, None, [2, 16]), "m": (2, None, [2, 4, 16])}),
+    "training_test_count": (
+        lambda n_t=8, n_r=4, m=2: training_test_count(n_t, n_r, m),
+        {"n_t": (1, None, [4, 8]), "n_r": (1, None, [2, 4]), "m": (2, None, [2])}),
+    "build_codebook": (_codebook, {"n": (1, None, [2, 4, 8]), "m": (2, None, [2, 4]),
+                                   "k": (4, None, [4, 8]), "r_max": (0, None, [0, 10]),
+                                   "seed": (0, None, [0, 9])}),
+    "build_codebook hw": (_hw_codebook, {"hw_n_rf": (1, 4, [1, 2]),
+                                         "hw_b": (1, 16, [1, 3]),
+                                         "hw_t_max": (0, None, [0, 2])}),
+    "HierarchicalCodebook": (_hand_built, {"n": (1, None, [4]), "m": (2, None, [2]),
+                                           "seed": (0, None, [0, 40])}),
+    "Channel": (_channel, {"n_t": (1, None, [1, 4]), "n_r": (1, None, [1, 3])}),
+    "draw_channel": (_drawn_channel, {"n_t": (1, None, [2, 4]),
+                                      "n_r": (1, None, [1, 2]),
+                                      "l": (1, None, [1, 3])}),
+    "TrainingConfig": (_campaign, {"trials": (1, None, [1, 3]),
+                                   "seed": (0, None, [0, 7]),
+                                   "paths": (1, None, [1, 2])}),
+}
+PARAMS = [(case, name) for case, (_, counts) in CASES.items() for name in counts]
+
+_NUMPY_INTS = st.sampled_from([np.int16, np.int32, np.int64, np.uint16, np.uint64])
+_JUNK = st.sampled_from([None, "4", np.nan, np.inf, -np.inf, np.bool_(True),
+                         np.float64(2.0), 3j])
+
+
+@st.composite
+def _count_value(draw, lo, hi, valid):
+    """(value, the Python int it stands for, or None if it must be rejected)."""
+    good = draw(st.sampled_from(valid))
+    below = draw(st.integers(lo - 3, lo - 1))
+    above = below if hi is None else draw(st.integers(hi + 1, hi + 3))
+    return draw(st.sampled_from([
+        (good, good),
+        (draw(_NUMPY_INTS)(good), good),
+        (float(good), None),
+        (good + 0.5, None),
+        (np.array(good), None),  # a 0-d array is not an integer scalar
+        (draw(st.booleans()), None),
+        (below, None),
+        (np.int64(above), None),
+        (draw(_JUNK), None),
+    ]))
+
+
+@functools.lru_cache(maxsize=None)
+def _expected(case, name, good):
+    return repr(CASES[case][0](**{name: good}))
+
+
+@pytest.mark.parametrize("case, name", PARAMS, ids=[f"{c}-{n}" for c, n in PARAMS])
+def test_count_is_rejected_by_name_or_gives_the_int_result(case, name):
+    call, counts = CASES[case]
+
+    @_SETTINGS
+    @given(drawn=_count_value(*counts[name]))
+    def check(drawn):
+        value, good = drawn
+        if good is None:
+            with pytest.raises(ValueError) as exc:
+                call(**{name: value})
+            label = name.replace("hw_", "hw ")
+            message = str(exc.value)
+            assert message.startswith(f"{label} must be ")
+            assert message.endswith(f"and an integer, got {value!r}")
+        else:
+            assert repr(call(**{name: value})) == _expected(case, name, good)
+
+    check()
+
+
+# command: (fixed arguments, {option: largest value drawn}); every drawn
+# integer option stays small, so each run takes milliseconds
+_COMMANDS = {
+    "design-ideal": (["--n", "8", "--k", "16", "--rmax", "20"],
+                     {"--n": 16, "--k": 32, "--rmax": 40, "--seed": 4}),
+    "design-practical": (["--input", "{v}", "--nrf", "2", "--bits", "3",
+                          "--tmax", "2"],
+                         {"--nrf": 4, "--bits": 17, "--tmax": 3, "--seeds": 2}),
+    "build-codebook": (["--n", "4", "--k", "8", "--rmax", "10", "--nrf", "2",
+                        "--bits", "3", "--tmax", "2"],
+                       {"--n": 8, "--m": 4, "--k": 16, "--rmax": 20, "--nrf": 5,
+                        "--bits": 17, "--tmax": 3}),
+    "simulate": (["--codebook", "{cb}", "--snr", "0", "--trials", "3"],
+                 {"--trials": 5, "--paths": 3, "--seed": 4}),
+    "pattern": (["--input", "{v}", "--points", "16"], {"--points": 64}),
+    "table1": (["--sizes", "4", "--k", "8", "--rmax", "10"],
+               {"--sizes": 8, "--k": 16, "--rmax": 20}),
+}
+_TEXTS = st.sampled_from(["", "x", "1.5", "2e1", "0x4", "4.0", " 3", "+2", "-0",
+                          "1,2", "nan", "True", "--"])
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli_fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["design-ideal", "--n", "8", "--k", "16", "--rmax", "20",
+                     "--out", str(d / "v.json"),
+                     "--pattern-csv", str(d / "v.csv")]) == 0
+        assert main(["build-codebook", "--n", "4", "--k", "8", "--rmax", "10",
+                     "--nrf", "2", "--bits", "3", "--tmax", "2",
+                     "--out", str(d / "cb.json")]) == 0
+    return d
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    fixed, options = _COMMANDS[command]
+    option = draw(st.sampled_from(sorted(options)))
+    text = draw(st.one_of(st.integers(-3, options[option]).map(str), _TEXTS))
+    return command, fixed, option, text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn=_argv())
+def test_cli_integer_options_exit_0_or_2_without_a_traceback(workdir, drawn):
+    command, fixed, option, text = drawn
+    argv = [command, *(a.format(v=workdir / "v.json", cb=workdir / "cb.json")
+                       for a in fixed), option, text]
+    argv += ["--out", str(workdir / "out")]
+    if command == "design-ideal":
+        argv += ["--pattern-csv", str(workdir / "out.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith(("usage:", "error:")), \
+        err.getvalue()

@@ -203,6 +203,6 @@ def test_ps_icd_validates_target():
 
 def test_ps_icd_rejects_negative_update_count():
     target = make_target("rect", (-1.0, 0.0))
-    with pytest.raises(ValueError, match="r_max must be >= 0, got -3"):
+    with pytest.raises(ValueError, match="r_max must be >= 0 and an integer, got -3"):
         ps_icd(target, 8, 16, -3, seed=0)
     ps_icd(target, 8, 16, 0, seed=0)  # zero updates: the seeded start

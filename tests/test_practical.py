@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -392,10 +393,47 @@ def test_fs_altmin_validates_n_rf():
         fs_altmin(v, 5, 4)
 
 
+def test_fs_altmin_rejects_fractional_counts_by_name():
+    # a float n_rf used to reach numpy, which raised TypeError
+    v = np.ones(4, dtype=complex) / 2
+    for args, named in (((2.5, 4), "n_rf must be in [1, 4]"),
+                        ((2, 4.0), "b must be in [1, 16]"),
+                        ((2, 4, 1.5), "t_max must be >= 0")):
+        with pytest.raises(ValueError, match=re.escape(named + " and an integer")):
+            fs_altmin(v, *args)
+
+
+def test_quantize_index_rejects_non_finite_theta_and_bad_bits():
+    # nan used to quantize to an index with only a RuntimeWarning, and a
+    # float bits to a float index
+    with pytest.raises(ValueError, match="theta entry 1 is not finite: nan"):
+        quantize_index([0.1, np.nan], 2)
+    with pytest.raises(ValueError, match="theta entry 0 is not finite: -inf"):
+        quantize_index(-np.inf, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            "bits must be in [1, 16] and an integer, got 2.5")):
+        quantize_index(0.1, 2.5)
+    assert quantize_index(np.float64(0.1), np.int64(2)).tobytes() == \
+        quantize_index(0.1, 2).tobytes()
+
+
+def test_ls_fbb_rejects_non_finite_input():
+    # a NaN target used to warn "rank deficient" and return NaN
+    analog = phase_set(2).phasors[np.array([[0, 1], [0, 2], [1, 1]])]
+    v = np.array([1.0, 0.5j, -0.25])
+    with pytest.raises(ValueError, match="v has norm nan"):
+        ls_fbb(analog, np.array([1.0, np.nan, 0.0]))
+    bad = analog.copy()
+    bad[1, 0] = np.inf
+    with pytest.raises(ValueError, match="analog has norm inf"):
+        ls_fbb(bad, v)
+    assert np.all(np.isfinite(ls_fbb(analog, v)))
+
+
 @pytest.mark.parametrize("n_rf", [1, 2, 3])
 def test_fs_altmin_rejects_negative_iteration_count(n_rf):
     v = np.ones(4, dtype=complex) / 2
-    with pytest.raises(ValueError, match="t_max must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="t_max must be >= 0 and an integer, got -1"):
         fs_altmin(v, n_rf, 4, t_max=-1)
 
 

@@ -158,7 +158,8 @@ def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
         (load_codeword, {"entries": [[1.0, 0.0]]}, "missing field n"),
         (load_codeword, {"n": 1, "entries": [[1.0]]}, "field entries"),
         (load_hybrid, {"n_rf": 1, "b": 17, "analog_phase_indices": [[0]],
-                       "digital": [[1.0, 0.0]]}, "b = 17"),
+                       "digital": [[1.0, 0.0]]},
+         re.escape("field b must be in [1, 16] and an integer, got 17")),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):

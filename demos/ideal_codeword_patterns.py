@@ -44,5 +44,5 @@ for kind, kwargs in (("triangular", {}), ("step", {"heights": (1.0, 2.0)})):
 narrow = make_target("rect", (-0.25, 0.0))
 v = ps_icd(narrow, n, 128, r_max=2000, seed=0)
 peak = np.max(np.abs(beam_gain(v, grid)))
-print(f"narrow rect on [-0.25, 0]: target level {narrow.amplitude:.3f}, "
+print(f"narrow rect on [-0.25, 0]: target level {narrow(-0.125):.3f}, "
       f"achieved peak {peak:.3f}")

@@ -77,11 +77,11 @@ def draw_channel(n_t, n_r, l, seed=None):
     """Draw a random L-path channel.
 
     Path gains are standard circular complex Gaussian; departure, then
-    arrival directions are uniform on [-1, 1].  seed is anything
-    np.random.default_rng takes; a Generator is used as it is.
+    arrival directions are uniform on [-1, 1].  seed is an integer >= 0 or
+    a non-scalar np.random.default_rng takes; a Generator is used as it is.
     """
     l = _count("l", l, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0) if np.isscalar(seed) else seed)
     gains = _normal_pairs(rng, l)
     gains /= _SQRT2
     return Channel(n_t, n_r, gains, rng.uniform(-1, 1, l), rng.uniform(-1, 1, l))

@@ -8,6 +8,7 @@ that explicit flags override.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -35,11 +36,10 @@ EXIT_NUMERICAL = 4
 
 
 def _default_seed():
-    try:
-        return int(os.environ.get("BEAM_SEED", "0"))
-    except ValueError:
-        raise ValueError("BEAM_SEED must be an integer, got "
-                         f"{os.environ['BEAM_SEED']!r}") from None
+    seed = os.environ.get("BEAM_SEED", "0")
+    with contextlib.suppress(ValueError):  # _count names text int() cannot read
+        seed = int(seed)
+    return _count("BEAM_SEED", seed, 0)
 
 
 def _config_defaults(path, command, parser):
@@ -112,6 +112,9 @@ def cmd_design_ideal(args):
 
 
 def cmd_design_practical(args):
+    single = len(args.nrf) == 1 and args.seeds == 1
+    if args.out is not None and not single:
+        raise ValueError("--out needs a single run: one --nrf value, --seeds 1")
     v = load_codeword(args.input)
     seeds = [args.seed + i for i in range(args.seeds)]
     for n_rf in args.nrf:
@@ -121,8 +124,8 @@ def cmd_design_practical(args):
             hybrid = fs_altmin(v, n_rf, args.bits, t_max=args.tmax, seed=seed,
                                trace=trace)
             devs.append(deviation(v, hybrid.realized))
-            if len(args.nrf) == 1 and len(seeds) == 1:
-                save_hybrid(hybrid, args.out)
+            if single:
+                save_hybrid(hybrid, "hybrid.json" if args.out is None else args.out)
                 print("trace " + " ".join(f"{e:.12g}" for e in trace))
         print(f"nrf {n_rf} median_deviation {statistics.median(devs):.12g}")
     return 0
@@ -212,7 +215,7 @@ def build_parser():
     p.add_argument("--split", type=float, default=0.5, help="step split fraction")
     p.add_argument("--k", type=positive_int, default=128)
     p.add_argument("--rmax", type=non_negative_int, default=2000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=_default_seed())
     p.add_argument("--out", default="codeword.json")
     p.add_argument("--pattern-csv", dest="pattern_csv", default="pattern.csv")
 
@@ -224,8 +227,8 @@ def build_parser():
     p.add_argument("--tmax", type=non_negative_int, default=50)
     p.add_argument("--seeds", type=positive_int, default=1,
                    help="seed count for the median")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out", default="hybrid.json")
+    p.add_argument("--seed", type=non_negative_int, default=_default_seed())
+    p.add_argument("--out", help="hybrid JSON of a single run (default hybrid.json)")
 
     p = add("build-codebook", cmd_build_codebook)
     p.add_argument("--n", type=positive_int, required=True)
@@ -237,7 +240,7 @@ def build_parser():
                    help="RF chains (omit for ideal-only)")
     p.add_argument("--bits", type=positive_int, default=6)
     p.add_argument("--tmax", type=non_negative_int, default=50)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=_default_seed())
     p.add_argument("--out", default="codebook.json")
 
     p = add("simulate", cmd_simulate)
@@ -249,7 +252,7 @@ def build_parser():
                         "starts with a negative value as --snr=-10,-5,0")
     p.add_argument("--trials", type=positive_int, default=500)
     p.add_argument("--paths", type=positive_int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=_default_seed())
     p.add_argument("--practical", action="store_true")
     p.add_argument("--record-trials", dest="record_trials", action="store_true")
     p.add_argument("--out", default="success.csv")
@@ -264,7 +267,7 @@ def build_parser():
     p.add_argument("--k", type=positive_int,
                    help="grid size (default max(128, 2N))")
     p.add_argument("--rmax", type=non_negative_int, default=2000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=non_negative_int, default=_default_seed())
 
     return parser
 

@@ -107,6 +107,8 @@ class HierarchicalCodebook:
                 if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
                     raise ValueError(
                         f"layer {s} entry {i}: codeword length is not n = {n}")
+                if not np.isfinite(e.ideal).all():
+                    raise ValueError(f"layer {s} entry {i}: ideal codeword is not finite")
         self.hw = _check_hw(self.hw, n)
         bits = {e.hybrid.bits for layer in layers for e in layer if e.hybrid}
         if bits != ({self.hw["b"]} if self.hw else set()):

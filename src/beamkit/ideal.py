@@ -123,7 +123,7 @@ def ps_icd(target, n, k, r_max, seed):
 
     Runs r_max cyclic closed-form phase updates starting from random phases,
     then assembles the unit-norm codeword from the optimized gains.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed, an integer >= 0.
 
     target: TargetPattern (or any callable magnitude profile on [-1, 1]).
     n: antennas; k: grid size (k >= n); r_max: total update count.
@@ -133,9 +133,7 @@ def ps_icd(target, n, k, r_max, seed):
     assembled from the seeded initial phases.  Use k > n (e.g. 2n) for a
     phase design that differs from that.
     """
-    if not callable(target):
-        raise TypeError("target must be a TargetPattern or callable")
-    r_max = _count("r_max", r_max, 0)
+    r_max, seed = _count("r_max", r_max, 0), _count("seed", seed, 0)
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)

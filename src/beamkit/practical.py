@@ -84,11 +84,13 @@ class PhaseSet:
         return 2**self.bits
 
 
-# typed: else 4.0 would hit np.int64(4)'s entry (equal hashes), unchecked
-@functools.lru_cache(maxsize=16, typed=True)
 def phase_set(bits):
     """The b-bit quantized phase set, built once per b."""
-    bits = _count("bits", bits, 1, _MAX_BITS)
+    return _phase_set(_count("bits", bits, 1, _MAX_BITS))
+
+
+@functools.lru_cache(maxsize=16)  # keys are ints phase_set has checked
+def _phase_set(bits):
     m = np.arange(2**bits)
     values = np.pi * (-1.0 + (2.0 * m + 1.0) / 2**bits)
     phasors = np.exp(1j * values)
@@ -130,7 +132,8 @@ class HybridCodeword:
     The analog matrix is stored as 0-based indices into the b-bit phase
     set, so the quantization constraint is exact by construction.  Both
     arrays are read-only copies of the ones given, so the realized
-    codeword is computed once, at construction.
+    codeword is computed once, at construction.  Bad indices or digital
+    entries raise ValueError.
     """
 
     phase_indices: np.ndarray  # (n, n_rf) ints
@@ -144,7 +147,14 @@ class HybridCodeword:
             a = np.array(getattr(self, name))
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        r = self.analog @ self.digital
+        idx, digital = self.phase_indices, self.digital
+        if not (idx.ndim == 2 and idx.size and idx.dtype.kind in "iu"
+                and 0 <= idx.min() and idx.max() < 2**self.bits):
+            raise ValueError("phase_indices must be a non-empty 2-D integer array "
+                             f"with entries in [0, 2^{self.bits})")
+        if digital.shape != (self.n_rf,) or not np.isfinite(digital).all():
+            raise ValueError(f"digital must be {self.n_rf} finite entries, got {digital}")
+        r = self.analog @ digital
         r.setflags(write=False)
         object.__setattr__(self, "_realized", r)
 
@@ -390,7 +400,7 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     """
     v = _design_input(v)
     n_rf = _count("n_rf", n_rf, 1, v.size)
-    t_max = _count("t_max", t_max, 0)
+    t_max, seed = _count("t_max", t_max, 0), _count("seed", seed, 0)
     pset = phase_set(_count("b", b, 1, _MAX_BITS))
     if n_rf == 1 and t_max > 0:
         hybrid = design_nrf1(v, pset)

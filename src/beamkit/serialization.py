@@ -4,8 +4,8 @@ Complex entries are stored as [re, im] pairs of plain floats, which JSON
 round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
 constraint survives the disk exactly.  Loaders check every field they
-read and raise ValueError naming the file and the first bad field;
-non-finite entries load as they are, for the design steps to reject.
+read and raise ValueError naming the file and the first bad field.  Only
+codeword files load non-finite entries, for the design steps to reject.
 """
 
 import json

@@ -13,6 +13,14 @@ import numpy as np
 __all__ = ["TargetPattern", "make_target"]
 
 
+def _coverage(coverage):
+    """coverage as a (lo, hi) float pair of positive width, else ValueError."""
+    lo, hi = float(coverage[0]), float(coverage[1])
+    if not hi > lo:
+        raise ValueError(f"coverage [{lo}, {hi}] must have positive width")
+    return lo, hi
+
+
 class TargetPattern:
     """Desired magnitude profile g(Omega) over a coverage interval.
 
@@ -20,14 +28,10 @@ class TargetPattern:
     array of omega's shape (0-d for a scalar omega), as a numpy ufunc does.
     """
 
-    def __init__(self, coverage, evaluate, amplitude=None):
-        lo, hi = float(coverage[0]), float(coverage[1])
-        if not hi > lo:
-            raise ValueError(f"coverage [{lo}, {hi}] must have positive width")
+    def __init__(self, coverage, evaluate):
+        lo, hi = self.coverage = _coverage(coverage)
         if lo < -1.0 or hi > 1.0:
             raise ValueError(f"coverage [{lo}, {hi}] must lie within [-1, 1]")
-        self.coverage = (lo, hi)
-        self.amplitude = amplitude
         self._evaluate = evaluate
 
     def __call__(self, omega):
@@ -56,16 +60,12 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5):
                   total energy 2.
     Keywords a kind does not use are ignored.
     """
-    lo, hi = float(coverage[0]), float(coverage[1])
+    lo, hi = _coverage(coverage)
     width = hi - lo
-    if width <= 0:
-        raise ValueError(f"coverage [{lo}, {hi}] must have positive width")
 
     if kind == "rect":
         level = np.sqrt(2.0 / width)
-        return TargetPattern(
-            coverage, lambda om: np.full(om.shape, level), amplitude=level
-        )
+        return TargetPattern(coverage, lambda om: np.full(om.shape, level))
 
     if kind == "triangular":
         # energy of a symmetric triangle of peak h over width B is h^2 B / 3
@@ -75,7 +75,7 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5):
         def tri(om):
             return peak * (1.0 - np.abs(om - mid) / (0.5 * width))
 
-        return TargetPattern(coverage, tri, amplitude=peak)
+        return TargetPattern(coverage, tri)
 
     if kind == "step":
         h1, h2 = heights

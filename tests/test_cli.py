@@ -67,6 +67,28 @@ def test_design_practical_multi_nrf(tmp_path, capsys):
     assert text.count("median_deviation") == 2
 
 
+@pytest.mark.parametrize("runs", [["--nrf", "1,2"], ["--nrf", "2", "--seeds", "2"]])
+@pytest.mark.parametrize("by_config", [False, True])
+def test_design_practical_out_needs_a_single_run(tmp_path, capsys, monkeypatch,
+                                                 runs, by_config):
+    # several runs save no hybrid, so an --out for them is an error, not ignored
+    v, _ = _design(tmp_path, "--rmax", "100")
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    out = ["--config", "conf.json"] if by_config else ["--out", "h.json"]
+    (tmp_path / "conf.json").write_text(json.dumps({"out": "h.json"}))
+    rc = main(["design-practical", "--input", str(v), "--bits", "4", *runs, *out])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --out needs a single run" in captured.err
+    assert not (tmp_path / "h.json").exists()
+    # one run without --out saves hybrid.json, as before
+    assert main(["design-practical", "--input", str(v), "--nrf", "2",
+                 "--bits", "4"]) == 0
+    assert load_hybrid(tmp_path / "hybrid.json").n_rf == 2
+
+
 def test_build_codebook_and_simulate(tmp_path, capsys):
     cb_path = tmp_path / "cb.json"
     rc = main(["build-codebook", "--n", "8", "--k", "64", "--rmax", "400",
@@ -138,6 +160,22 @@ def test_simulate_nan_snr_is_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--codebook", str(cb), "--snr", "nan",
                "--trials", "2", "--out", str(tmp_path / "sim.csv")])
     assert rc == 2
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_nan_codebook_is_usage_error(tmp_path, capsys):
+    # every power > nan is False: a NaN codeword would decide nothing, and
+    # the campaign would still report a success rate
+    cb = tmp_path / "cb.json"
+    assert main(["build-codebook", "--n", "4", "--k", "32", "--rmax", "100",
+                 "--out", str(cb)]) == 0
+    doc = json.loads(cb.read_text())
+    doc["layers"][0][1]["ideal"][2] = [float("nan"), 0.0]
+    cb.write_text(json.dumps(doc))
+    rc = main(["simulate", "--codebook", str(cb), "--snr", "0", "--trials", "5",
+               "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert "layer 1 entry 2: ideal codeword is not finite" in capsys.readouterr().err
     assert not (tmp_path / "sim.csv").exists()
 
 
@@ -308,7 +346,7 @@ def test_non_integer_beam_seed_is_usage_error(tmp_path):
                           "--sizes", "8"], capture_output=True, text=True,
                          env=env, cwd=tmp_path)
     assert run.returncode == 2
-    assert "error: BEAM_SEED must be an integer, got 'abc'" in run.stderr
+    assert "error: BEAM_SEED must be >= 0 and an integer, got 'abc'" in run.stderr
     assert "Traceback" not in run.stderr
 
 

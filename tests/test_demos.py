@@ -1,8 +1,8 @@
 """Smoke tests: the demo scripts run to completion and print their headers.
 
-demos/practical_factorization.py (about 6.6 s on a 2-core x86-64 machine,
-median of 3 runs) is not run here; it joins once it runs in under 5 s, as
-batched analog design should make it.
+demos/practical_factorization.py (about 5.2 s on a 2-core x86-64 machine,
+median of 3 runs of 4.8-5.7 s) is not run here; it joins once it runs in
+under 5 s, as batched analog design should make it.
 """
 
 import os

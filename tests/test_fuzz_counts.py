@@ -1,4 +1,5 @@
-"""Fuzz of every public count parameter and of the CLI's integer options.
+"""Fuzz of every public count parameter and seed, and of the CLI's integer
+options.
 
 Each count is given Python and numpy integers in its range, and floats,
 bools, 0, negatives, out-of-range values and other junk.  A call either
@@ -16,7 +17,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beamkit import (
@@ -127,9 +128,10 @@ CASES = {
                         {"n": (1, None, [1, 2, 5])}),
     "steering_matrix": (_steering_matrix,
                         {"n": (1, None, [1, 4, 8]), "k": (4, None, [4, 9, 16])}),
-    "ps_icd": (lambda n=4, k=8, r_max=20: _bits_of(ps_icd(_TARGET, n, k, r_max, 3)),
+    "ps_icd": (lambda n=4, k=8, r_max=20, seed=3:
+               _bits_of(ps_icd(_TARGET, n, k, r_max, seed)),
                {"n": (1, None, [2, 4, 8]), "k": (4, None, [4, 8, 12]),
-                "r_max": (0, None, [0, 7, 20])}),
+                "r_max": (0, None, [0, 7, 20]), "seed": (0, None, [0, 3])}),
     "ls_icd": (lambda n=4, k=8: _bits_of(ls_icd(_TARGET, n, k)),
                {"n": (1, None, [1, 4]), "k": (4, None, [4, 16])}),
     "phase_set": (lambda bits: (_bits_of(phase_set(bits).values,
@@ -140,7 +142,8 @@ CASES = {
                        {"bits": (1, 16, [1, 3, 16])}),
     "HybridCodeword": (_hybrid, {"bits": (1, 16, [1, 4, 16])}),
     "fs_altmin": (_factored, {"n_rf": (1, 6, [1, 2, 3]), "b": (1, 16, [1, 3, 6]),
-                              "t_max": (0, None, [0, 1, 3])}),
+                              "t_max": (0, None, [0, 1, 3]),
+                              "seed": (0, None, [0, 4])}),
     "layer_count": (lambda n=16, m=2: layer_count(n, m),
                     {"n": (1, None, [2, 16]), "m": (2, None, [2, 4, 16])}),
     "training_test_count": (
@@ -157,7 +160,8 @@ CASES = {
     "Channel": (_channel, {"n_t": (1, None, [1, 4]), "n_r": (1, None, [1, 3])}),
     "draw_channel": (_drawn_channel, {"n_t": (1, None, [2, 4]),
                                       "n_r": (1, None, [1, 2]),
-                                      "l": (1, None, [1, 3])}),
+                                      "l": (1, None, [1, 3]),
+                                      "seed": (0, None, [0, 5])}),
     "TrainingConfig": (_campaign, {"trials": (1, None, [1, 3]),
                                    "seed": (0, None, [0, 7]),
                                    "paths": (1, None, [1, 2])}),
@@ -201,6 +205,9 @@ def test_count_is_rejected_by_name_or_gives_the_int_result(case, name):
     @given(drawn=_count_value(*counts[name]))
     def check(drawn):
         value, good = drawn
+        # draw_channel passes a seed that is no scalar (None, an array, a
+        # Generator) on to np.random.default_rng
+        assume((case, name) != ("draw_channel", "seed") or np.isscalar(value))
         if good is None:
             with pytest.raises(ValueError) as exc:
                 call(**{name: value})
@@ -221,16 +228,17 @@ _COMMANDS = {
                      {"--n": 16, "--k": 32, "--rmax": 40, "--seed": 4}),
     "design-practical": (["--input", "{v}", "--nrf", "2", "--bits", "3",
                           "--tmax", "2"],
-                         {"--nrf": 4, "--bits": 17, "--tmax": 3, "--seeds": 2}),
+                         {"--nrf": 4, "--bits": 17, "--tmax": 3, "--seeds": 2,
+                          "--seed": 4}),
     "build-codebook": (["--n", "4", "--k", "8", "--rmax", "10", "--nrf", "2",
                         "--bits", "3", "--tmax", "2"],
                        {"--n": 8, "--m": 4, "--k": 16, "--rmax": 20, "--nrf": 5,
-                        "--bits": 17, "--tmax": 3}),
+                        "--bits": 17, "--tmax": 3, "--seed": 4}),
     "simulate": (["--codebook", "{cb}", "--snr", "0", "--trials", "3"],
                  {"--trials": 5, "--paths": 3, "--seed": 4}),
     "pattern": (["--input", "{v}", "--points", "16"], {"--points": 64}),
     "table1": (["--sizes", "4", "--k", "8", "--rmax", "10"],
-               {"--sizes": 8, "--k": 16, "--rmax": 20}),
+               {"--sizes": 8, "--k": 16, "--rmax": 20, "--seed": 4}),
 }
 _TEXTS = st.sampled_from(["", "x", "1.5", "2e1", "0x4", "4.0", " 3", "+2", "-0",
                           "1,2", "nan", "True", "--"])
@@ -258,13 +266,14 @@ def _argv(draw):
     return command, fixed, option, text
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(drawn=_argv())
-def test_cli_integer_options_exit_0_or_2_without_a_traceback(workdir, drawn):
-    command, fixed, option, text = drawn
+def _run(workdir, command, *args):
+    """(exit code, stdout, stderr) of a command run on the fixed arguments
+    of _COMMANDS, args, and outputs in workdir."""
+    fixed = _COMMANDS[command][0]
     argv = [command, *(a.format(v=workdir / "v.json", cb=workdir / "cb.json")
-                       for a in fixed), option, text]
-    argv += ["--out", str(workdir / "out")]
+                       for a in fixed), *args]
+    if command != "table1":
+        argv += ["--out", str(workdir / "out")]
     if command == "design-ideal":
         argv += ["--pattern-csv", str(workdir / "out.csv")]
     out, err = io.StringIO(), io.StringIO()
@@ -273,7 +282,43 @@ def test_cli_integer_options_exit_0_or_2_without_a_traceback(workdir, drawn):
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    assert code in (0, 2), (argv, err.getvalue())
-    assert "Traceback" not in err.getvalue()
-    assert (code == 2) == err.getvalue().startswith(("usage:", "error:")), \
-        err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(drawn=_argv())
+def test_cli_integer_options_exit_0_or_2_without_a_traceback(workdir, drawn):
+    command, fixed, option, text = drawn
+    code, _, err = _run(workdir, command, option, text)
+    assert code in (0, 2), (command, option, text, err)
+    assert "Traceback" not in err
+    assert (code == 2) == err.startswith(("usage:", "error:")), err
+
+
+_SEEDED = sorted(c for c, (_, options) in _COMMANDS.items() if "--seed" in options)
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+@pytest.mark.parametrize("seed", ["-1", "2.5", "x"])
+def test_cli_seed_is_a_count_checked_before_any_output(workdir, command, seed):
+    # checked when parsed, so table1 prints no header before the error
+    (workdir / "out").unlink(missing_ok=True)
+    code, out, err = _run(workdir, command, "--seed", seed)
+    assert code == 2 and out == ""
+    assert f"argument --seed: invalid non_negative_int value: '{seed}'" in err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+@pytest.mark.parametrize("seed, shown", [("-1", "-1"), ("2.5", "'2.5'"),
+                                         ("x", "'x'"), ("True", "'True'")])
+def test_beam_seed_follows_the_count_rule(workdir, monkeypatch, command, seed,
+                                          shown):
+    # text int() cannot read is named as the text
+    monkeypatch.setenv("BEAM_SEED", seed)
+    code, out, err = _run(workdir, command)
+    assert (code, out) == (2, "")
+    assert err == f"error: BEAM_SEED must be >= 0 and an integer, got {shown}\n"
+    monkeypatch.setenv("BEAM_SEED", " 3")  # read as int() reads it
+    code, _, err = _run(workdir, command)
+    assert code == 0, err

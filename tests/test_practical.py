@@ -461,6 +461,22 @@ def test_hybrid_codeword_properties():
     np.testing.assert_allclose(h.realized, expect @ np.array([1.0, 1j]))
 
 
+@pytest.mark.parametrize("indices, digital, message", [
+    ([[-1, 0], [-4, 1]], [1, 1j], r"phase_indices .* in \[0, 2\^2\)"),
+    ([[0, 4]], [1, 1j], r"phase_indices .* in \[0, 2\^2\)"),
+    ([[0.0, 1.0]], [1, 1j], "phase_indices must be a non-empty 2-D integer"),
+    ([0, 1], [1, 1j], "phase_indices must be a non-empty 2-D integer"),
+    (np.zeros((0, 2), dtype=int), [1, 1j], "phase_indices must be a non-empty"),
+    ([[0, 1]], [1], "digital must be 2 finite entries"),
+    ([[0, 1]], [[1, 1j]], "digital must be 2 finite entries"),
+    ([[0, 1]], [1, complex(0, np.nan)], "digital must be 2 finite entries"),
+])
+def test_hybrid_codeword_rejects_bad_indices_and_digital(indices, digital, message):
+    # numpy would wrap a negative index and raise IndexError past 2^b - 1
+    with pytest.raises(ValueError, match=message):
+        HybridCodeword(indices, 2, digital)
+
+
 def test_deviation():
     a = np.array([1.0, 0.0], dtype=complex)
     b = np.array([0.0, 1.0], dtype=complex)

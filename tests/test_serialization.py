@@ -120,6 +120,12 @@ MALFORMED_CODEBOOKS = {
                     "layers[0][0].ideal"),
     "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],
                      "layers[0][0].hybrid.digital"),
+    # a NaN codeword would lose every power comparison of a descent
+    "nan-ideal": (("layers", 1, 2, "ideal", 0), lambda p: [float("nan"), 0.0],
+                  "layer 2 entry 3: ideal codeword is not finite"),
+    "infinite-digital": (("layers", 0, 1, "hybrid", "digital", 1),
+                         lambda p: [0.0, float("inf")],
+                         "digital must be 2 finite entries"),
     "hw-unknown-key": (("hw",), lambda hw: {"junk": 1},
                        "hw keys must be n_rf, b and t_max, got ['junk']"),
     "hw-missing-key": (("hw", "t_max"), None, "got ['n_rf', 'b']"),
@@ -160,6 +166,9 @@ def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
         (load_hybrid, {"n_rf": 1, "b": 17, "analog_phase_indices": [[0]],
                        "digital": [[1.0, 0.0]]},
          re.escape("field b must be in [1, 16] and an integer, got 17")),
+        (load_hybrid, {"n_rf": 1, "b": 2, "analog_phase_indices": [[0]],
+                       "digital": [[float("nan"), 0.0]]},
+         "digital must be 1 finite entries"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):

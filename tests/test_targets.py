@@ -21,8 +21,8 @@ def test_rect_level_and_energy():
 
 def test_rect_zero_outside_and_edges_inside():
     t = make_target("rect", (-0.5, 0.5))
-    assert t(-0.5) == pytest.approx(t.amplitude)
-    assert t(0.5) == pytest.approx(t.amplitude)
+    assert t(-0.5) == pytest.approx(np.sqrt(2.0))
+    assert t(0.5) == pytest.approx(np.sqrt(2.0))
     assert t(-0.50001) == 0.0
     np.testing.assert_allclose(t(np.array([-0.9, 0.9])), 0.0)
 

@@ -180,10 +180,10 @@ def cmd_pattern(args):
 
 def cmd_table1(args):
     target = make_target("rect", (-1.0, 0.0))
+    # K = N would make the grid orthogonal, leaving PS-ICD nothing to do
+    ks = [_count("k", max(128, 2 * n) if args.k is None else args.k, n) for n in args.sizes]
     print("n_t,ps_icd_mse,ls_icd_mse")
-    for n in args.sizes:
-        # K = N would make the grid orthogonal, leaving PS-ICD nothing to do
-        k = args.k if args.k is not None else max(128, 2 * n)
+    for n, k in zip(args.sizes, ks):
         vp = ps_icd(target, n, k, args.rmax, args.seed)
         vl = ls_icd(target, n, k)
         print(f"{n},{main_lobe_mse(vp, target):.12g},"

@@ -90,12 +90,14 @@ class HierarchicalCodebook:
     hw: Optional[dict] = None
 
     def __post_init__(self):
-        """Check that layer s of the s = log_m n layers holds m^s codewords of
-        length n, and that hw is set exactly when they carry b-bit hybrids,
-        with hw n_rf chains above the bottom layer and one chain in it.  n, m,
-        seed and the hw values are stored as Python ints."""
+        """Check each entry against its place in the tree: entry i of layer s
+        of the s = log_m n layers has a finite codeword of length n, covers the
+        i-th of the m^s equal pieces of [-1, 1] exactly, and carries a b-bit
+        hybrid exactly when hw is set, with hw n_rf chains above the bottom
+        layer and one in it.  n, m, seed and the hw values become Python ints."""
         self.n, self.m = _count("n", self.n, 1), _count("m", self.m, 2)
         self.seed = _count("seed", self.seed, 0)
+        self.hw = hw = _check_hw(self.hw, self.n)
         n, m, layers = self.n, self.m, self.layers
         s_total = layer_count(n, m)
         if len(layers) != s_total:
@@ -103,23 +105,19 @@ class HierarchicalCodebook:
         for s, layer in enumerate(layers, 1):
             if len(layer) != m**s:
                 raise ValueError(f"layer {s} has {len(layer)} entries, expected {m**s}")
+            # synthesized entries take n_rf chains, bottom steering vectors one
+            want = hw and (hw["b"], 1 if s == s_total else hw["n_rf"])
             for i, e in enumerate(layer, 1):
                 if e.ideal.shape != (n,) or e.hybrid and e.hybrid.n != n:
                     raise ValueError(
                         f"layer {s} entry {i}: codeword length is not n = {n}")
                 if not np.isfinite(e.ideal).all():
                     raise ValueError(f"layer {s} entry {i}: ideal codeword is not finite")
-        self.hw = _check_hw(self.hw, n)
-        bits = {e.hybrid.bits for layer in layers for e in layer if e.hybrid}
-        if bits != ({self.hw["b"]} if self.hw else set()):
-            raise ValueError(f"hw = {self.hw}, but hybrid b = {sorted(bits)}")
-        # synthesized entries take n_rf chains, bottom steering vectors one
-        for s, layer in enumerate(layers, 1) if self.hw else ():
-            want = 1 if s == s_total else self.hw["n_rf"]
-            chains = {e.hybrid.n_rf for e in layer if e.hybrid}
-            if chains - {want}:
-                raise ValueError(f"hw n_rf = {self.hw['n_rf']}, but layer {s} hybrids"
-                                 f" have {sorted(chains)} chains, expected {want}")
+                if tuple(e.coverage) != (tile := _tile(m, s, i)):
+                    raise ValueError(f"layer {s} entry {i}: coverage {e.coverage} is not {tile}")
+                if (got := e.hybrid and (e.hybrid.bits, e.hybrid.n_rf)) != want:
+                    raise ValueError(f"layer {s} entry {i}: hybrid (b, n_rf) {got} is not "
+                                     f"{want} for hw = {hw}")
 
     @property
     def s(self):
@@ -128,6 +126,14 @@ class HierarchicalCodebook:
     @property
     def bottom(self):
         return self.layers[-1]
+
+
+def _tile(m, s, i):
+    """Coverage (lo, hi) of entry i (from 1) of layer s: the i-th of the m^s
+    equal pieces of [-1, 1]."""
+    width = 2.0 / m**s
+    lo = -1.0 + (i - 1) * width
+    return lo, lo + width
 
 
 def _entry_seed(master, layer, index):
@@ -159,11 +165,9 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     hw = _check_hw(hw, n)
     layers = []
     for s in range(1, s_total + 1):
-        width = 2.0 / m**s
         entries = []
         for idx in range(1, m**s + 1):
-            lo = -1.0 + (idx - 1) * width
-            hi = lo + width
+            lo, hi = _tile(m, s, idx)
             sub_seed = _entry_seed(seed, s, idx)
             try:
                 if s == s_total:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arrays import _count
 from .codebook import CodebookEntry, HierarchicalCodebook
-from .practical import _MAX_BITS, HybridCodeword
+from .practical import HybridCodeword
 
 __all__ = [
     "save_codeword",
@@ -36,7 +36,7 @@ def _read(path, parse):
     with open(path) as fh:
         try:
             return parse(json.load(fh))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an int too large for a float
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -77,14 +77,15 @@ def _hybrid_doc(h):
 
 def _hybrid(doc, where=""):
     n_rf = _count(f"field {where}n_rf", _field(doc, "n_rf", int, where), 1)
-    b = _count(f"field {where}b", _field(doc, "b", int, where), 1, _MAX_BITS)
-    rows, top = _field(doc, "analog_phase_indices", list, where), 2**b
-    if not rows or not all(type(r) is list and len(r) == n_rf and all(
-            type(i) is int and 0 <= i < top for i in r) for r in rows):
-        raise ValueError(f"field {where}analog_phase_indices must be one or "
-                         f"more rows of {n_rf} integers in [0, 2^{b})")
+    b, rows = _field(doc, "b", int, where), _field(doc, "analog_phase_indices", list, where)
+    if not all(type(r) is list and len(r) == n_rf and all(type(i) is int for i in r)
+               for r in rows):
+        raise ValueError(f"field {where}analog_phase_indices must be rows of {n_rf} integers")
     digital = _complex(doc, "digital", n_rf, where)
-    return HybridCodeword(np.asarray(rows, dtype=int), b, digital)
+    try:  # HybridCodeword checks b, the index range and that there are rows
+        return HybridCodeword(rows, b, digital)
+    except ValueError as exc:
+        raise ValueError(f"{where.rstrip('.')}: {exc}" if where else str(exc)) from exc
 
 
 def _entry(doc, where):

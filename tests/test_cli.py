@@ -179,6 +179,39 @@ def test_simulate_nan_codebook_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def _swap_layer2_ends(doc):
+    layer = doc["layers"][1]
+    layer[0], layer[3] = layer[3], layer[0]
+
+
+def _drop_one_hybrid(doc):
+    doc["layers"][0][1]["hybrid"] = None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_layer2_ends, "layer 2 entry 1: coverage (0.5, 1.0) is not (-1.0, -0.5)"),
+    (_drop_one_hybrid, "layer 1 entry 2: hybrid (b, n_rf) None is not (4, 2)"),
+], ids=["swapped-entries", "one-null-hybrid"])
+def test_simulate_rejects_a_codebook_out_of_tree_order(tmp_path, capsys, edit,
+                                                       message):
+    # a swapped file used to load and train on the wrong children, and a
+    # file with one hybrid missing used to fail mid-campaign
+    cb = tmp_path / "cb.json"
+    assert main(["build-codebook", "--n", "8", "--k", "32", "--rmax", "50",
+                 "--nrf", "2", "--bits", "4", "--tmax", "5", "--seed", "1",
+                 "--out", str(cb)]) == 0
+    capsys.readouterr()
+    doc = json.loads(cb.read_text())
+    edit(doc)
+    cb.write_text(json.dumps(doc))
+    rc = main(["simulate", "--codebook", str(cb), "--snr", "inf", "--trials",
+               "20", "--practical", "--out", str(tmp_path / "sim.csv")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "sim.csv").exists()
+
+
 @pytest.mark.parametrize("nrf", ["1", "2"])
 def test_design_practical_nan_codeword_is_numerical_failure(tmp_path, capsys,
                                                             nrf):
@@ -199,6 +232,16 @@ def test_table1_command(capsys):
     assert out[0] == "n_t,ps_icd_mse,ls_icd_mse"
     n, ps, ls = out[1].split(",")
     assert n == "16" and float(ps) > 0 and float(ls) > 0
+
+
+def test_table1_checks_every_size_before_any_output(capsys):
+    assert main(["table1", "--sizes", "4", "--k", "3", "--rmax", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: k must be >= 4 and an integer, got 3\n")
+    # --k fits the first size but not the second: still no header, no row
+    assert main(["table1", "--sizes", "2,8", "--k", "4", "--rmax", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: k must be >= 8 and an integer, got 4\n")
 
 
 def test_table1_default_grid_is_twice_n_at_128(capsys):

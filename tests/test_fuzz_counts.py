@@ -1,5 +1,5 @@
-"""Fuzz of every public count parameter and seed, and of the CLI's integer
-options.
+"""Fuzz of every public count parameter and seed, of the CLI's integer
+options, and of the files the CLI reads: --config documents and codebooks.
 
 Each count is given Python and numpy integers in its range, and floats,
 bools, 0, negatives, out-of-range values and other junk.  A call either
@@ -9,9 +9,11 @@ and every valid size is small, so no example allocates or loops at scale.
 """
 
 import contextlib
+import copy
 import functools
 import hashlib
 import io
+import json
 import os
 import tempfile
 
@@ -39,7 +41,7 @@ from beamkit import (
     success_rate,
     training_test_count,
 )
-from beamkit.cli import main
+from beamkit.cli import build_parser, main
 from beamkit.serialization import save_codebook
 
 _SETTINGS = settings(max_examples=12, deadline=None, derandomize=True,
@@ -322,3 +324,124 @@ def test_beam_seed_follows_the_count_rule(workdir, monkeypatch, command, seed,
     monkeypatch.setenv("BEAM_SEED", " 3")  # read as int() reads it
     code, _, err = _run(workdir, command)
     assert code == 0, err
+
+
+# --config documents and codebook files: whatever a file holds, a command
+# exits 0, 2, 3 or 4 and prints no traceback.  Every drawn integer stays
+# small, since a valid count in a config runs at the size it asks for.
+_SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+_OPTIONS = {c: sorted(a.dest for a in _SUBPARSERS[c]._actions
+                      if a.dest not in ("help", "config")) for c in _COMMANDS}
+_UNKNOWN_KEYS = ["config", "help", "command", "func", "junk", ""]
+
+
+def _json_values(ints):
+    """JSON values of every type: null, bools, the given ints, floats
+    (NaN and infinities too), strings, and short lists and objects."""
+    scalars = st.one_of(st.none(), st.booleans(), ints, st.floats(), _TEXTS)
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(_TEXTS, inner, max_size=3), max_leaves=4)
+
+
+@st.composite
+def _config(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    keys = st.sampled_from(_OPTIONS[command] + _UNKNOWN_KEYS)
+    conf = draw(st.dictionaries(keys, _json_values(st.integers(-3, 8)), max_size=3))
+    # the command's own section, the whole document, or no object at all
+    doc = draw(st.sampled_from([{command: conf}, conf, {"other": conf}, [conf]]))
+    return command, doc
+
+
+def _exits_cleanly(code, err):
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith(("usage:", "error:", "numerical failure:")), err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=_config())
+def test_cli_config_documents_exit_cleanly(workdir, drawn):
+    command, doc = drawn
+    path = workdir / "conf.json"
+    path.write_text(json.dumps(doc))
+    # relative paths a config names resolve inside workdir
+    with contextlib.chdir(workdir):
+        code, _, err = _run(workdir, command, "--config", str(path))
+    _exits_cleanly(code, err)
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every object member and list item below doc."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield (*path, key), value
+        yield from _nodes(value, (*path, key))
+
+
+def _set(doc, path, value=None, drop=False):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if drop:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@st.composite
+def _mutated_codebook(draw, doc):
+    """(a mutated copy of doc, whether the mutation alone must exit 2)."""
+    doc = copy.deepcopy(doc)
+    kind = draw(st.sampled_from(["drop", "retype", "extreme", "swap", "null-hybrid",
+                                 "hw"]))
+    values = _json_values(st.integers(-3, 8) | st.just(10**400))
+    if kind == "swap":  # entries of a layer trade places
+        layer = draw(st.sampled_from(doc["layers"]))
+        i, j = draw(st.lists(st.sampled_from(range(len(layer))), min_size=2,
+                             max_size=2, unique=True))
+        layer[i], layer[j] = layer[j], layer[i]
+    elif kind == "null-hybrid":
+        layer = draw(st.sampled_from(doc["layers"]))
+        draw(st.sampled_from(layer))["hybrid"] = None
+    elif kind == "hw":
+        key = draw(st.sampled_from([None, "n_rf", "b", "t_max", "junk"]))
+        if key is None:
+            doc["hw"] = draw(values)
+        elif draw(st.booleans()):
+            doc["hw"].pop(key, None)
+        else:
+            doc["hw"][key] = draw(values)
+    elif kind == "drop":
+        _set(doc, draw(st.sampled_from([p for p, _ in _nodes(doc)])), drop=True)
+    else:  # an extreme value replaces a number: one past the float range,
+        # NaN or an infinity
+        numbers = [p for p, v in _nodes(doc) if type(v) in (int, float)]
+        path = draw(st.sampled_from(numbers if kind == "extreme" else
+                                    [p for p, _ in _nodes(doc)]))
+        extreme = st.sampled_from([10**400, np.nan, np.inf, -np.inf])
+        _set(doc, path, draw(extreme if kind == "extreme" else values))
+    return doc, kind in ("swap", "null-hybrid")
+
+
+@pytest.fixture(scope="module")
+def codebook_doc(workdir):
+    return json.loads((workdir / "cb.json").read_text())
+
+
+@pytest.mark.parametrize("practical", [False, True])
+def test_cli_mutated_codebook_files_exit_cleanly(workdir, codebook_doc, practical):
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(drawn=_mutated_codebook(codebook_doc))
+    def check(drawn):
+        doc, rejected = drawn
+        path = workdir / "mutated.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(workdir, "simulate", "--codebook", str(path),
+                              *["--practical"] * practical)
+        _exits_cleanly(code, err)
+        if rejected:
+            assert (code, out) == (2, ""), err
+
+    check()

@@ -122,6 +122,44 @@ def test_ledger_fs_row_decisions_clear_roundoff(monkeypatch):
     assert min(g[3] for g in tie) == 0.0
 
 
+def test_ledger_two_chain_decisions_clear_roundoff(monkeypatch):
+    # reruns the whole ledger and records every two-chain step of fs_altmin,
+    # where a row takes the solved pair when new_res <= old.  Each row whose
+    # solved pair differs from its incumbent is a decision; it must be an
+    # exact tie, which only the ledger's tie runs have, or clear the margin
+    solve, fs_altmin = beamkit.practical._two_rf_solve, beamkit.practical.fs_altmin
+    steps, decisions = [], []
+
+    def recorded(gamma, alpha, setup):
+        out = solve(gamma, alpha, setup)
+        caller = sys._getframe(1)
+        if caller.f_code is fs_altmin.__code__:  # the incumbent fs_altmin holds
+            steps.append([caller] + [caller.f_locals[k] for k in
+                                     ("v", "fbb", "pset", "idx")] + [out])
+        return out
+
+    monkeypatch.setattr(beamkit.practical, "_two_rf_solve", recorded)
+    for name, _ in make_golden.outputs():
+        for k, (call, v, fbb, pset, idx, (i1, i2, new)) in enumerate(steps):
+            old = np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
+                         - fbb[1] * pset.phasors[idx[:, 1]])
+            if k + 1 < len(steps) and steps[k + 1][0] is call:  # the next step
+                kept = np.where((new <= old)[:, None], np.column_stack([i1, i2]), idx)
+                assert np.array_equal(steps[k + 1][4], kept), "replay differs"
+            moved = (i1 != idx[:, 0]) | (i2 != idx[:, 1])
+            old, new = old[moved], new[moved]
+            gap = np.divide(abs(old - new), np.maximum(old, new),
+                            out=np.zeros_like(old), where=old != new)
+            decisions += [(g, name.split("/")[0]) for g in gap]
+        steps.clear()
+    assert {run for _, run in decisions} == {"fs_altmin", "ps-icd-2rf", "ties",
+                                             "campaign", "cli"}
+    assert len(decisions) == 9910
+    assert [run for g, run in decisions if g == 0.0] == ["ties"] * 5
+    close = [d for d in decisions if 0.0 < d[0] <= _DECISION_MARGIN]
+    assert close == [], "(gap, run)"
+
+
 def _relative_gap(values):
     """(largest - second largest) / largest of a flat array."""
     top = np.sort(values, axis=None)[-2:]

@@ -102,6 +102,8 @@ def edited(doc, keys, change):
 
 
 _INDEX = ("layers", 0, 1, "hybrid", "analog_phase_indices", 3, 1)
+_BAD_INDICES = ("layers[0][1].hybrid: phase_indices must be a non-empty 2-D integer "
+                "array with entries in [0, 2^4)")
 
 # (keys, change, text the error must contain) for each way to break a codebook
 MALFORMED_CODEBOOKS = {
@@ -112,10 +114,11 @@ MALFORMED_CODEBOOKS = {
                           "layer 2 has 3 entries, expected 4"),
     "short-ideal": (("layers", 1, 2, "ideal"), lambda v: v[:-1],
                     "layer 2 entry 3: codeword length"),
-    "index-equal-to-2^b": (_INDEX, lambda i: 16, "layers[0][1].hybrid.analog"),
-    "negative-index": (_INDEX, lambda i: -1, "layers[0][1].hybrid.analog"),
-    "float-index": (_INDEX, lambda i: 1.0, "layers[0][1].hybrid.analog"),
-    "no-index-rows": (_INDEX[:-2], lambda rows: [], "layers[0][1].hybrid.analog"),
+    "index-equal-to-2^b": (_INDEX, lambda i: 16, _BAD_INDICES),
+    "negative-index": (_INDEX, lambda i: -1, _BAD_INDICES),
+    "float-index": (_INDEX, lambda i: 1.0, "field layers[0][1].hybrid.analog_phase"
+                    "_indices must be rows of 2 integers"),
+    "no-index-rows": (_INDEX[:-2], lambda rows: [], _BAD_INDICES),
     "string-pair": (("layers", 0, 0, "ideal", 0), lambda p: ["1", 0],
                     "layers[0][0].ideal"),
     "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],
@@ -125,7 +128,7 @@ MALFORMED_CODEBOOKS = {
                   "layer 2 entry 3: ideal codeword is not finite"),
     "infinite-digital": (("layers", 0, 1, "hybrid", "digital", 1),
                          lambda p: [0.0, float("inf")],
-                         "digital must be 2 finite entries"),
+                         "layers[0][1].hybrid: digital must be 2 finite entries, got ["),
     "hw-unknown-key": (("hw",), lambda hw: {"junk": 1},
                        "hw keys must be n_rf, b and t_max, got ['junk']"),
     "hw-missing-key": (("hw", "t_max"), None, "got ['n_rf', 'b']"),
@@ -133,19 +136,33 @@ MALFORMED_CODEBOOKS = {
                  "hw t_max must be >= 0 and an integer, got 5.0"),
     "hw-too-many-chains": (("hw", "n_rf"), lambda n: 9, "hw n_rf must be in [1, 8]"),
     "hw-other-b": (("hw",), lambda hw: {"n_rf": 7, "b": 2, "t_max": 5},
-                   "'b': 2, 't_max': 5}, but hybrid b = [4]"),
+                   "layer 1 entry 1: hybrid (b, n_rf) (4, 2) is not (2, 7) for "
+                   "hw = {'n_rf': 7, 'b': 2, 't_max': 5}"),
     "hw-other-n_rf": (("hw", "n_rf"), lambda n: 7,
-                      "hw n_rf = 7, but layer 1 hybrids have [2] chains"),
+                      "layer 1 entry 1: hybrid (b, n_rf) (4, 2) is not (4, 7) for "
+                      "hw = {'n_rf': 7, 'b': 4, 't_max': 5}"),
     "bottom-two-chains": (("layers", 2, 5, "hybrid"), lambda h: {
         **h, "n_rf": 2, "analog_phase_indices": [[i[0], 0] for i in
                                                  h["analog_phase_indices"]],
         "digital": h["digital"] + [[0.0, 0.0]]},
-        "hw n_rf = 2, but layer 3 hybrids have [1, 2] chains, expected 1"),
+        "layer 3 entry 6: hybrid (b, n_rf) (4, 2) is not (4, 1) for "
+        "hw = {'n_rf': 2, 'b': 4, 't_max': 5}"),
     "hw-null-over-hybrids": (("hw",), lambda hw: None,
-                             "hw = None, but hybrid b = [4]"),
+                             "layer 1 entry 1: hybrid (b, n_rf) (4, 2) is not None "
+                             "for hw = None"),
     "hw-over-no-hybrids": (("layers",), lambda layers: [
         [{**e, "hybrid": None} for e in layer] for layer in layers],
-        "'t_max': 5}, but hybrid b = []"),
+        "layer 1 entry 1: hybrid (b, n_rf) None is not (4, 2) for "
+        "hw = {'n_rf': 2, 'b': 4, 't_max': 5}"),
+    # a descent takes entries M i ... M i + M - 1 of the next layer as the
+    # children of entry i, so each entry must sit on its own tile
+    "swapped-entries": (("layers", 1), lambda l: [l[3], l[1], l[2], l[0]],
+                        "layer 2 entry 1: coverage (0.5, 1.0) is not (-1.0, -0.5)"),
+    "off-tile": (("layers", 0, 0, "coverage", 1), lambda hi: 0.25,
+                 "layer 1 entry 1: coverage (-1.0, 0.25) is not (-1.0, 0.0)"),
+    "one-null-hybrid": (("layers", 0, 1, "hybrid"), lambda h: None,
+                        "layer 1 entry 2: hybrid (b, n_rf) None is not (4, 2) for "
+                        "hw = {'n_rf': 2, 'b': 4, 't_max': 5}"),
 }
 
 
@@ -165,7 +182,7 @@ def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
         (load_codeword, {"n": 1, "entries": [[1.0]]}, "field entries"),
         (load_hybrid, {"n_rf": 1, "b": 17, "analog_phase_indices": [[0]],
                        "digital": [[1.0, 0.0]]},
-         re.escape("field b must be in [1, 16] and an integer, got 17")),
+         re.escape("bits must be in [1, 16] and an integer, got 17")),
         (load_hybrid, {"n_rf": 1, "b": 2, "analog_phase_indices": [[0]],
                        "digital": [[float("nan"), 0.0]]},
          "digital must be 1 finite entries"),

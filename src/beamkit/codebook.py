@@ -7,6 +7,7 @@ through hardware), while bottom-layer sectors of width 2/N use plain
 steering vectors.
 """
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -141,6 +142,29 @@ def _entry_seed(master, layer, index):
     return int(ss.generate_state(1)[0])
 
 
+@contextlib.contextmanager
+def _located(s, i):
+    """Report any failure inside as one at entry i of layer s."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"codeword synthesis failed at layer {s}, index {i}") from exc
+
+
+def _factor_layer(s, ideals, seeds, hw):
+    """The hybrids of layer s's ideal codewords, designed in one fs_altmin
+    call.  Each equals its own fs_altmin call bit for bit, so a failure is
+    located by repeating the calls one entry at a time."""
+    args = hw["n_rf"], hw["b"], hw["t_max"]
+    try:
+        return fs_altmin(np.array(ideals), *args, seed=seeds)
+    except Exception:
+        for i, (ideal, sub_seed) in enumerate(zip(ideals, seeds), 1):
+            with _located(s, i):
+                fs_altmin(ideal, *args, seed=sub_seed)
+        raise
+
+
 def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     """Build the full hierarchical codebook for an n-antenna array.
 
@@ -165,26 +189,21 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     hw = _check_hw(hw, n)
     layers = []
     for s in range(1, s_total + 1):
-        entries = []
-        for idx in range(1, m**s + 1):
-            lo, hi = _tile(m, s, idx)
-            sub_seed = _entry_seed(seed, s, idx)
-            try:
+        tiles = [_tile(m, s, i) for i in range(1, m**s + 1)]
+        seeds = [_entry_seed(seed, s, i) for i in range(1, m**s + 1)]
+        ideals, hybrids = [], [None] * len(tiles)
+        for i, ((lo, hi), sub_seed) in enumerate(zip(tiles, seeds), 1):
+            with _located(s, i):
                 if s == s_total:
-                    ideal = steering_vector(n, 0.5 * (lo + hi))
-                    hybrid = design_nrf1(ideal, phase_set(hw["b"])) if hw else None
+                    ideals.append(steering_vector(n, 0.5 * (lo + hi)))
+                    if hw:
+                        hybrids[i - 1] = design_nrf1(ideals[-1], phase_set(hw["b"]))
+                elif method == "ps-icd":
+                    ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max, sub_seed))
                 else:
-                    target = make_target("rect", (lo, hi))
-                    if method == "ps-icd":
-                        ideal = ps_icd(target, n, k, r_max, sub_seed)
-                    else:
-                        ideal = ls_icd(target, n, k)
-                    hybrid = fs_altmin(ideal, hw["n_rf"], hw["b"], t_max=hw["t_max"],
-                                       seed=sub_seed) if hw else None
-            except Exception as exc:
-                raise RuntimeError(
-                    f"codeword synthesis failed at layer {s}, index {idx}"
-                ) from exc
-            entries.append(CodebookEntry((lo, hi), ideal, hybrid))
-        layers.append(entries)
+                    ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
+        if hw and s < s_total:
+            hybrids = _factor_layer(s, ideals, seeds, hw)
+        layers.append([CodebookEntry(tile, ideal, hybrid)
+                       for tile, ideal, hybrid in zip(tiles, ideals, hybrids)])
     return HierarchicalCodebook(n, m, seed, layers, method=method, hw=hw)

@@ -7,6 +7,8 @@ coordinate ascent; each single-phase update has a closed form, so a sweep
 is cheap and the quadratic objective never decreases.
 """
 
+import cmath
+
 import numpy as np
 
 from .arrays import _count, steering_matrix
@@ -62,10 +64,12 @@ class PhaseOptimizer:
         ).tolist()
         # g itself, kept current by update one entry at a time
         self._gains = self.gains
-        # the other per-k inputs of update, in lists: faster to index
+        # the other per-k inputs of update, in lists: faster to index.  The
+        # magnitudes are Python floats, so their product with the Python
+        # complex cmath.exp returns is a fast Python one
         self._rows = list(self.gram)
         self._diagonal = list(self.gram.diagonal())
-        self._magnitudes = list(self.magnitudes)
+        self._magnitudes = self.magnitudes.tolist()
 
     @property
     def phases(self):
@@ -89,13 +93,13 @@ class PhaseOptimizer:
             return self._phases[k]
         # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
         g = self._gains
-        c = complex(self._rows[k] @ g - self._diagonal[k] * g[k])
+        c = complex(self._rows[k].dot(g) - self._diagonal[k] * g[k])
         if abs(c) <= self._degenerate[k]:
             return self._phases[k]
         # the phase of c: the ufunc np.angle runs, without its wrapper
         phase = np.arctan2(c.imag, c.real)
         self._phases[k] = phase
-        g[k] = magnitude * np.exp(1j * phase)
+        g[k] = magnitude * cmath.exp(1j * phase)
         return phase
 
 
@@ -121,8 +125,10 @@ def _assemble(matrix, gains, k):
 def ps_icd(target, n, k, r_max, seed):
     """Phase-shifted ideal codeword design.
 
-    Runs r_max cyclic closed-form phase updates starting from random phases,
-    then assembles the unit-norm codeword from the optimized gains.
+    Runs r_max cyclic closed-form phase updates, update i on direction
+    i mod k, starting from random phases, then assembles the unit-norm
+    codeword from the optimized gains.  A direction of zero target
+    magnitude keeps its phase, so only the others are updated.
     Deterministic for a fixed seed, an integer >= 0.
 
     target: TargetPattern (or any callable magnitude profile on [-1, 1]).
@@ -138,8 +144,9 @@ def ps_icd(target, n, k, r_max, seed):
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)
     opt = PhaseOptimizer(sm.gram(), mags, rng.uniform(-np.pi, np.pi, k))
-    for i in range(r_max):
-        opt.update(i % k)
+    live = np.flatnonzero(mags)
+    for j in np.concatenate([np.tile(live, r_max // k), live[live < r_max % k]]).tolist():
+        opt.update(j)
     return _assemble(sm.matrix, opt._gains, k)
 
 

@@ -14,7 +14,9 @@ best continuous-phase pair, whose distance has a closed form, so a
 candidate whose distance bound exceeds the row's incumbent residual by more
 than rounding could never win, tie or be accepted.  Skipping it changes no
 index, residual or step count.  The remaining solves, the two-chain match
-and solve_two_rf run one kernel, _two_rf_solve.
+and solve_two_rf run one kernel, _two_rf_solve.  fs_altmin designs a stack
+of codewords, such as a codebook layer, with one row search per
+alternation over the rows of them all.
 """
 
 import contextlib
@@ -43,6 +45,7 @@ __all__ = [
 
 # Phase-shifter resolutions accepted, in bits: 1 to _MAX_BITS.
 _MAX_BITS = 16
+_TWO_PI = 2.0 * np.pi  # the wrap period, an exact double
 # Digital-vector fixed-point tolerance for the outer alternation.
 _FBB_TOL = 1e-10
 # Safety cap on inner search cycles; the primary stop is an unchanged cycle.
@@ -56,7 +59,7 @@ _ROW_CAP_PER_PHASE = 64
 # pair's reach, where a relative margin would be no margin at all.
 _BOUND_MARGIN = 256 * np.finfo(float).eps
 # The two-phasor kernel's constants: offsets -1, 0, 1 around each rounded
-# phase, as positions in phasor tables padded by one entry at each end; the
+# phase, as positions in a phasor table padded by one entry at each end; the
 # (branch, d1, d2) of the 18 candidates in search order; the sign of arccos
 # in (th1, th2) of branches a and b; and the arccos arguments 0/0 resolves
 # to, per phasor (anti-aligned phasors).
@@ -64,6 +67,9 @@ _OFFSETS = np.array([0, 1, 2])[:, None]
 _CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
 _BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 _NAN_ARGS = np.array([[1.0], [-1.0]])
+# Targets per block of the two-phasor kernel: its temporaries take about
+# 650 bytes per target, so those of one block stay under 0.7 MB.
+_SOLVE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +106,19 @@ def _phase_set(bits):
 
 
 def wrap_phase(theta):
-    """Wrap angles into [-pi, pi)."""
-    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
+    """Wrap angles into [-pi, pi): (theta + pi) % 2pi - pi, bit for bit."""
+    a = np.asarray(theta, dtype=float) + np.pi
+    # np.remainder is faster below a few hundred angles
+    if a.size < 512 or not (np.abs(a) < 2.0 * _TWO_PI).all():  # NaN, inf too
+        return a % _TWO_PI - np.pi
+    # a % 2pi without np.remainder's slow fmod.  With k = floor(a / 2pi) in
+    # [-2, 2], k 2pi and a - k 2pi are exact (Sterbenz): fmod's value, or,
+    # where a / 2pi rounded up to an integer, that value less 2pi.  Adding
+    # 2pi to a negative one, rounded, is what np.remainder does to a
+    # negative fmod
+    m = np.asarray(a - np.floor(a / _TWO_PI) * _TWO_PI)
+    np.add(m, _TWO_PI, out=m, where=m < 0)
+    return m - np.pi
 
 
 def quantize_index(theta, bits):
@@ -182,12 +199,13 @@ class HybridCodeword:
         return self._realized
 
 
-def _design_input(v):
-    """v as a complex array, rejected unless its norm is finite and nonzero."""
+def _design_input(v, which=""):
+    """v as a complex array, rejected unless its norm is finite and nonzero;
+    which names the codeword in the error."""
     v = np.asarray(v, dtype=complex)
     nrm = np.linalg.norm(v)
     if not (np.isfinite(nrm) and nrm > 0.0):
-        raise SynthesisError(f"codeword to factor has norm {nrm}")
+        raise SynthesisError(f"codeword{which} to factor has norm {nrm}")
     return v
 
 
@@ -204,27 +222,40 @@ def design_nrf1(v, pset):
 
 
 def _two_rf_setup(f1, f2, pset):
-    """(|f1|, |f2|, then the constants _two_rf_solve needs of f1, f2, pset)."""
-    z1, z2 = abs(f1), abs(f2)
-    d = (z1 + z2) * (z1 - z2)
+    """The constants _two_rf_solve needs of the digital entries f1, f2 (one
+    pair per row; scalars make one row) and pset: |f1| and |f2| (R,); a
+    (6, R) array of (z1+z2)(z1-z2), its negation, 2|f1|, 2|f2| and the
+    angles of f1 and f2; the phasor tables of f1 and f2, each row padded by
+    one entry at each end and the rows laid end to end; the padded index
+    table; and b."""
+    f = np.array([f1, f2], dtype=complex).reshape(2, -1)
+    # np.hypot rounds like scalar abs(); np.abs may take a vector path
+    z = np.hypot(f.real, f.imag)
+    consts = np.empty((6, f.shape[1]))
+    np.multiply(z[0] + z[1], z[0] - z[1], out=consts[0])
+    np.negative(consts[0], out=consts[1])
+    np.multiply(2.0, z, out=consts[2:4])
+    np.arctan2(f.imag, f.real, out=consts[4:6])  # np.angle without its wrapper
     wrap = np.arange(-1, pset.size + 1) % pset.size  # the padded index table
-    return (z1, z2, np.array([[d], [-d]]), np.array([[2.0 * z1], [2.0 * z2]]),
-            np.array([[np.angle(f1)], [np.angle(f2)]]),
-            (f1 * pset.phasors)[wrap], (f2 * pset.phasors)[wrap], wrap, pset.bits)
+    tables = f[:, :, None] * pset.phasors[wrap]
+    return z[0], z[1], consts, tables[0].ravel(), tables[1].ravel(), wrap, pset.bits
 
 
-def _two_rf_phases(gamma, alpha, setup):
+def _two_rf_phases(gamma, alpha, setup, rows=None):
     """Both continuous branches of the two-phasor match, wrapped: th (2, 2, M)
-    with th[0] = (th1a, th2a), th[1] = (th1b, th2b).  Infeasible triangles
-    (|gamma| outside [|z1-z2|, z1+z2]) clamp the arccos arguments, which
-    aligns or anti-aligns both phasors with the target -- the optimum."""
-    z1, z2, offset, scale, angles = setup[:5]
+    with th[0] = (th1a, th2a), th[1] = (th1b, th2b).  rows gives each
+    target's row of the setup; None, for a one-row setup, gives row 0 to
+    all.  Infeasible triangles (|gamma| outside [|z1-z2|, z1+z2]) clamp the
+    arccos arguments, which aligns or anti-aligns both phasors with the
+    target -- the optimum."""
+    consts = setup[2] if rows is None else setup[2].take(rows, axis=1)
+    offset, scale, angles = consts[0:2], consts[2:4], consts[4:6]
     # (alpha^2 +- (z1+z2)(z1-z2)) / (2 z alpha) per phasor.  A zero entry
     # makes its own argument infinite or NaN and the other's at least 1, so
     # the live phasor aligns with the target (the zero one's phase adds
     # nothing); 0/0, alpha == 0 with z1 == z2, gives anti-aligned phasors.
     arg = alpha**2 + offset
-    zero = not (z1 and z2 and alpha.all())
+    zero = not (scale.all() and alpha.all())
     with np.errstate(divide="ignore", invalid="ignore") if zero else \
             contextlib.nullcontext():
         arg /= scale * alpha
@@ -236,23 +267,38 @@ def _two_rf_phases(gamma, alpha, setup):
     return wrap_phase(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
 
 
-def _two_rf_solve(gamma, alpha, setup):
-    """solve_two_rf on 1-D gamma, given alpha = |gamma| and the setup.
+def _two_rf_solve(gamma, alpha, setup, rows=None):
+    """solve_two_rf on 1-D gamma, given alpha = |gamma|, the setup and each
+    target's setup row (None for a one-row setup), in blocks of at most
+    _SOLVE_BLOCK targets, which bounds the temporaries."""
+    if gamma.size <= _SOLVE_BLOCK:
+        return _two_rf_block(gamma, alpha, setup, rows)
+    blocks = [_two_rf_block(gamma[lo:lo + _SOLVE_BLOCK], alpha[lo:lo + _SOLVE_BLOCK], setup,
+                            None if rows is None else rows[lo:lo + _SOLVE_BLOCK])
+              for lo in range(0, gamma.size, _SOLVE_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _two_rf_block(gamma, alpha, setup, rows):
+    """One block of _two_rf_solve.
 
     Both branches' phases are rounded in one buffer; gamma - f1 e1 is formed
     once per first-phase offset, and each candidate's residual is
     |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
     wins: branch a before b, offsets (d1, d2) in row-major order.
     """
-    f1e, f2e, wrap, bits = setup[5:]
-    r = _quantize_index(_two_rf_phases(gamma, alpha, setup), bits)
-    j = r[:, :, None] + _OFFSETS  # (branch, phasor, d, M), padded positions
-    residuals = np.abs((gamma - f1e[j[:, 0]])[:, :, None] - f2e[j[:, 1]][:, None])
+    f1e, f2e, wrap, bits = setup[3:]
+    r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
+    at = r[:, :, None] + _OFFSETS  # (branch, phasor, d, M), padded positions
+    if rows is not None:
+        at += rows * wrap.size  # in each target's row of the tables
+    residuals = np.abs((gamma - f1e.take(at[:, 0]))[:, :, None] - f2e.take(at[:, 1])[:, None])
     residuals = residuals.reshape(18, -1)  # (branch, d1, d2) flattened
     best = residuals.argmin(axis=0)  # first minimum wins ties
     cols = np.arange(gamma.size)
     branch, d1, d2 = _CANDIDATES[best].T
-    return (wrap[j[branch, 0, d1, cols]], wrap[j[branch, 1, d2, cols]],
+    # r + d is the padded position of offset d - 1 from index r
+    return (wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2],
             residuals[best, cols])
 
 
@@ -280,13 +326,14 @@ def solve_two_rf(gamma, f1, f2, pset):
 def fs_row(target, fbb, pset, init_indices):
     """Cyclic search of R antenna rows, each with at least three RF chains.
 
-    Row r of init_indices (R, n_rf) is fitted to target[r], every row on its
-    own.  At step t, phase p = t mod (n_rf - 2) + 2 of each row still
-    searching is swept over the whole phase set; for each candidate the
-    first two phases are re-solved in closed form against the residual
-    target, and the best candidate wins (ties go to the smaller phase value)
-    unless it is worse than the row's incumbent.  A row stops after n_rf - 2
-    steps in a row leave it unchanged, or at the safety cap.
+    Row r of init_indices (R, n_rf) is fitted to target[r] with the digital
+    vector fbb, one (n_rf,) vector for every row or one per row (R, n_rf),
+    every row on its own.  At step t, phase p = t mod (n_rf - 2) + 2 of each
+    row still searching is swept over the whole phase set; for each
+    candidate the first two phases are re-solved in closed form against the
+    residual target, and the best candidate wins (ties go to the smaller
+    phase value) unless it is worse than the row's incumbent.  A row stops
+    after n_rf - 2 steps in a row leave it unchanged, or at the safety cap.
 
     A candidate with residual target gamma is solved only if the bound
     lb = max(0, |gamma| - (|f1| + |f2|), ||f1| - |f2|| - |gamma|), the
@@ -296,14 +343,14 @@ def fs_row(target, fbb, pset, init_indices):
     so it can neither win, nor tie the winner, nor be accepted; every
     candidate that can is still solved.  The result is the one an
     exhaustive sweep gives.  A step's kept candidates are solved in one
-    kernel call, which reuses the bound's |gamma| and the constants of
-    f1, f2 (moduli, angles, phasor tables) set up once per call of fs_row.
+    kernel call, which reuses the bound's |gamma| and each row's constants
+    of f1, f2 (moduli, angles, phasor tables), set up once per call.
 
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
     """
     fbb = np.asarray(fbb, dtype=complex)
-    n_rf = fbb.size
+    n_rf = fbb.shape[-1]
     if n_rf < 3:
         raise ValueError("fs_row requires at least three RF chains")
     target = np.asarray(target, dtype=complex)
@@ -313,8 +360,14 @@ def fs_row(target, fbb, pset, init_indices):
     # on an array may take a vector path that differs in the last bit
     start = target - np.sum(fbb * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
-    setup = _two_rf_setup(fbb[0], fbb[1], pset)
-    z1, z2 = setup[:2]
+    if fbb.ndim == 1:  # one row of constants for every row
+        setup, table = _two_rf_setup(fbb[0], fbb[1], pset), None
+        z1, z2 = setup[0][0], setup[1][0]
+    else:  # rows whose (f1, f2) agree bit for bit share one; row r's is table[r]
+        _, first, table = np.unique(np.ascontiguousarray(fbb[:, :2]).view("V32")[:, 0],
+                                    return_index=True, return_inverse=True)
+        setup = _two_rf_setup(fbb[first, 0], fbb[first, 1], pset)
+        z1, z2 = setup[0][table, None], setup[1][table, None]
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = np.zeros(target.size, dtype=int)
@@ -323,26 +376,30 @@ def fs_row(target, fbb, pset, init_indices):
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
         rows = idx[active]
+        f, za, zb = (fbb, z1, z2) if table is None else (fbb[active], z1[active], z2[active])
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
         e = phasors[rows]
-        fp, ep = fbb[p], e[:, p]
+        fp, ep = f[..., p], e[:, p]
         own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
                                fp.real * ep.imag + fp.imag * ep.real])
-        fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
-        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
+        fixed = np.sum((f * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
+        resid_targets = (target[active] - fixed)[:, None] - fp[..., None] * phasors
         # solve only the candidates whose bound, less the margin, does not
         # exceed the incumbent; the rest keep residual +inf.  The bound's 0
         # term is left out, as res >= 0 keeps such candidates anyway.
         alpha = np.abs(resid_targets)
-        bound = np.maximum(alpha - (z1 + z2), abs(z1 - z2) - alpha)
-        keep = bound - _BOUND_MARGIN * (alpha + z1 + z2) <= res[active, None]
-        i1 = np.zeros(resid_targets.shape, dtype=int)
-        i2 = np.zeros(resid_targets.shape, dtype=int)
-        errs = np.full(resid_targets.shape, np.inf)
-        i1[keep], i2[keep], errs[keep] = _two_rf_solve(
-            resid_targets[keep], alpha[keep], setup)
+        bound = np.maximum(alpha - (za + zb), abs(za - zb) - alpha)
+        bound -= _BOUND_MARGIN * (alpha + za + zb)
+        keep = bound <= res[active, None]
+        gamma, alpha = resid_targets[keep], alpha[keep]
+        del bound, resid_targets  # before the kernel's temporaries
+        solved = _two_rf_solve(gamma, alpha, setup, None if table is None else
+                               table[np.broadcast_to(active[:, None], keep.shape)[keep]])
+        i1, i2 = np.zeros(keep.shape, dtype=int), np.zeros(keep.shape, dtype=int)
+        errs = np.full(keep.shape, np.inf)
+        i1[keep], i2[keep], errs[keep] = solved
         best = np.argmin(errs, axis=1)
         at = (np.arange(active.size), best)
         new = np.column_stack([i1[at], i2[at], best])
@@ -397,50 +454,91 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     start and its least-squares digital vector, rescaled.
     A zero or non-finite v, or a realized codeword that collapses to zero,
     raises SynthesisError.
+
+    v may also be a stack (E, n) of codewords, with seed a sequence of E
+    seeds; a list of E HybridCodewords is then returned, entry e equal bit
+    for bit to fs_altmin(v[e], ..., seed=seed[e]).  The entries' analog rows
+    are redesigned together, while each keeps its own start, least-squares
+    steps and fixed-point exit.  trace takes only a single codeword.
     """
-    v = _design_input(v)
-    n_rf = _count("n_rf", n_rf, 1, v.size)
-    t_max, seed = _count("t_max", t_max, 0), _count("seed", seed, 0)
-    pset = phase_set(_count("b", b, 1, _MAX_BITS))
-    if n_rf == 1 and t_max > 0:
-        hybrid = design_nrf1(v, pset)
+    v = np.asarray(v, dtype=complex)
+    if v.ndim not in (1, 2):
+        raise ValueError(f"v must be a codeword or a stack of them, got shape {v.shape}")
+    stacked = v.ndim == 2
+    v = v if stacked else v[None]
+    for e, row in enumerate(v):
+        _design_input(row, f" {e}" if stacked else "")
+    n_rf = _count("n_rf", n_rf, 1, v.shape[1])
+    t_max = _count("t_max", t_max, 0)
+    if stacked:
         if trace is not None:
-            trace.append(float(np.linalg.norm(v - hybrid.realized)))
-        return hybrid
+            raise ValueError("trace takes only a single codeword")
+        if np.ndim(seed) != 1 or len(seed) != len(v):
+            raise ValueError(f"seed must be {len(v)} counts, one per codeword, got {seed!r}")
+    seeds = [_count("seed", s, 0) for s in (seed if stacked else [seed])]
+    pset = phase_set(_count("b", b, 1, _MAX_BITS))
+    hybrids = _alternate(v, n_rf, pset, t_max, seeds, trace)
+    return hybrids if stacked else hybrids[0]
 
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, pset.size, size=(v.size, n_rf))
 
-    analog = pset.phasors[idx]
-    fbb = ls_fbb(analog, v)
+def _alternate(v, n_rf, pset, t_max, seeds, trace):
+    """fs_altmin on checked input: v (E, n), one seed per row."""
+    if n_rf == 1 and t_max > 0:
+        hybrids = [design_nrf1(row, pset) for row in v]
+        if trace is not None:
+            trace.append(float(np.linalg.norm(v[0] - hybrids[0].realized)))
+        return hybrids
+
+    n = v.shape[1]
+    idx = np.empty((len(v), n, n_rf), dtype=int)
+    fbb = np.empty((len(v), n_rf), dtype=complex)
+    for e, seed in enumerate(seeds):
+        idx[e] = np.random.default_rng(seed).integers(0, pset.size, size=(n, n_rf))
+        fbb[e] = ls_fbb(pset.phasors[idx[e]], v[e])
     if trace is not None:
-        trace.append(float(np.linalg.norm(v - analog @ fbb)))
+        trace.append(float(np.linalg.norm(v[0] - pset.phasors[idx[0]] @ fbb[0])))
+    live = list(range(len(v)))  # entries whose digital vector still moves
     for _ in range(t_max):
+        if not live:
+            break
+        # the rows of every live entry (views while every entry is live)
+        sel = slice(None) if len(live) == len(v) else live
+        target, rows, fe = v[sel].reshape(-1), idx[sel].reshape(-1, n_rf), fbb[sel]
+        if len(live) > 1:  # each row with its entry's digital vector
+            f, owner = np.repeat(fe, n, axis=0), np.repeat(np.arange(len(live)), n)
+        else:  # the one live entry's, for every row
+            f, owner = fe[0], None
         if n_rf == 2:
             # all rows in closed form; a row keeps its phases if they are better
             i1, i2, new_res = _two_rf_solve(
-                v, np.abs(v), _two_rf_setup(fbb[0], fbb[1], pset))
+                target, np.abs(target), _two_rf_setup(fe[:, 0], fe[:, 1], pset), owner)
             # gathered, not the strided analog[:, 0]: a complex product
             # over a strided array may round differently in the last bit
-            old = np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
-                         - fbb[1] * pset.phasors[idx[:, 1]])
-            idx = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), idx)
+            old = np.abs(target - f[..., 0] * pset.phasors[rows[:, 0]]
+                         - f[..., 1] * pset.phasors[rows[:, 1]])
+            rows = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), rows)
         else:
-            idx, _, _ = fs_row(v, fbb, pset, idx)
-        analog = pset.phasors[idx]
-        new_fbb = ls_fbb(analog, v)
-        if trace is not None:
-            trace.append(float(np.linalg.norm(v - analog @ new_fbb)))
-        converged = np.linalg.norm(new_fbb - fbb) < _FBB_TOL
-        fbb = new_fbb
-        if converged:
-            break
+            rows, _, _ = fs_row(target, f, pset, rows)
+        idx[sel] = rows.reshape(-1, n, n_rf)
+        moving = []
+        for e in live:
+            analog = pset.phasors[idx[e]]
+            new_fbb = ls_fbb(analog, v[e])
+            if trace is not None:
+                trace.append(float(np.linalg.norm(v[e] - analog @ new_fbb)))
+            if not np.linalg.norm(new_fbb - fbb[e]) < _FBB_TOL:
+                moving.append(e)
+            fbb[e] = new_fbb
+        live = moving
 
-    # v orthogonal to every analog column leaves nothing to rescale
-    nrm = np.linalg.norm(analog @ fbb)
-    if not nrm > 0.0:
-        raise SynthesisError("realized codeword collapsed to zero")
-    return HybridCodeword(idx, pset.bits, fbb / nrm)
+    hybrids = []
+    for e in range(len(v)):
+        # v orthogonal to every analog column leaves nothing to rescale
+        nrm = np.linalg.norm(pset.phasors[idx[e]] @ fbb[e])
+        if not nrm > 0.0:
+            raise SynthesisError("realized codeword collapsed to zero")
+        hybrids.append(HybridCodeword(idx[e], pset.bits, fbb[e] / nrm))
+    return hybrids
 
 
 def deviation(v, vp):

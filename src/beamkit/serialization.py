@@ -9,6 +9,7 @@ codeword files load non-finite entries, for the design steps to reject.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -36,7 +37,7 @@ def _read(path, parse):
     with open(path) as fh:
         try:
             return parse(json.load(fh))
-        except (ValueError, OverflowError) as exc:  # an int too large for a float
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -51,9 +52,14 @@ def _field(doc, key, kind, where=""):
     return doc[key]
 
 
+def _is_number(x):
+    # type(), not isinstance(): a bool is not a number here; an int must
+    # convert to a float
+    return type(x) is float or type(x) is int and abs(x) <= sys.float_info.max
+
+
 def _is_pair(p):
-    # type(), not isinstance(): a bool is not a number here
-    return type(p) is list and len(p) == 2 and all(type(x) in (int, float) for x in p)
+    return type(p) is list and len(p) == 2 and all(map(_is_number, p))
 
 
 def _to_pairs(v):

@@ -79,8 +79,8 @@ def make_target(kind, coverage, *, heights=(1.0, 2.0), split=0.5):
 
     if kind == "step":
         h1, h2 = heights
-        if h1 < 0 or h2 < 0:
-            raise ValueError(f"step heights must be nonnegative, got ({h1}, {h2})")
+        if not (0.0 <= h1 < np.inf and 0.0 <= h2 < np.inf):  # NaN fails too
+            raise ValueError(f"heights must be finite and nonnegative, got ({h1}, {h2})")
         if not 0.0 < split < 1.0:
             raise ValueError(f"split fraction must lie in (0, 1), got {split}")
         energy = width * (split * h1**2 + (1.0 - split) * h2**2)

@@ -153,6 +153,17 @@ def test_build_codebook_grid_smaller_than_array_is_usage_error(tmp_path,
     assert not (tmp_path / "cb.json").exists()
 
 
+@pytest.mark.parametrize("heights", ["nan,1", "1,inf", "-1,1"])
+def test_bad_step_heights_are_usage_errors(tmp_path, capsys, heights):
+    out = tmp_path / "v.json"
+    rc = main(["design-ideal", "--n", "8", "--k", "16", "--rmax", "10",
+               "--target", "step", f"--heights={heights}", "--out", str(out),
+               "--pattern-csv", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "error: heights must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_nan_snr_is_usage_error(tmp_path, capsys):
     cb = tmp_path / "cb.json"
     assert main(["build-codebook", "--n", "4", "--k", "32", "--rmax", "100",

@@ -124,6 +124,38 @@ def test_build_failure_reports_location(monkeypatch):
         build_codebook(16, m=2, k=128, r_max=100, seed=0)
 
 
+def test_build_factors_each_layer_in_one_call(monkeypatch):
+    # one stacked fs_altmin call per synthesized layer, whose entries equal
+    # their own calls; a failing entry is still named by layer and index
+    hw = {"n_rf": 3, "b": 4, "t_max": 3}
+    real = beamkit.codebook.fs_altmin
+    shapes = []
+
+    def recorded(v, *args, **kwargs):
+        shapes.append(np.shape(v))
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(beamkit.codebook, "fs_altmin", recorded)
+    cb = build_codebook(16, k=64, r_max=100, seed=3, hw=hw)
+    assert shapes == [(2, 16), (4, 16), (8, 16)]
+    for s, layer in enumerate(cb.layers[:-1], 1):
+        for i, e in enumerate(layer, 1):
+            one = real(e.ideal, 3, 4, t_max=3, seed=beamkit.codebook._entry_seed(3, s, i))
+            assert one.phase_indices.tobytes() == e.hybrid.phase_indices.tobytes()
+            assert one.digital.tobytes() == e.hybrid.digital.tobytes()
+
+    bad = cb.layers[1][2].ideal
+
+    def failing(v, *args, **kwargs):
+        if any(np.array_equal(row, bad) for row in np.atleast_2d(v)):
+            raise SynthesisError("realized codeword collapsed to zero")
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(beamkit.codebook, "fs_altmin", failing)
+    with pytest.raises(RuntimeError, match="layer 2, index 3$"):
+        build_codebook(16, k=64, r_max=100, seed=3, hw=hw)
+
+
 def test_build_rejects_grid_smaller_than_array():
     with pytest.raises(ValueError, match="k must be >= 16 and an integer, got 8"):
         build_codebook(16, m=2, k=8, r_max=100, seed=0)

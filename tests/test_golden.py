@@ -126,26 +126,31 @@ def test_ledger_two_chain_decisions_clear_roundoff(monkeypatch):
     # reruns the whole ledger and records every two-chain step of fs_altmin,
     # where a row takes the solved pair when new_res <= old.  Each row whose
     # solved pair differs from its incumbent is a decision; it must be an
-    # exact tie, which only the ledger's tie runs have, or clear the margin
-    solve, fs_altmin = beamkit.practical._two_rf_solve, beamkit.practical.fs_altmin
+    # exact tie, which only the ledger's tie runs have, or clear the margin.
+    # A step holds the rows of every entry still alternating, with the digital
+    # vector f of each row, or of them all when one entry is left
+    solve, alternate = beamkit.practical._two_rf_solve, beamkit.practical._alternate
     steps, decisions = [], []
 
-    def recorded(gamma, alpha, setup):
-        out = solve(gamma, alpha, setup)
+    def recorded(gamma, alpha, setup, rows=None):
+        out = solve(gamma, alpha, setup, rows)
         caller = sys._getframe(1)
-        if caller.f_code is fs_altmin.__code__:  # the incumbent fs_altmin holds
-            steps.append([caller] + [caller.f_locals[k] for k in
-                                     ("v", "fbb", "pset", "idx")] + [out])
+        if caller.f_code is alternate.__code__:  # the incumbent rows it holds
+            local = caller.f_locals  # copies: the incumbent may be a view
+            steps.append([caller] + [np.array(local[k]) for k in
+                                     ("target", "f", "rows", "live")]
+                         + [local["pset"], local["n"], out])
         return out
 
     monkeypatch.setattr(beamkit.practical, "_two_rf_solve", recorded)
     for name, _ in make_golden.outputs():
-        for k, (call, v, fbb, pset, idx, (i1, i2, new)) in enumerate(steps):
-            old = np.abs(v - fbb[0] * pset.phasors[idx[:, 0]]
-                         - fbb[1] * pset.phasors[idx[:, 1]])
+        for k, (call, v, f, idx, live, pset, n, (i1, i2, new)) in enumerate(steps):
+            old = np.abs(v - f[..., 0] * pset.phasors[idx[:, 0]]
+                         - f[..., 1] * pset.phasors[idx[:, 1]])
             if k + 1 < len(steps) and steps[k + 1][0] is call:  # the next step
                 kept = np.where((new <= old)[:, None], np.column_stack([i1, i2]), idx)
-                assert np.array_equal(steps[k + 1][4], kept), "replay differs"
+                still = np.repeat(np.isin(live, steps[k + 1][4]), n)
+                assert np.array_equal(steps[k + 1][3], kept[still]), "replay differs"
             moved = (i1 != idx[:, 0]) | (i2 != idx[:, 1])
             old, new = old[moved], new[moved]
             gap = np.divide(abs(old - new), np.maximum(old, new),

@@ -83,6 +83,21 @@ def test_quantize_matches_linear_scan():
 def test_wrap_phase_range():
     x = wrap_phase(np.array([-np.pi, np.pi, 3 * np.pi, -7.5]))
     assert np.all(x >= -np.pi) and np.all(x < np.pi)
+    # bit for bit the remainder formula, at multiples of pi a few ulps
+    # either side (where a quotient rounds to an integer), at signed zeros
+    # and tiny values, inside and beyond the range wrap_phase computes
+    # without np.remainder, and as scalars
+    ulps = np.arange(-40, 41) * np.finfo(float).eps
+    grid = (np.arange(-9, 10)[:, None] * np.pi * (1.0 + ulps)).ravel()
+    rng = np.random.default_rng(7)
+    for theta in (grid, rng.uniform(-3 * np.pi, 3 * np.pi, 100_000),
+                  rng.uniform(-1e3, 1e3, 1000),
+                  np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]),
+                  grid[(grid > -2 * np.pi) & (grid < 2 * np.pi)]):
+        want = (theta + np.pi) % (2.0 * np.pi) - np.pi
+        assert wrap_phase(theta).tobytes() == want.tobytes()
+        for t in theta[::97]:
+            assert wrap_phase(t) == (t + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def test_design_nrf1_quantizes_each_phase():
@@ -513,3 +528,62 @@ def test_fs_altmin_collapsed_realization_raises(n_rf, t_max):
     with pytest.raises(SynthesisError, match="collapsed"):
         fs_altmin(np.array([0.0, 1.0, -1.0], dtype=complex), n_rf, 1,
                   t_max=t_max, seed=4)
+
+
+def _assert_same_hybrid(got, want):
+    for name in ("phase_indices", "digital", "realized"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    assert got.bits == want.bits
+
+
+@pytest.mark.parametrize("n_rf", [2, 3])
+def test_stacked_fs_altmin_entries_leave_at_their_own_fixed_points(monkeypatch,
+                                                                   n_rf):
+    # six entries of one stack reach their fixed points after different
+    # numbers of alternations; each keeps its own start, least-squares steps
+    # and exit, so it equals its own call bit for bit, with the same ls_fbb
+    # calls in total
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
+    seeds = [11, 12, 13, 14, 15, 16]
+    calls = []
+    real_ls_fbb = beamkit.practical.ls_fbb
+
+    def counted(analog, target):
+        calls.append(target.shape)
+        return real_ls_fbb(analog, target)
+
+    monkeypatch.setattr(beamkit.practical, "ls_fbb", counted)
+    one, steps = [], []
+    for row, seed in zip(v, seeds):
+        trace = []
+        one.append(fs_altmin(row, n_rf, 2, t_max=50, seed=seed, trace=trace))
+        steps.append(len(trace) - 1)
+    alone = len(calls)
+    assert len(set(steps)) > 1 and max(steps) < 50  # every entry converged
+    stacked = fs_altmin(v, n_rf, 2, t_max=50, seed=seeds)
+    assert len(calls) - alone == alone
+    assert len(stacked) == len(v)
+    for got, want in zip(stacked, one):
+        _assert_same_hybrid(got, want)
+
+
+def test_stacked_fs_altmin_rejects_bad_stacks():
+    v = np.ones((3, 4), dtype=complex)
+    with pytest.raises(ValueError, match=re.escape(
+            "seed must be 3 counts, one per codeword, got [1, 2]")):
+        fs_altmin(v, 2, 4, seed=[1, 2])
+    with pytest.raises(ValueError, match="seed must be 3 counts"):
+        fs_altmin(v, 2, 4, seed=1)
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -1"):
+        fs_altmin(v, 2, 4, seed=[1, -1, 2])
+    with pytest.raises(ValueError, match="trace takes only a single codeword"):
+        fs_altmin(v, 2, 4, seed=[1, 2, 3], trace=[])
+    with pytest.raises(ValueError, match=re.escape("got shape (1, 3, 4)")):
+        fs_altmin(v[None], 2, 4)
+    v[1] = 0.0
+    with pytest.raises(SynthesisError, match="codeword 1 to factor has norm 0.0"):
+        fs_altmin(v, 2, 4, seed=[1, 2, 3])
+    assert fs_altmin(np.zeros((0, 4), dtype=complex), 2, 4, seed=[]) == []

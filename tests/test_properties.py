@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import beamkit.practical
 from beamkit import (
     Channel,
     CodebookEntry,
@@ -35,7 +36,7 @@ from beamkit import (
     solve_two_rf,
     steering_matrix,
 )
-from beamkit.ideal import _DEGENERATE_RTOL
+from beamkit.ideal import _DEGENERATE_RTOL, _assemble
 from beamkit.practical import _ROW_CAP_PER_PHASE
 from beamkit.serialization import load_hybrid, save_hybrid
 
@@ -241,7 +242,9 @@ def test_two_rf_kernel_on_no_targets():
 def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     """The reference sweep: fs_row's loop with no bound test, so every step
     solves the two-phasor match for every candidate of every active row,
-    each through the reference match _reference_solve_two_rf.
+    each through the reference match _reference_solve_two_rf, once per
+    distinct (f1, f2) of the rows' digital vectors.  fbb is one (n_rf,)
+    vector for every row or one per row, (R, n_rf), as in fs_row.
 
     gaps, if given, collects (step, row, kind, gap) for every decision whose
     outcome changes indices: the winner against the runner-up where the
@@ -250,8 +253,9 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     between the two residuals over |target| + sum |fbb|, the size of the
     terms they are rounded from."""
     fbb = np.asarray(fbb, dtype=complex)
-    n_rf = fbb.size
+    n_rf = fbb.shape[-1]
     target = np.asarray(target, dtype=complex)
+    fbb = np.broadcast_to(fbb, (target.size, n_rf))
     phasors = pset.phasors
     idx = np.array(init_indices, dtype=int)
     start = target - np.sum(fbb * phasors[idx], axis=1)
@@ -263,33 +267,41 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     t = 0
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
-        rows = idx[active]
+        rows, f = idx[active], fbb[active]
         e = phasors[rows]
-        fp, ep = fbb[p], e[:, p]
+        fp, ep = f[:, p], e[:, p]
         own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
                                fp.real * ep.imag + fp.imag * ep.real])
-        fixed = np.sum((fbb * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
-        resid_targets = (target[active] - fixed)[:, None] - fbb[p] * phasors
-        i1, i2, errs = _reference_solve_two_rf(resid_targets.ravel(), fbb[0],
-                                               fbb[1], pset)
-        best = np.argmin(errs.reshape(resid_targets.shape), axis=1)
-        pick = np.arange(active.size) * pset.size + best
-        new = np.column_stack([i1[pick], i2[pick], best])
-        accept = errs[pick] <= res[active]
+        fixed = np.sum((f * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
+        resid_targets = (target[active] - fixed)[:, None] - fp[:, None] * phasors
+        i1, i2 = (np.empty(resid_targets.shape, dtype=int) for _ in range(2))
+        errs = np.empty(resid_targets.shape)
+        groups = {}  # active positions by the bytes of their (f1, f2)
+        for a, pair in enumerate(f[:, :2]):
+            groups.setdefault(pair.tobytes(), []).append(a)
+        for members in groups.values():
+            found = _reference_solve_two_rf(resid_targets[members].ravel(),
+                                            *f[members[0], :2], pset)
+            for whole, part in zip((i1, i2, errs), found):
+                whole[members] = part.reshape(len(members), -1)
+        best = np.argmin(errs, axis=1)
+        at = (np.arange(active.size), best)
+        new = np.column_stack([i1[at], i2[at], best])
+        accept = errs[at] <= res[active]
         moves = np.any(new != rows[:, [0, 1, p]], axis=1)
         moved = accept & moves
         if gaps is not None:
-            second = np.partition(errs.reshape(resid_targets.shape), 1)[:, 1]
-            scale = np.abs(target[active]) + np.sum(np.abs(fbb))
+            second = np.partition(errs, 1)[:, 1]
+            scale = np.abs(target[active]) + np.sum(np.abs(f), axis=1)
             for a, row in enumerate(active):
                 if accept[a]:
-                    gap = (second[a] - errs[pick[a]]) / scale[a]
+                    gap = (second[a] - errs[at][a]) / scale[a]
                     gaps.append((t, row, "runner-up", gap))
                 if moves[a]:
-                    gap = abs(res[row] - errs[pick[a]]) / scale[a]
+                    gap = abs(res[row] - errs[at][a]) / scale[a]
                     gaps.append((t, row, "incumbent", gap))
         idx[active[accept, None], [0, 1, p]] = new[accept]
-        res[active[accept]] = errs[pick][accept]
+        res[active[accept]] = errs[at][accept]
         t += 1
         unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
         active = active[unchanged[active] < n_rf - 2]
@@ -319,6 +331,62 @@ def test_pruned_fs_row_equals_exhaustive_on_random_rows(n_rf, bits, rows,
     init = data.draw(arrays(np.int64, (rows, n_rf),
                             elements=st.integers(0, pset.size - 1)))
     _assert_pruning_changes_nothing(target, fbb, pset, init)
+
+
+@_SETTINGS
+@given(
+    n_rf=st.integers(3, 5),
+    bits=st.sampled_from([1, 2, 4, 6]),
+    rows=st.integers(1, 10),
+    groups=st.integers(1, 3),
+    data=st.data(),
+)
+def test_fs_row_with_per_row_fbb_equals_one_call_per_group(n_rf, bits, rows,
+                                                           groups, data):
+    # each row takes the digital vector of its group; the groups' rows are
+    # interleaved, and two groups may share a vector
+    pset = phase_set(bits)
+    fbbs = data.draw(arrays(complex, (groups, n_rf), elements=_complex))
+    group = data.draw(arrays(np.int64, rows, elements=st.integers(0, groups - 1)))
+    target = data.draw(arrays(complex, rows, elements=_complex))
+    init = data.draw(arrays(np.int64, (rows, n_rf),
+                            elements=st.integers(0, pset.size - 1)))
+    idx, res, steps = fs_row(target, fbbs[group], pset, init)
+    group_steps = []
+    for g in np.unique(group):
+        mine = group == g
+        i, e, t = fs_row(target[mine], fbbs[g], pset, init[mine])
+        assert idx[mine].tobytes() == i.tobytes()
+        assert res[mine].tobytes() == e.tobytes()
+        group_steps.append(t)
+    assert steps == max(group_steps)
+    _assert_pruning_changes_nothing(target, fbbs[group], pset, init)
+
+
+@_SETTINGS
+@given(
+    gamma=arrays(complex, st.integers(0, 30), elements=_complex),
+    pairs=st.integers(1, 4),
+    block=st.integers(1, 7),
+    bits=st.integers(1, 6),
+    data=st.data(),
+)
+def test_two_rf_kernel_with_row_constants_equals_one_pair_at_a_time(
+        gamma, pairs, block, bits, data):
+    # the kernel's rows of (f1, f2) constants, gathered per target and solved
+    # in blocks of any size, give what solve_two_rf gives one pair at a time
+    pset = phase_set(bits)
+    f = data.draw(arrays(complex, (pairs, 2), elements=_complex))
+    rows = data.draw(arrays(np.int64, gamma.size, elements=st.integers(0, pairs - 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamkit.practical, "_SOLVE_BLOCK", block)
+        got = beamkit.practical._two_rf_solve(
+            gamma, np.abs(gamma), beamkit.practical._two_rf_setup(f[:, 0], f[:, 1], pset),
+            rows)
+    for r in range(pairs):
+        mine = rows == r
+        want = solve_two_rf(gamma[mine], *f[r], pset)
+        _assert_same_bits([a[mine] for a in got], want)
 
 
 @pytest.mark.parametrize("bits,n_rf", itertools.product((1, 2), (3, 4)))
@@ -372,6 +440,63 @@ def test_pruned_fs_row_equals_exhaustive_at_the_bound_edges(n_rf, bits, rows,
     at_member = data.draw(arrays(bool, rows))
     init[at_member] = exact[at_member]
     _assert_pruning_changes_nothing(target, fbb, pset, init)
+
+
+@_SETTINGS
+@given(
+    n=st.integers(2, 8),
+    entries=st.integers(1, 4),
+    n_rf=st.integers(1, 5),
+    bits=st.sampled_from([1, 2, 6]),
+    t_max=st.integers(0, 3),
+    data=st.data(),
+)
+def test_stacked_fs_altmin_equals_one_call_per_entry(n, entries, n_rf, bits,
+                                                     t_max, data):
+    n_rf = min(n_rf, n)
+    v = data.draw(arrays(complex, (entries, n), elements=_complex).filter(
+        lambda v: np.all(np.linalg.norm(v, axis=1) > 1e-3)))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=entries,
+                               max_size=entries))
+    one = []
+    for row, seed in zip(v, seeds):
+        try:
+            one.append(fs_altmin(row, n_rf, bits, t_max=t_max, seed=seed))
+        except SynthesisError:
+            with pytest.raises(SynthesisError, match="collapsed"):
+                fs_altmin(v, n_rf, bits, t_max=t_max, seed=seeds)
+            return
+    stacked = fs_altmin(v, n_rf, bits, t_max=t_max, seed=seeds)
+    assert len(stacked) == entries
+    for got, want in zip(stacked, one):
+        assert got.bits == want.bits
+        for name in ("phase_indices", "digital", "realized"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n,k,r_max", [(8, 32, 100), (16, 128, 300), (8, 8, 20),
+                                       (4, 16, 37)])
+def test_ps_icd_updates_only_live_directions(monkeypatch, n, k, r_max):
+    # a zero-magnitude direction keeps its phase, so skipping its updates
+    # leaves the codeword as the full cyclic loop makes it
+    target = make_target("rect", (-0.5, 0.25))
+    sm = steering_matrix(n, k)
+    mags = target(sm.grid)
+    opt = PhaseOptimizer(sm.gram(), mags, np.random.default_rng(3).uniform(-np.pi, np.pi, k))
+    for i in range(r_max):
+        opt.update(i % k)
+    want = _assemble(sm.matrix, opt._gains, k)
+    order = []
+    update = PhaseOptimizer.update
+
+    def recorded(self, j):
+        order.append(j)
+        return update(self, j)
+
+    monkeypatch.setattr(PhaseOptimizer, "update", recorded)
+    assert ps_icd(target, n, k, r_max, 3).tobytes() == want.tobytes()
+    assert order == [i % k for i in range(r_max) if mags[i % k] > 0]
 
 
 @_SETTINGS

@@ -121,6 +121,11 @@ MALFORMED_CODEBOOKS = {
     "no-index-rows": (_INDEX[:-2], lambda rows: [], _BAD_INDICES),
     "string-pair": (("layers", 0, 0, "ideal", 0), lambda p: ["1", 0],
                     "layers[0][0].ideal"),
+    # an int past the float range is no number, as a string is not
+    "huge-int-pair": (("layers", 0, 0, "ideal", 0), lambda p: [10**400, 0],
+                      "field layers[0][0].ideal must be a list of [re, im] number pairs"),
+    "huge-int-coverage": (("layers", 0, 1, "coverage", 0), lambda lo: -10**400,
+                          "field layers[0][1].coverage must be a [lo, hi] number pair"),
     "digital-size": (("layers", 0, 0, "hybrid", "digital"), lambda d: d[:1],
                      "layers[0][0].hybrid.digital"),
     # a NaN codeword would lose every power comparison of a descent
@@ -180,6 +185,9 @@ def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
     for load, doc, message in (
         (load_codeword, {"entries": [[1.0, 0.0]]}, "missing field n"),
         (load_codeword, {"n": 1, "entries": [[1.0]]}, "field entries"),
+        (load_codeword, {"n": 1, "entries": [[2**1024, 0.0]]}, "field entries"),
+        (load_hybrid, {"n_rf": 1, "b": 2, "analog_phase_indices": [[0]],
+                       "digital": [[0.0, -10**400]]}, "field digital"),
         (load_hybrid, {"n_rf": 1, "b": 17, "analog_phase_indices": [[0]],
                        "digital": [[1.0, 0.0]]},
          re.escape("bits must be in [1, 16] and an integer, got 17")),

@@ -48,6 +48,9 @@ def test_step_validation():
         make_target("step", (-1.0, 0.0), heights=(1.0, 2.0), split=1.5)
     with pytest.raises(ValueError):
         make_target("step", (-1.0, 0.0), heights=(0.0, 0.0))
+    for heights in ((np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="heights must be finite and nonnegative"):
+            make_target("step", (-1.0, 0.0), heights=heights)
     # a misspelt keyword is an error, not the default pattern
     with pytest.raises(TypeError):
         make_target("step", (-1.0, 0.0), hieghts=(1.0, 3.0))

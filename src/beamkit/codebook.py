@@ -7,14 +7,13 @@ through hardware), while bottom-layer sectors of width 2/N use plain
 steering vectors.
 """
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .arrays import _count, steering_vector
-from .ideal import ls_icd, ps_icd
+from .ideal import SynthesisError, ls_icd, ps_icd
 from .practical import _MAX_BITS, HybridCodeword, design_nrf1, fs_altmin, phase_set
 from .targets import make_target
 
@@ -142,27 +141,8 @@ def _entry_seed(master, layer, index):
     return int(ss.generate_state(1)[0])
 
 
-@contextlib.contextmanager
-def _located(s, i):
-    """Report any failure inside as one at entry i of layer s."""
-    try:
-        yield
-    except Exception as exc:
-        raise RuntimeError(f"codeword synthesis failed at layer {s}, index {i}") from exc
-
-
-def _factor_layer(s, ideals, seeds, hw):
-    """The hybrids of layer s's ideal codewords, designed in one fs_altmin
-    call.  Each equals its own fs_altmin call bit for bit, so a failure is
-    located by repeating the calls one entry at a time."""
-    args = hw["n_rf"], hw["b"], hw["t_max"]
-    try:
-        return fs_altmin(np.array(ideals), *args, seed=seeds)
-    except Exception:
-        for i, (ideal, sub_seed) in enumerate(zip(ideals, seeds), 1):
-            with _located(s, i):
-                fs_altmin(ideal, *args, seed=sub_seed)
-        raise
+def _failed(s, i):
+    return RuntimeError(f"codeword synthesis failed at layer {s}, index {i}")
 
 
 def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
@@ -193,7 +173,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
         seeds = [_entry_seed(seed, s, i) for i in range(1, m**s + 1)]
         ideals, hybrids = [], [None] * len(tiles)
         for i, ((lo, hi), sub_seed) in enumerate(zip(tiles, seeds), 1):
-            with _located(s, i):
+            try:
                 if s == s_total:
                     ideals.append(steering_vector(n, 0.5 * (lo + hi)))
                     if hw:
@@ -202,8 +182,14 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
                     ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max, sub_seed))
                 else:
                     ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
-        if hw and s < s_total:
-            hybrids = _factor_layer(s, ideals, seeds, hw)
+            except Exception as exc:
+                raise _failed(s, i) from exc
+        if hw and s < s_total:  # the whole layer in one call
+            try:
+                hybrids = fs_altmin(np.array(ideals), hw["n_rf"], hw["b"], hw["t_max"],
+                                    seed=seeds)
+            except SynthesisError as exc:  # it names the entry that failed
+                raise _failed(s, exc.entry + 1) from exc
         layers.append([CodebookEntry(tile, ideal, hybrid)
                        for tile, ideal, hybrid in zip(tiles, ideals, hybrids)])
     return HierarchicalCodebook(n, m, seed, layers, method=method, hw=hw)

@@ -30,7 +30,12 @@ _DEGENERATE_RTOL = 1e-10
 
 class SynthesisError(RuntimeError):
     """Raised when a design collapses to a zero vector, or is asked to
-    factor a zero or non-finite codeword."""
+    factor a zero or non-finite codeword.  entry is the failing codeword's
+    index in a stack given to fs_altmin, else None."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 class PhaseOptimizer:

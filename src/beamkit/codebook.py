@@ -52,10 +52,12 @@ def training_test_count(n_t, n_r, m):
 
 
 def _check_hw(hw, n):
-    """hw checked, as a new dict of Python ints in hw's key order: None, or
-    exactly the keys n_rf, b and t_max, 1 <= n_rf <= n, 1 <= b <= 16, t_max >= 0."""
+    """hw checked, as a new dict of Python ints in hw's key order: None, or a dict
+    of exactly n_rf, b and t_max, 1 <= n_rf <= n, 1 <= b <= 16, t_max >= 0."""
     if hw is None:
         return None
+    if not isinstance(hw, dict):
+        raise ValueError(f"hw must be None or a dict, got {hw!r}")
     if hw.keys() != {"n_rf", "b", "t_max"}:
         raise ValueError(f"hw keys must be n_rf, b and t_max, got {list(hw)}")
     ranges = {"n_rf": (1, n), "b": (1, _MAX_BITS), "t_max": (0, None)}
@@ -164,7 +166,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     n, m, seed = _count("n", n, 1), _count("m", m, 2), _count("seed", seed, 0)
     s_total = layer_count(n, m)
     k, r_max = _count("k", k, n), _count("r_max", r_max, 0)
-    if hw is not None:
+    if isinstance(hw, dict):  # anything else is _check_hw's to reject
         hw = {**hw, "t_max": hw.get("t_max", 50)}
     hw = _check_hw(hw, n)
     layers = []

@@ -15,7 +15,6 @@ from .arrays import _count, steering_matrix
 
 __all__ = [
     "SynthesisError",
-    "PhaseOptimizer",
     "ps_icd",
     "ls_icd",
 ]
@@ -39,52 +38,31 @@ class SynthesisError(RuntimeError):
 
 
 class PhaseOptimizer:
-    """Coordinate-ascent state for the per-direction phase optimization.
+    """Coordinate-ascent state of ps_icd's per-direction phase optimization.
 
     Maximizes g^H (A^H A) g over the phases of g, with |g_k| fixed to the
     target magnitude at grid direction k.  Only the K x K Gram matrix
-    A^H A is stored.  gram, magnitudes and phases are read-only views, and
-    only update writes the array behind phases, so the running copy of g
-    and the per-k inputs that update keeps stay in step with them; start a
-    new optimizer to try other phases.
+    A^H A is stored.  phases and g itself, gains, are plain arrays that
+    update keeps in step one entry at a time.
     """
 
     def __init__(self, gram, magnitudes, phases):
-        self.gram = np.asarray(gram, dtype=complex).view()
-        self.magnitudes = np.asarray(magnitudes, dtype=float).view()
-        self._phases = np.array(phases, dtype=float)
-        self._phases_view = self._phases.view()
-        for a in (self.gram, self.magnitudes, self._phases_view):
-            a.setflags(write=False)
-        k = self.gram.shape[0]
-        if self.gram.shape != (k, k):
-            raise ValueError("gram matrix must be square")
-        if self.magnitudes.shape != (k,) or self._phases.shape != (k,):
-            raise ValueError("magnitudes/phases must match the gram size")
+        self.gram = np.asarray(gram, dtype=complex)
+        self.magnitudes = np.asarray(magnitudes, dtype=float)
+        self.phases = np.array(phases, dtype=float)
+        self.gains = self.magnitudes * np.exp(1j * self.phases)
         # |g| is fixed by the magnitudes, so each threshold is a constant
         self._degenerate = (
             _DEGENERATE_RTOL
             * np.linalg.norm(self.gram, axis=1)
             * np.linalg.norm(self.magnitudes)
         ).tolist()
-        # g itself, kept current by update one entry at a time
-        self._gains = self.gains
         # the other per-k inputs of update, in lists: faster to index.  The
         # magnitudes are Python floats, so their product with the Python
         # complex cmath.exp returns is a fast Python one
         self._rows = list(self.gram)
         self._diagonal = list(self.gram.diagonal())
         self._magnitudes = self.magnitudes.tolist()
-
-    @property
-    def phases(self):
-        """The current phases, read-only."""
-        return self._phases_view
-
-    @property
-    def gains(self):
-        """The complex gain vector g with current phases."""
-        return self.magnitudes * np.exp(1j * self._phases)
 
     def update(self, k):
         """Closed-form update of phase k; returns the (possibly kept) phase.
@@ -95,15 +73,15 @@ class PhaseOptimizer:
         """
         magnitude = self._magnitudes[k]
         if magnitude == 0.0:
-            return self._phases[k]
+            return self.phases[k]
         # sum_{m != k} [A^H A]_{k,m} g_m, the linear coefficient of g_k
-        g = self._gains
+        g = self.gains
         c = complex(self._rows[k].dot(g) - self._diagonal[k] * g[k])
         if abs(c) <= self._degenerate[k]:
-            return self._phases[k]
+            return self.phases[k]
         # the phase of c: the ufunc np.angle runs, without its wrapper
         phase = np.arctan2(c.imag, c.real)
-        self._phases[k] = phase
+        self.phases[k] = phase
         g[k] = magnitude * cmath.exp(1j * phase)
         return phase
 
@@ -152,7 +130,7 @@ def ps_icd(target, n, k, r_max, seed):
     live = np.flatnonzero(mags)
     for j in np.concatenate([np.tile(live, r_max // k), live[live < r_max % k]]).tolist():
         opt.update(j)
-    return _assemble(sm.matrix, opt._gains, k)
+    return _assemble(sm.matrix, opt.gains, k)
 
 
 def ls_icd(target, n, k):

@@ -35,7 +35,6 @@ __all__ = [
     "wrap_phase",
     "quantize_index",
     "HybridCodeword",
-    "design_nrf1",
     "solve_two_rf",
     "fs_row",
     "ls_fbb",
@@ -105,7 +104,9 @@ def _phase_set(bits):
 
 
 def wrap_phase(theta):
-    """Wrap angles into [-pi, pi)."""
+    """Wrap angles into [-pi, pi), or to +pi where (theta + pi) mod 2 pi
+    rounds up to 2 pi: less than about 4.4e-16 below an odd multiple of pi,
+    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase."""
     return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
 
@@ -115,11 +116,28 @@ def quantize_index(theta, bits):
     Equidistant ties resolve to the smaller phase value.  Vectorized.  A
     non-finite theta, or bits outside [1, 16], raises ValueError.
     """
-    theta = np.asarray(theta, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise ValueError(f"theta entry {bad[0]} is not finite: {theta.flat[bad[0]]}")
+    theta = _finite("theta", theta, float)
     return _quantize_index(theta, _count("bits", bits, 1, _MAX_BITS))
+
+
+def _finite(name, a, dtype, labels=None):
+    """a as an array of dtype, under the finiteness rule of public inputs:
+    ValueError naming the first non-finite entry (by flat index, or label)."""
+    a = np.asarray(a, dtype=dtype)
+    if not np.isfinite(a).all():
+        i = np.flatnonzero(~np.isfinite(a))[0]
+        raise ValueError(f"{name} entry {i if labels is None else labels[i]} is not finite: "
+                         f"{a.flat[i]}")
+    return a
+
+
+def _check_indices(name, idx, bits, shape_ok, shape):
+    """The rule for phase indices: ValueError naming idx unless it has the
+    shape described by shape (shape_ok) and integers in [0, 2^bits)."""
+    if not (shape_ok and idx.dtype.kind in "iu"
+            and (not idx.size or 0 <= idx.min() and idx.max() < 2**bits)):
+        raise ValueError(f"{name} must be a {shape} integer array "
+                         f"with entries in [0, 2^{bits})")
 
 
 def _quantize_index(theta, bits):
@@ -153,10 +171,8 @@ class HybridCodeword:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         idx, digital = self.phase_indices, self.digital
-        if not (idx.ndim == 2 and idx.size and idx.dtype.kind in "iu"
-                and 0 <= idx.min() and idx.max() < 2**self.bits):
-            raise ValueError("phase_indices must be a non-empty 2-D integer array "
-                             f"with entries in [0, 2^{self.bits})")
+        _check_indices("phase_indices", idx, self.bits, idx.ndim == 2 and idx.size,
+                       "non-empty 2-D")
         if digital.shape != (self.n_rf,) or not np.isfinite(digital).all():
             raise ValueError(f"digital must be {self.n_rf} finite entries, got {digital}")
         r = self.analog @ digital
@@ -303,23 +319,20 @@ def solve_two_rf(gamma, f1, f2, pset):
     of the 18 candidates.  A non-finite target or digital entry raises
     ValueError.
     """
-    gamma = np.asarray(gamma, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(gamma))
-    if bad.size:
-        raise ValueError(f"target entry {bad[0]} is not finite: {gamma.flat[bad[0]]}")
-    for name, f in (("f1", f1), ("f2", f2)):
-        if not np.isfinite(f):
-            raise ValueError(f"digital entry {name} is not finite: {f}")
+    gamma = _finite("target", gamma, complex)
+    _finite("digital", [f1, f2], None, labels=("f1", "f2"))
     return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
 def fs_row(target, fbb, pset, init_indices, owner=None):
     """Cyclic search of R antenna rows, each with at least three RF chains.
 
-    Row r of init_indices (R, n_rf) is fitted to target[r] with a digital
-    vector, every row on its own.  fbb is one (n_rf,) vector for every row,
-    or a stack (G, n_rf) of them with owner (R,) giving each row's; owner
-    None takes row r's from fbb[r] (G = R).  At step t, phase
+    Row r of init_indices (R, n_rf) is fitted to entry r of the 1-D target
+    with a digital vector, every row on its own.  fbb is one (n_rf,) vector
+    for every row, or a stack (G, n_rf) of them with owner (R,) giving each
+    row's.  A shape that does not fit, a non-finite target or fbb entry, or
+    an index that is not an integer in [0, 2^b) raises ValueError naming
+    the argument.  At step t, phase
     p = t mod (n_rf - 2) + 2 of each row still searching is swept over the
     whole phase set; for each candidate the first two phases are re-solved
     in closed form against the residual target, and the best candidate wins
@@ -342,22 +355,26 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
     """
-    fbb = np.asarray(fbb, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if fbb.ndim == 2:
-        owner = np.arange(len(fbb)) if owner is None else np.asarray(owner)
-        ok = (owner.shape == target.shape == (target.size,) and owner.dtype.kind in "iu"
-              and np.all((0 <= owner) & (owner < len(fbb))))
+    target, fbb = _finite("target", target, complex), _finite("fbb", fbb, complex)
+    if target.ndim != 1:
+        raise ValueError(f"target must be 1-D, got shape {target.shape}")
+    if owner is None:
+        ok = fbb.ndim == 1
     else:
-        ok = fbb.ndim == 1 and owner is None
+        owner = np.asarray(owner)
+        ok = (fbb.ndim == 2 and owner.shape == target.shape and owner.dtype.kind in "iu"
+              and np.all((0 <= owner) & (owner < len(fbb))))
     if not ok:
         raise ValueError(f"fbb must have shape (n_rf,), or (G, n_rf) with owner naming one of "
                          f"its G rows for each of the {target.size} rows, got {fbb.shape}")
     n_rf = fbb.shape[-1]
     if n_rf < 3:
         raise ValueError("fs_row requires at least three RF chains")
+    init = np.asarray(init_indices)
+    _check_indices("init_indices", init, pset.bits, init.shape == (target.size, n_rf),
+                   f"{target.size} x {n_rf}")
     phasors = pset.phasors
-    idx = np.array(init_indices, dtype=int)
+    idx = np.array(init, dtype=int)
     per_row = fbb if owner is None else fbb[owner]
     # np.hypot rounds like scalar abs(), as the golden ledger does; np.abs
     # on an array may take a vector path that differs in the last bit
@@ -448,9 +465,10 @@ def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):
     is unit-norm.  trace, if given, collects the fitting residual after
     every least-squares step (non-increasing).
 
-    With t_max > 0, a single RF chain needs no alternation and dispatches
-    to design_nrf1.  With t_max = 0, every n_rf returns the seeded random
-    start and its least-squares digital vector, rescaled.
+    With t_max > 0, a single RF chain needs no alternation: each entry's
+    phase is quantized on its own, with the digital scalar 1/sqrt(n).
+    With t_max = 0, every n_rf returns the seeded random start and its
+    least-squares digital vector, rescaled.
     A zero or non-finite v, or a realized codeword that collapses to zero,
     raises SynthesisError.
 
@@ -500,13 +518,13 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
         fbb[e] = ls_fbb(pset.phasors[idx[e]], v[e])
     if trace is not None:
         trace.append(float(np.linalg.norm(v[0] - pset.phasors[idx[0]] @ fbb[0])))
-    live = list(range(len(v)))  # entries whose digital vector still moves
+    live = np.arange(len(v))  # entries whose digital vector still moves
     for _ in range(t_max):
-        if not live:
+        if not live.size:
             break
-        # the rows of every live entry (views while every entry is live)
-        sel = slice(None) if len(live) == len(v) else live
-        target, rows, fe = v[sel].reshape(-1), idx[sel].reshape(-1, n_rf), fbb[sel]
+        # the rows of every live entry (take: a third of what [] costs here)
+        target, rows = v.take(live, axis=0).reshape(-1), idx.take(live, axis=0).reshape(-1, n_rf)
+        fe = fbb.take(live, axis=0)
         # each row's entry among the live ones; None while only one is live
         owner = np.repeat(np.arange(len(live)), n) if len(live) > 1 else None
         if n_rf == 2:
@@ -521,9 +539,9 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
             rows = np.where((new_res <= old)[:, None], np.column_stack([i1, i2]), rows)
         else:
             rows, _, _ = fs_row(target, fe[0] if owner is None else fe, pset, rows, owner)
-        idx[sel] = rows.reshape(-1, n, n_rf)
+        idx[live] = rows.reshape(-1, n, n_rf)
         moving = []
-        for e in live:
+        for e in live.tolist():
             analog = pset.phasors[idx[e]]
             new_fbb = ls_fbb(analog, v[e])
             if trace is not None:
@@ -531,7 +549,7 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
             if not np.linalg.norm(new_fbb - fbb[e]) < _FBB_TOL:
                 moving.append(e)
             fbb[e] = new_fbb
-        live = moving
+        live = np.array(moving, dtype=int)
 
     hybrids = []
     for e, entry in enumerate(entries):

@@ -210,6 +210,18 @@ def test_build_rejects_a_bad_hw_header(hw, message):
         build_codebook(4, k=8, r_max=10, seed=0, hw=hw)
 
 
+@pytest.mark.parametrize("hw", [[1, 2], 5, "n_rf"])
+def test_a_non_dict_hw_is_rejected_by_name(hw):
+    # build_codebook spread a list into a dict (TypeError), and the
+    # codebook read the keys of an int (AttributeError)
+    message = re.escape(f"hw must be None or a dict, got {hw!r}")
+    with pytest.raises(ValueError, match=message):
+        build_codebook(4, k=8, r_max=10, seed=0, hw=hw)
+    layers = build_codebook(4, k=8, r_max=10, seed=0).layers
+    with pytest.raises(ValueError, match=message):
+        HierarchicalCodebook(4, 2, 0, layers, hw=hw)
+
+
 
 def test_numpy_int_counts_save_as_ints_and_float_counts_fail_first(tmp_path,
                                                                    monkeypatch):

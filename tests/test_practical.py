@@ -7,7 +7,6 @@ import pytest
 import beamkit.practical
 from beamkit import (
     HybridCodeword,
-    design_nrf1,
     deviation,
     fs_altmin,
     fs_row,
@@ -19,7 +18,7 @@ from beamkit import (
     wrap_phase,
 )
 from beamkit import SynthesisError, make_target
-from beamkit.practical import _two_rf_phases, _two_rf_setup
+from beamkit.practical import _two_rf_phases, _two_rf_setup, design_nrf1
 
 
 def _continuous_branches(gamma, f1, f2):
@@ -83,6 +82,11 @@ def test_quantize_matches_linear_scan():
 def test_wrap_phase_range():
     x = wrap_phase(np.array([-np.pi, np.pi, 3 * np.pi, -7.5]))
     assert np.all(x >= -np.pi) and np.all(x < np.pi)
+    # just below -pi, (theta + pi) mod 2 pi rounds up to 2 pi: the one
+    # documented +pi, which quantizes to the nearest member, the last
+    below = np.nextafter(-np.pi, -4)
+    assert wrap_phase(below) == np.pi
+    assert quantize_index(below, 3) == 7
 
 
 def test_design_nrf1_quantizes_each_phase():
@@ -585,6 +589,47 @@ def test_fs_row_rejects_digital_vectors_that_do_not_fit_the_rows():
                        (fbb, [0, -1, 0]), (fbb, [0.0, 1.0, 0.0])]:
         with pytest.raises(ValueError, match=r"fbb must have shape \(n_rf,\), or \(G, n_rf\)"):
             fs_row(target, bad, pset, init, owner)
-    idx, res, _ = fs_row(target, fbb, pset, init, [1, 0, 1])
-    want = fs_row(target, fbb[[1, 0, 1]], pset, init)
-    assert idx.tobytes() == want[0].tobytes() and res.tobytes() == want[1].tobytes()
+
+
+_INIT_RULE = re.escape("init_indices must be a 1 x 3 integer array with entries in [0, 2^2)")
+
+
+@pytest.mark.parametrize("target, fbb, init, message", [
+    # numpy would wrap -1 to the last phase, truncate 0.7 to 0, raise a bare
+    # IndexError for 9 and a broadcast error for a fourth column
+    ([1.0], [1, 1, 1], [[0, -1, 0]], _INIT_RULE),
+    ([1.0], [1, 1, 1], [[0, 0.7, 0]], _INIT_RULE),
+    ([1.0], [1, 1, 1], [[0, 9, 0]], _INIT_RULE),
+    ([1.0], [1, 1, 1], [[0, 0, 0, 0]], _INIT_RULE),
+    ([1.0], [1, 1, 1], [0, 0, 0], _INIT_RULE),
+    # a NaN would give a NaN residual and leave the indices as they were
+    ([complex(1, np.nan)], [1, 1, 1], [[0, 0, 0]], "target entry 0 is not finite"),
+    ([1.0], [1, np.nan, 1], [[0, 0, 0]], "fbb entry 1 is not finite: \\(nan"),
+    ([1.0], [1, 1, np.inf], [[0, 0, 0]], "fbb entry 2 is not finite"),
+    (1.0, [1, 1, 1], [[0, 0, 0]], re.escape("target must be 1-D, got shape ()")),
+])
+def test_fs_row_rejects_bad_targets_digital_entries_and_indices(target, fbb, init,
+                                                                message):
+    with pytest.raises(ValueError, match=message):
+        fs_row(target, fbb, phase_set(2), init)
+
+
+def test_fs_row_checks_once_per_call(monkeypatch):
+    # the checks run on fs_row's arguments, not in its search loop
+    checks = []
+
+    def counted(name):
+        real = getattr(beamkit.practical, name)
+
+        def check(*args):
+            checks.append(name)
+            return real(*args)
+        return check
+
+    for name in ("_finite", "_check_indices"):
+        monkeypatch.setattr(beamkit.practical, name, counted(name))
+    rng = np.random.default_rng(2)
+    _, _, steps = fs_row(rng.standard_normal(8) + 0j, np.ones(4), phase_set(3),
+                         rng.integers(0, 8, (8, 4)))
+    assert steps > 1
+    assert checks == ["_finite", "_finite", "_check_indices"]

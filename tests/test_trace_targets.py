@@ -67,3 +67,25 @@ def test_campaign_calls_go_through_the_traced_names(monkeypatch):
     assert calls == {"measure": training_test_count(8, 4, 2) * trials,
                      "draw_channel": trials, "hierarchical_search": trials,
                      "exhaustive_best_pair": trials, "realized": reads * trials}
+
+
+def test_design_calls_go_through_the_traced_names():
+    # the design path's sibling of the campaign guard: the benchmark pins the
+    # row-design counts, so a call that escapes the tracer (through a name it
+    # does not rebind) must fail here, not only in the benchmark's suite
+    importlib.import_module("beamkit.serialization")  # the tracer wraps it too
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        build_codebook(8, m=2, k=32, r_max=100, seed=1,
+                       hw={"n_rf": 3, "b": 4, "t_max": 3})
+    assert tracer.missing == []
+    spans = Counter(tracer.names[i] for i in tracer.name_id)
+    got = {name: spans[name] for name in (
+        "ideal.ps_icd", "arrays.steering_matrix", "arrays.SteeringMatrix.gram",
+        "practical.fs_altmin", "practical.design_nrf1")}
+    # 6 synthesized entries in two layers of r_max live updates each, one
+    # fs_altmin call per synthesized layer, 8 bottom steering vectors
+    assert got == {"ideal.ps_icd": 6, "arrays.steering_matrix": 6,
+                   "arrays.SteeringMatrix.gram": 6, "practical.fs_altmin": 2,
+                   "practical.design_nrf1": 8}
+    assert tracer.counts["ideal.PhaseOptimizer.update"] == 2 * 100

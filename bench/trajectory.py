@@ -4,9 +4,12 @@ Each case runs a fixed, seeded call several times and records the median
 and quartile distance of its wall times (time.perf_counter) together with
 quality numbers (deviation, main-lobe MSE, residuals) and a sha256 over its
 outputs, so a speedup that moves a result shows up in the same record.
-OpenBLAS is held to one thread.  The cases:
+Each case also records the minor page faults per timed call (the process's
+ru_minflt, summed over the timed calls only).  OpenBLAS is held to one
+thread.  The cases:
 
 - build_codebook(32, n_rf=4, b=6), end to end;
+- the practical campaign's set-up: its two build_codebook(32, n_rf=2, b=6);
 - fs_altmin at N = 32 with n_rf = 2, 3 and 4;
 - one fs_row pass over the 32 rows of an N = 32 codeword, n_rf = 4, b = 6;
 - solve_two_rf on 2048 targets, b = 6;
@@ -27,7 +30,9 @@ A run is stored under its label in the output file's "runs", replacing a
 run of the same label.  --compare exits 1 when any quality field or digest
 of a case in both runs differs, or no case is in both, and otherwise only
 reports time ratios, marking a ratio "unresolved" when the two medians
-differ by no more than the first run's quartile distance.
+differ by no more than the first run's quartile distance.  It prints the
+minor faults per call of both runs next to the ratio; they are for
+information only and never make it exit 1.
 --toy runs every case at toy sizes, for a smoke test.
 """
 
@@ -42,6 +47,7 @@ import hashlib
 import importlib
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import time
@@ -96,9 +102,9 @@ def _codeword(bk, size):
 def cases(bk, size):
     """(name, untimed set-up, timed call, quality and digest of its result)."""
 
-    def codebook_case():
-        def score(cb):
-            devs, mses, arrays = [], [], []
+    def score_codebooks(*cbs):
+        devs, mses, arrays = [], [], []
+        for cb in cbs:
             for layer in cb.layers:
                 for e in layer:
                     h = e.hybrid
@@ -107,16 +113,28 @@ def cases(bk, size):
                         devs.append(bk.deviation(e.ideal, h.realized))
                         mses.append(bk.main_lobe_mse(
                             h.realized, bk.make_target("rect", e.coverage)))
-            return ({"deviation_median": statistics.median(devs),
-                     "main_lobe_mse_mean": statistics.fmean(mses)},
-                    digest(*arrays))
+        return ({"deviation_median": statistics.median(devs),
+                 "main_lobe_mse_mean": statistics.fmean(mses)},
+                digest(*arrays))
 
+    def codebook_case():
         hw = size["codebook"]["hw"]
         name = (f"build_codebook/n{size['codebook']['n']}"
                 f"/nrf{hw['n_rf']}/b{hw['b']}")
         return (name, lambda: None,
                 lambda _: bk.build_codebook(seed=SEED, **size["codebook"]),
-                score)
+                score_codebooks)
+
+    def campaign_codebooks(**design):
+        c = size["campaign"]
+        return [bk.build_codebook(c["n"], k=c["k"], r_max=c["r_max"],
+                                  seed=SEED + i, **design) for i in (0, 1)]
+
+    def campaign_setup_case():
+        c = size["campaign"]
+        return (f"campaign_setup/n{c['n']}/nrf{c['hw']['n_rf']}/b{c['hw']['b']}",
+                lambda: None, lambda _: campaign_codebooks(hw=c["hw"]),
+                lambda cbs: score_codebooks(*cbs))
 
     def altmin_case(n_rf):
         def score(h):
@@ -177,9 +195,7 @@ def cases(bk, size):
         def setup():
             design = ({"method": "ps-icd", "hw": c["hw"]} if practical
                       else {"method": "ls-icd"})
-            tx, rx = (bk.build_codebook(c["n"], k=c["k"], r_max=c["r_max"],
-                                        seed=SEED + i, **design)
-                      for i in (0, 1))
+            tx, rx = campaign_codebooks(**design)
             return bk.TrainingConfig(tx, rx, c["snr_db"], c["trials"],
                                      seed=SEED, paths=c["paths"],
                                      use_practical=practical)
@@ -243,28 +259,33 @@ def cases(bk, size):
         return (f"channel/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
                 call, score)
 
-    return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
-            row_case(), solve_case(), icd_case(), campaign_case(True),
-            campaign_case(False), measure_case(), channel_case()]
+    return [codebook_case(), campaign_setup_case(),
+            *(altmin_case(n_rf) for n_rf in (2, 3, 4)), row_case(),
+            solve_case(), icd_case(), campaign_case(True), campaign_case(False),
+            measure_case(), channel_case()]
 
 
 def time_case(setup, call, score, repeats, seconds):
     """Median and quartile distance of the wall times of at least repeats
     calls lasting at least seconds in all, with the quality and digest of
-    the result, which must not change between repeats."""
+    the result, which must not change between repeats, and the minor page
+    faults per call."""
     args = setup()
-    times, seen = [], set()
+    times, seen, faults = [], set(), 0
     while len(times) < repeats or sum(times) < seconds:
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         result = call(args)
         times.append(time.perf_counter() - t0)
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         quality, sha = score(result)
         seen.add(sha)
     if len(seen) != 1:
         raise RuntimeError("outputs differ between repeats")
     q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (0, 0, 0)
     return {"median_s": statistics.median(times), "iqr_s": q3 - q1,
-            "times_s": times, "quality": quality, "sha256": sha}
+            "times_s": times, "minflt_per_call": faults / len(times),
+            "quality": quality, "sha256": sha}
 
 
 def _git(path, *args):
@@ -342,8 +363,9 @@ def _load_run(spec):
 
 def compare(spec_a, spec_b):
     """Report B's time over A's per case, unresolved where the medians differ
-    by no more than A's quartile distance; 1 if any quality or digest
-    differs, or if the runs share no case."""
+    by no more than A's quartile distance, and the minor faults per call
+    where both runs have them; 1 if any quality or digest differs, or if
+    the runs share no case."""
     a, b = _load_run(spec_a)["cases"], _load_run(spec_b)["cases"]
     status = 0 if a.keys() & b.keys() else 1
     for name in sorted(a.keys() | b.keys()):
@@ -359,6 +381,9 @@ def compare(spec_a, spec_b):
         # a move no larger than A's own spread cannot be told from noise
         noise = abs(cb["median_s"] - ca["median_s"]) <= ca["iqr_s"]
         note = f"  DIFFERS: {', '.join(sorted(diff))}" if diff else ""
+        if "minflt_per_call" in ca and "minflt_per_call" in cb:
+            note = (f"; minor faults/call {ca['minflt_per_call']:.4g} -> "
+                    f"{cb['minflt_per_call']:.4g}{note}")
         print(f"{name}: {ca['median_s']:.4g} s -> {cb['median_s']:.4g} s "
               f"(x{ratio:.3f}{', unresolved' if noise else ''}){note}")
         status |= bool(diff)

@@ -6,6 +6,7 @@ codeword proper is unit-norm, while intermediate unnormalized vectors are
 accepted wherever documented.
 """
 
+import functools
 import io
 
 import numpy as np
@@ -96,12 +97,29 @@ class SteeringMatrix:
     def __init__(self, n, k):
         self.n = n = _count("n", n, 1)
         self.k = k = _count("k", k, n)
-        self.grid = -1.0 + (2.0 * np.arange(1, k + 1) - 1.0) / k
-        self.matrix = np.exp(1j * np.pi * np.outer(np.arange(n), self.grid))
+        self.grid, self.matrix = _grid_and_matrix(n, k)
 
     def gram(self):
-        """A^H A, the K x K Gram matrix used by the phase optimizer."""
-        return self.matrix.conj().T @ self.matrix
+        """A^H A, the K x K Gram matrix used by the phase optimizer.
+
+        One read-only array per (n, k), shared by every call: a fresh
+        K = 128 Gram is 262 KB, allocated and page-faulted anew by each
+        ps_icd otherwise.
+        """
+        return _gram(self.n, self.k)
+
+
+def _grid_and_matrix(n, k):
+    grid = -1.0 + (2.0 * np.arange(1, k + 1) - 1.0) / k
+    return grid, np.exp(1j * np.pi * np.outer(np.arange(n), grid))
+
+
+@functools.lru_cache(maxsize=4)  # keys are counts SteeringMatrix has checked
+def _gram(n, k):
+    matrix = _grid_and_matrix(n, k)[1]
+    gram = matrix.conj().T @ matrix
+    gram.setflags(write=False)
+    return gram
 
 
 def steering_matrix(n, k):

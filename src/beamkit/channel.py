@@ -8,6 +8,7 @@ noiseless exhaustive optimum over bottom-layer pairs.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,6 +215,9 @@ class TrainingConfig:
         self.trials = _count("trials", self.trials, 1)
         self.seed = _count("seed", self.seed, 0)
         self.paths = _count("paths", self.paths, 1)
+        if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
+            raise ValueError(f"snr_db must be a real number in dB, or +/-inf, "
+                             f"got {self.snr_db!r}")
         _snr_params(self.snr_db)  # rejects NaN
 
 

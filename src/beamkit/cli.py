@@ -20,7 +20,7 @@ from .arrays import _count, main_lobe_mse, pattern_csv, sample_pattern
 from .channel import TrainingConfig, success_rate
 from .codebook import build_codebook
 from .ideal import ls_icd, ps_icd
-from .practical import deviation, fs_altmin
+from .practical import _finite, deviation, fs_altmin
 from .serialization import (
     load_codebook,
     load_codeword,
@@ -172,7 +172,8 @@ def cmd_simulate(args):
 
 
 def cmd_pattern(args):
-    v = load_codeword(args.input)
+    # a non-finite entry would sample as rows of nan
+    v = _finite(f"{args.input}: codeword", load_codeword(args.input), complex)
     with open(args.out, "w") as fh:
         fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, args.points))))
     return 0

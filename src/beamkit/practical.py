@@ -17,10 +17,21 @@ index, residual or step count.  The remaining solves, the two-chain match
 and solve_two_rf run one kernel, _two_rf_solve.  fs_altmin designs a stack
 of codewords, such as a codebook layer, with one row search per
 alternation over the rows of them all.
+
+The kernel works in blocks of up to _SOLVE_BLOCK targets, and writes its
+large temporaries into buffers that each thread allocates once and reuses
+for every block and call.  Fresh temporaries of that size (about 700 KB a
+block) are freed at the end of each block; glibc then returns pages to the
+kernel, because the memory lies above its trim threshold (or was mapped
+on its own, above its mmap threshold), and the next block page-faults them
+in again.  Reusing the buffers, with the fmod-based wrap_phase, took one
+1,024-target block from about 480 to 280 us on a 2-core x86-64 machine.
 """
 
 import contextlib
 import functools
+import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -65,9 +76,18 @@ _OFFSETS = np.array([0, 1, 2])[:, None]
 _CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
 _BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 _NAN_ARGS = np.array([[1.0], [-1.0]])
-# Targets per block of the two-phasor kernel: its temporaries take about
-# 650 bytes per target, so those of one block stay under 0.7 MB.
+# Targets per block of the two-phasor kernel.  Its five largest temporaries
+# (720 bytes per target) live in buffers each thread keeps for one whole
+# block (_kernel_scratch), 0.74 MB, not in fresh arrays: freed, a block's
+# temporaries lay above glibc's trim threshold (128 KB unless raised), or
+# were mapped on their own above its mmap threshold, so glibc returned the
+# pages to the kernel and the next block page-faulted them in again.
 _SOLVE_BLOCK = 1024
+# Per-thread kernel buffers: numpy releases the GIL inside ufuncs, so two
+# threads must never share one.  Each one's shape per target, and dtype.
+_scratch = threading.local()
+_SCRATCH = (((2, 2, 3), int), ((2, 3), complex), ((2, 3), complex), ((2, 3, 3), complex),
+            ((18,), float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +126,23 @@ def _phase_set(bits):
 def wrap_phase(theta):
     """Wrap angles into [-pi, pi), or to +pi where (theta + pi) mod 2 pi
     rounds up to 2 pi: less than about 4.4e-16 below an odd multiple of pi,
-    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase."""
-    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
+    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase.
+    Bit for bit (theta + pi) % (2 pi) - pi; a 0-d theta gives a scalar."""
+    x = _wrap(np.array(theta, dtype=float))
+    return x if x.ndim else x[()]
+
+
+def _wrap(x):
+    """wrap_phase of the float array x, written over x.  The remainder is
+    formed as np.remainder forms it, fmod plus 2 pi where fmod is negative,
+    without the floor division np.remainder also computes.  Adding 0.0
+    elsewhere changes nothing but -0.0, which np.remainder also returns as
+    +0.0; a masked add (where=) would take a slower loop."""
+    x += np.pi
+    np.fmod(x, 2.0 * np.pi, out=x)
+    x += (x < 0.0) * (2.0 * np.pi)
+    x -= np.pi
+    return x
 
 
 def quantize_index(theta, bits):
@@ -143,8 +178,10 @@ def _check_indices(name, idx, bits, shape_ok, shape):
 def _quantize_index(theta, bits):
     """quantize_index on inputs already checked."""
     size = 2**bits
-    x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
-    idx = np.ceil(x).astype(int) - 1
+    x = _wrap(np.array(theta, dtype=float))
+    x += np.pi
+    x /= 2.0 * np.pi / size
+    idx = np.ceil(x, out=x).astype(int) - 1
     return np.minimum(np.maximum(idx, 0), size - 1)
 
 
@@ -272,36 +309,60 @@ def _two_rf_phases(gamma, alpha, setup, rows=None):
     np.clip(arg, -1.0, 1.0, out=arg)
     beta = np.arctan2(gamma.imag, gamma.real)  # np.angle without its wrapper
     # x + (-d) rounds exactly as x - d, and adding -a as subtracting a
-    return wrap_phase(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
+    return _wrap(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
 
 
 def _two_rf_solve(gamma, alpha, setup, rows=None):
     """solve_two_rf on 1-D gamma, given alpha = |gamma|, the setup and each
     target's setup row (None for a one-row setup), in blocks of at most
     _SOLVE_BLOCK targets, which bounds the temporaries."""
+    scratch = _kernel_scratch()
     blocks = [_two_rf_block(gamma[lo:lo + _SOLVE_BLOCK], alpha[lo:lo + _SOLVE_BLOCK], setup,
-                            None if rows is None else rows[lo:lo + _SOLVE_BLOCK])
+                            None if rows is None else rows[lo:lo + _SOLVE_BLOCK], scratch)
               for lo in range(0, max(gamma.size, 1), _SOLVE_BLOCK)]  # one at least
+    if len(blocks) == 1:
+        return blocks[0]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _two_rf_block(gamma, alpha, setup, rows):
-    """One block of _two_rf_solve.
+def _kernel_scratch():
+    """This thread's buffers for a block of _two_rf_block, made on its first
+    call (or when _SOLVE_BLOCK has grown since): flat, for the (2, 2, 3, M)
+    table positions, the two (2, 3, M) phasor gathers, the (2, 3, 3, M)
+    differences and the (18, M) residuals at M = _SOLVE_BLOCK."""
+    if getattr(_scratch, "block", 0) < _SOLVE_BLOCK:
+        _scratch.block = _SOLVE_BLOCK
+        _scratch.buffers = tuple(np.empty(math.prod(shape) * _SOLVE_BLOCK, dtype)
+                                 for shape, dtype in _SCRATCH)
+    return _scratch.buffers
+
+
+def _two_rf_block(gamma, alpha, setup, rows, scratch):
+    """One block of _two_rf_solve, its large temporaries in the leading,
+    contiguous entries of the buffers scratch holds.
 
     Both branches' phases are rounded in one buffer; gamma - f1 e1 is formed
     once per first-phase offset, and each candidate's residual is
     |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
-    wins: branch a before b, offsets (d1, d2) in row-major order.
+    wins: branch a before b, offsets (d1, d2) in row-major order.  Every
+    value returned is a fresh array, not a view of scratch.
     """
     f1e, f2e, wrap, bits = setup[3:]
+    m = gamma.size
+    at, e1, e2, diff, residuals = (buf[:math.prod(shape) * m].reshape(*shape, m)
+                                   for buf, (shape, _) in zip(scratch, _SCRATCH))
     r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
-    at = r[:, :, None] + _OFFSETS  # (branch, phasor, d, M), padded positions
+    np.add(r[:, :, None], _OFFSETS, out=at)  # (branch, phasor, d, M), padded positions
     if rows is not None:
         at += rows * wrap.size  # in each target's row of the tables
-    residuals = np.abs((gamma - f1e.take(at[:, 0]))[:, :, None] - f2e.take(at[:, 1])[:, None])
-    residuals = residuals.reshape(18, -1)  # (branch, d1, d2) flattened
+    # positions are in range: mode "clip" only spares "raise" its copy of out
+    f1e.take(at[:, 0], out=e1, mode="clip")
+    f2e.take(at[:, 1], out=e2, mode="clip")
+    np.subtract(gamma, e1, out=e1)
+    np.subtract(e1[:, :, None], e2[:, None], out=diff)
+    np.abs(diff, out=residuals.reshape(diff.shape))  # (branch, d1, d2) flattened
     best = residuals.argmin(axis=0)  # first minimum wins ties
-    cols = np.arange(gamma.size)
+    cols = np.arange(m)
     branch, d1, d2 = _CANDIDATES[best].T
     # r + d is the padded position of offset d - 1 from index r
     return (wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2],

@@ -5,7 +5,8 @@ round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
 constraint survives the disk exactly.  Loaders check every field they
 read and raise ValueError naming the file and the first bad field.  Only
-codeword files load non-finite entries, for the design steps to reject.
+codeword files load non-finite entries, for the design steps to reject;
+the savers refuse them, naming the entry, as NaN is not JSON.
 """
 
 import json
@@ -15,7 +16,7 @@ import numpy as np
 
 from .arrays import _count
 from .codebook import CodebookEntry, HierarchicalCodebook
-from .practical import HybridCodeword
+from .practical import HybridCodeword, _finite
 
 __all__ = [
     "save_codeword",
@@ -119,7 +120,7 @@ def _codebook(doc):
 
 
 def save_codeword(v, path):
-    v = np.asarray(v, dtype=complex)
+    v = _finite("codeword", v, complex)
     _write({"n": int(v.size), "entries": _to_pairs(v)}, path)
 
 
@@ -128,6 +129,7 @@ def load_codeword(path):
 
 
 def save_hybrid(h, path):
+    _finite("digital", h.digital, complex)
     _write(_hybrid_doc(h), path)
 
 

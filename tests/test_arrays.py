@@ -113,6 +113,16 @@ def test_steering_matrix_grid_and_gram():
     np.testing.assert_allclose(aaH, 128 * np.eye(16), atol=1e-10)
 
 
+def test_gram_is_one_shared_read_only_array_per_size():
+    sm = steering_matrix(8, 32)
+    gram = sm.gram()
+    assert gram.tobytes() == (sm.matrix.conj().T @ sm.matrix).tobytes()
+    assert steering_matrix(8, 32).gram() is gram
+    assert steering_matrix(8, 64).gram() is not gram
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+
+
 def test_steering_matrix_requires_k_ge_n():
     with pytest.raises(ValueError):
         steering_matrix(16, 8)

@@ -240,6 +240,13 @@ def test_training_config_validation(small_codebooks):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=0)
     with pytest.raises(ValueError, match="NaN"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=np.nan, trials=5)
+    for snr_db in ("3", None, True, 1j):  # "3" used to raise TypeError
+        with pytest.raises(ValueError, match=f"snr_db must be a real number in dB, "
+                                             f"or \\+/-inf, got {snr_db!r}"):
+            TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=snr_db, trials=5)
+    for snr_db in (3, np.float32(-2.5), np.int64(0), -np.inf):
+        assert TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=snr_db,
+                              trials=5).snr_db == snr_db
     with pytest.raises(ValueError,
                        match="paths must be >= 1 and an integer, got -1"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,

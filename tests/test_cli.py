@@ -118,6 +118,18 @@ def test_pattern_command(tmp_path):
     assert len(csv.read_text().strip().split("\n")) == 65
 
 
+def test_pattern_of_a_nan_codeword_is_usage_error(tmp_path, capsys):
+    # it used to exit 0 and write rows of nan
+    v = tmp_path / "nan.json"
+    v.write_text(json.dumps({"n": 3, "entries": [[1.0, 0.0], [float("nan"), 0.0],
+                                                 [0.0, 1.0]]}))
+    csv = tmp_path / "pat.csv"
+    rc = main(["pattern", "--input", str(v), "--points", "8", "--out", str(csv)])
+    assert rc == 2
+    assert f"error: {v}: codeword entry 1 is not finite" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_simulate_rejects_receive_larger_than_transmit(tmp_path, capsys):
     paths = {}
     for n in (4, 8):

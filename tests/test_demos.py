@@ -1,8 +1,8 @@
 """Smoke tests: the demo scripts run to completion and print their headers.
 
-demos/practical_factorization.py (about 5.2 s on a 2-core x86-64 machine,
-median of 3 runs of 4.8-5.7 s) is not run here; it joins once it runs in
-under 5 s, as batched analog design should make it.
+Every demo runs here.  demos/practical_factorization.py, the slowest, takes
+3.2-3.7 s on a 2-core x86-64 machine (3 runs), now that it designs each
+cell's 10 seeds in one stacked fs_altmin call.
 """
 
 import os
@@ -21,6 +21,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("beam_training_simulation.py", "link 32 x 32, hierarchical factor M = 2"),
     ("ideal_codeword_patterns.py",
      "rect target on [-1, 0], N = 32, flat level sqrt(2) = 1.4142"),
+    ("practical_factorization.py", "ideal codeword: N = 32, rect coverage [-1, 0]"),
 ])
 def test_demo_runs_and_prints_its_header(script, header, tmp_path):
     src = str(Path(beamkit.__file__).resolve().parents[1])

@@ -7,7 +7,9 @@ few seconds of tier-1 time.
 import dataclasses
 import itertools
 import os
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -36,7 +38,12 @@ from beamkit import (
     steering_matrix,
 )
 from beamkit.ideal import _DEGENERATE_RTOL, PhaseOptimizer, _assemble
-from beamkit.practical import _ROW_CAP_PER_PHASE
+from beamkit.practical import (
+    _ROW_CAP_PER_PHASE,
+    _two_rf_setup,
+    _two_rf_solve,
+    wrap_phase,
+)
 from beamkit.serialization import load_hybrid, save_hybrid
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -474,6 +481,81 @@ def test_stacked_fs_altmin_equals_one_call_per_entry(n, entries, n_rf, bits,
         for name in ("phase_indices", "digital", "realized"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_wrap_phase_equals_numpy_remainder_bit_for_bit():
+    multiples = np.arange(-4, 5) * np.pi
+    theta = np.concatenate([
+        np.random.default_rng(21).uniform(-4 * np.pi, 4 * np.pi, 200_000),
+        multiples, np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf),
+        [0.0, -0.0]])
+    want = (theta + np.pi) % (2 * np.pi) - np.pi
+    _assert_same_bits([wrap_phase(theta)], [want])
+    for t, w in zip(theta[-29:], want[-29:]):  # 0-d in, a numpy scalar out
+        for x in (t, float(t), np.array(t)):
+            got = wrap_phase(x)
+            assert type(got) is np.float64 and got.tobytes() == w.tobytes()
+
+
+def test_two_rf_kernel_scratch_leaks_nothing_between_calls():
+    # each thread reuses its kernel buffers: a call must equal the same call
+    # on buffers never used before (a new thread's), whatever sizes came
+    # first, including blocks shorter than the last one and a split block
+    rng = np.random.default_rng(7)
+    pset = phase_set(6)
+    f = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    calls = []
+    for m in (1500, 3, 1024, 1):
+        gamma = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        calls += [(gamma, _two_rf_setup(f[0, 0], f[1, 0], pset), None),
+                  (gamma, _two_rf_setup(f[0], f[1], pset), rng.integers(0, 3, m))]
+
+    def solve(gamma, setup, rows):
+        return _two_rf_solve(gamma, np.abs(gamma), setup, rows)
+
+    in_turn = [solve(*c) for c in calls]  # later calls overwrite the buffers
+    for c, got in zip(calls, in_turn):
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(solve(*c)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        _assert_same_bits(got, fresh[0])
+
+
+def test_threads_designing_stacks_at_once_equal_serial_runs():
+    # more threads than a 2-core machine has cores, switching often: kernel
+    # buffers shared between threads would mix their candidates
+    rng = np.random.default_rng(9)
+    jobs = [(rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)), n_rf, b)
+            for n_rf, b in ((3, 6), (4, 4), (2, 6))]
+
+    def design(job):
+        v, n_rf, b = job
+        return fs_altmin(v, n_rf, b, t_max=4, seed=range(len(v)))
+
+    serial = [design(job) for job in jobs]
+    start = threading.Barrier(len(jobs))
+    threaded = [None] * len(jobs)
+
+    def run(i):
+        start.wait()
+        threaded[i] = design(jobs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(threaded, serial):
+        for g, w in zip(got, want, strict=True):
+            _assert_same_bits([g.phase_indices, g.digital], [w.phase_indices, w.digital])
 
 
 @pytest.mark.parametrize("n,k,r_max", [(8, 32, 100), (16, 128, 300), (8, 8, 20),

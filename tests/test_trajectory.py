@@ -31,10 +31,11 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     run = doc["runs"]["a"]
     assert run["toy"] and run["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {name.split("/")[0] for name in run["cases"]} == {
-        "build_codebook", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
+        "build_codebook", "campaign_setup", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
         "success_rate", "measure", "channel"}
     for case in run["cases"].values():
         assert case["median_s"] > 0 and len(case["times_s"]) >= 2
+        assert case["minflt_per_call"] >= 0
         assert case["quality"] and len(case["sha256"]) == 64
     for half in ("practical", "ideal"):
         successes = run["cases"][f"success_rate/{half}/n8/trials20"]["quality"]
@@ -79,4 +80,20 @@ def test_compare_marks_moves_within_the_first_runs_spread(tmp_path, capsys):
         "x: 1 s -> 1.2 s (x1.200, unresolved)",
         "x: 1 s -> 1.3 s (x1.300)",
         "x: 1 s -> 0.7 s (x0.700)",
+    ]
+
+
+def test_compare_prints_faults_but_never_fails_on_them(tmp_path, capsys):
+    case = {"median_s": 1.0, "iqr_s": 0.0, "quality": {}, "sha256": "0" * 64}
+    runs = {"a": {"cases": {"x": {**case, "minflt_per_call": 300.0}}},
+            "b": {"cases": {"x": {**case, "minflt_per_call": 4225.5}}},
+            "old": {"cases": {"x": case}}}  # a run from before faults were kept
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"runs": runs}))
+    trajectory = _module()
+    assert trajectory.compare(f"{path}:a", f"{path}:b") == 0
+    assert trajectory.compare(f"{path}:old", f"{path}:b") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "x: 1 s -> 1 s (x1.000, unresolved); minor faults/call 300 -> 4226",
+        "x: 1 s -> 1 s (x1.000, unresolved)",
     ]

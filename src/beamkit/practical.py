@@ -77,14 +77,12 @@ _CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
 _BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 _NAN_ARGS = np.array([[1.0], [-1.0]])
 # Targets per block of the two-phasor kernel.  Its five largest temporaries
-# (720 bytes per target) live in buffers each thread keeps for one whole
-# block (_kernel_scratch), 0.74 MB, not in fresh arrays: freed, a block's
-# temporaries lay above glibc's trim threshold (128 KB unless raised), or
-# were mapped on their own above its mmap threshold, so glibc returned the
-# pages to the kernel and the next block page-faulted them in again.
+# (720 bytes per target) live in per-thread buffers sized for one block,
+# 0.74 MB, not in fresh arrays, whose frees crossed glibc's trim or mmap
+# threshold and made every block page-fault its memory in again.
 _SOLVE_BLOCK = 1024
-# Per-thread kernel buffers: numpy releases the GIL inside ufuncs, so two
-# threads must never share one.  Each one's shape per target, and dtype.
+# Each thread's kernel buffers (numpy releases the GIL inside ufuncs, so
+# threads must not share them), and each buffer's shape per target and dtype.
 _scratch = threading.local()
 _SCRATCH = (((2, 2, 3), int), ((2, 3), complex), ((2, 3), complex), ((2, 3, 3), complex),
             ((18,), float))

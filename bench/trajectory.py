@@ -8,7 +8,6 @@ Each case also records the minor page faults per timed call (the process's
 ru_minflt, summed over the timed calls only).  OpenBLAS is held to one
 thread.  The cases:
 
-- the practical campaign's set-up: its two build_codebook(32, n_rf=2, b=6);
 - build_codebook(32, n_rf=4, b=6), end to end;
 - fs_altmin at N = 32 with n_rf = 2, 3 and 4;
 - one fs_row pass over the 32 rows of an N = 32 codeword, n_rf = 4, b = 6;
@@ -102,9 +101,9 @@ def _codeword(bk, size):
 def cases(bk, size):
     """(name, untimed set-up, timed call, quality and digest of its result)."""
 
-    def score_codebooks(*cbs):
-        devs, mses, arrays = [], [], []
-        for cb in cbs:
+    def codebook_case():
+        def score(cb):
+            devs, mses, arrays = [], [], []
             for layer in cb.layers:
                 for e in layer:
                     h = e.hybrid
@@ -113,28 +112,16 @@ def cases(bk, size):
                         devs.append(bk.deviation(e.ideal, h.realized))
                         mses.append(bk.main_lobe_mse(
                             h.realized, bk.make_target("rect", e.coverage)))
-        return ({"deviation_median": statistics.median(devs),
-                 "main_lobe_mse_mean": statistics.fmean(mses)},
-                digest(*arrays))
+            return ({"deviation_median": statistics.median(devs),
+                     "main_lobe_mse_mean": statistics.fmean(mses)},
+                    digest(*arrays))
 
-    def codebook_case():
         hw = size["codebook"]["hw"]
         name = (f"build_codebook/n{size['codebook']['n']}"
                 f"/nrf{hw['n_rf']}/b{hw['b']}")
         return (name, lambda: None,
                 lambda _: bk.build_codebook(seed=SEED, **size["codebook"]),
-                score_codebooks)
-
-    def campaign_codebooks(**design):
-        c = size["campaign"]
-        return [bk.build_codebook(c["n"], k=c["k"], r_max=c["r_max"],
-                                  seed=SEED + i, **design) for i in (0, 1)]
-
-    def campaign_setup_case():
-        c = size["campaign"]
-        return (f"campaign_setup/n{c['n']}/nrf{c['hw']['n_rf']}/b{c['hw']['b']}",
-                lambda: None, lambda _: campaign_codebooks(hw=c["hw"]),
-                lambda cbs: score_codebooks(*cbs))
+                score)
 
     def altmin_case(n_rf):
         def score(h):
@@ -195,7 +182,9 @@ def cases(bk, size):
         def setup():
             design = ({"method": "ps-icd", "hw": c["hw"]} if practical
                       else {"method": "ls-icd"})
-            tx, rx = campaign_codebooks(**design)
+            tx, rx = (bk.build_codebook(c["n"], k=c["k"], r_max=c["r_max"],
+                                        seed=SEED + i, **design)
+                      for i in (0, 1))
             return bk.TrainingConfig(tx, rx, c["snr_db"], c["trials"],
                                      seed=SEED, paths=c["paths"],
                                      use_practical=practical)
@@ -259,13 +248,9 @@ def cases(bk, size):
         return (f"channel/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
                 call, score)
 
-    # the campaign set-up first: its faults are then those of a process that
-    # has designed nothing yet, as at the start of a campaign, and not of an
-    # allocator already grown by the N = 32, n_rf = 4 build
-    return [campaign_setup_case(), codebook_case(),
-            *(altmin_case(n_rf) for n_rf in (2, 3, 4)), row_case(),
-            solve_case(), icd_case(), campaign_case(True), campaign_case(False),
-            measure_case(), channel_case()]
+    return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
+            row_case(), solve_case(), icd_case(), campaign_case(True),
+            campaign_case(False), measure_case(), channel_case()]
 
 
 def time_case(setup, call, score, repeats, seconds):

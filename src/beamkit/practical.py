@@ -24,8 +24,8 @@ for every block and call.  Fresh temporaries of that size (about 700 KB a
 block) are freed at the end of each block; glibc then returns pages to the
 kernel, because the memory lies above its trim threshold (or was mapped
 on its own, above its mmap threshold), and the next block page-faults them
-in again.  Reusing the buffers, with the fmod-based wrap_phase, took one
-1,024-target block from about 480 to 280 us on a 2-core x86-64 machine.
+in again.  Reusing the buffers took one 1,024-target block from about 630
+to 390 us on a 2-core x86-64 machine.
 """
 
 import contextlib
@@ -124,23 +124,8 @@ def _phase_set(bits):
 def wrap_phase(theta):
     """Wrap angles into [-pi, pi), or to +pi where (theta + pi) mod 2 pi
     rounds up to 2 pi: less than about 4.4e-16 below an odd multiple of pi,
-    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase.
-    Bit for bit (theta + pi) % (2 pi) - pi; a 0-d theta gives a scalar."""
-    x = _wrap(np.array(theta, dtype=float))
-    return x if x.ndim else x[()]
-
-
-def _wrap(x):
-    """wrap_phase of the float array x, written over x.  The remainder is
-    formed as np.remainder forms it, fmod plus 2 pi where fmod is negative,
-    without the floor division np.remainder also computes.  Adding 0.0
-    elsewhere changes nothing but -0.0, which np.remainder also returns as
-    +0.0; a masked add (where=) would take a slower loop."""
-    x += np.pi
-    np.fmod(x, 2.0 * np.pi, out=x)
-    x += (x < 0.0) * (2.0 * np.pi)
-    x -= np.pi
-    return x
+    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase."""
+    return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def quantize_index(theta, bits):
@@ -176,10 +161,8 @@ def _check_indices(name, idx, bits, shape_ok, shape):
 def _quantize_index(theta, bits):
     """quantize_index on inputs already checked."""
     size = 2**bits
-    x = _wrap(np.array(theta, dtype=float))
-    x += np.pi
-    x /= 2.0 * np.pi / size
-    idx = np.ceil(x, out=x).astype(int) - 1
+    x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
+    idx = np.ceil(x).astype(int) - 1
     return np.minimum(np.maximum(idx, 0), size - 1)
 
 
@@ -307,7 +290,7 @@ def _two_rf_phases(gamma, alpha, setup, rows=None):
     np.clip(arg, -1.0, 1.0, out=arg)
     beta = np.arctan2(gamma.imag, gamma.real)  # np.angle without its wrapper
     # x + (-d) rounds exactly as x - d, and adding -a as subtracting a
-    return _wrap(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
+    return wrap_phase(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
 
 
 def _two_rf_solve(gamma, alpha, setup, rows=None):
@@ -318,8 +301,6 @@ def _two_rf_solve(gamma, alpha, setup, rows=None):
     blocks = [_two_rf_block(gamma[lo:lo + _SOLVE_BLOCK], alpha[lo:lo + _SOLVE_BLOCK], setup,
                             None if rows is None else rows[lo:lo + _SOLVE_BLOCK], scratch)
               for lo in range(0, max(gamma.size, 1), _SOLVE_BLOCK)]  # one at least
-    if len(blocks) == 1:
-        return blocks[0]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 

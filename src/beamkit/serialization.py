@@ -6,7 +6,8 @@ matrices are stored as 0-based phase indices so the quantization
 constraint survives the disk exactly.  Loaders check every field they
 read and raise ValueError naming the file and the first bad field.  Only
 codeword files load non-finite entries, for the design steps to reject;
-the savers refuse them, naming the entry, as NaN is not JSON.
+save_codeword refuses them, naming the entry, as NaN is not JSON (a
+HybridCodeword cannot hold them).
 """
 
 import json
@@ -129,7 +130,6 @@ def load_codeword(path):
 
 
 def save_hybrid(h, path):
-    _finite("digital", h.digital, complex)
     _write(_hybrid_doc(h), path)
 
 

@@ -36,15 +36,11 @@ def test_codeword_dict_shape(tmp_path):
         load_codeword(path)
 
 
-def test_savers_refuse_non_finite_entries(tmp_path):
+def test_save_codeword_refuses_non_finite_entries(tmp_path):
     # json writes them as bare NaN / Infinity tokens, which are not JSON
     path = tmp_path / "x.json"
     with pytest.raises(ValueError, match=r"codeword entry 2 is not finite: \(inf"):
         save_codeword(np.array([1.0, 1j, np.inf, 0.5]), path)
-    h = fs_altmin(np.array([1.0, 1j, -1.0, 0.5]), 2, 3, t_max=2)
-    object.__setattr__(h, "digital", np.array([np.nan, 1.0 + 0j]))  # past its check
-    with pytest.raises(ValueError, match="digital entry 0 is not finite: "):
-        save_hybrid(h, path)
     assert not path.exists()
 
 

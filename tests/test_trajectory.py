@@ -31,7 +31,7 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     run = doc["runs"]["a"]
     assert run["toy"] and run["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {name.split("/")[0] for name in run["cases"]} == {
-        "build_codebook", "campaign_setup", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
+        "build_codebook", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
         "success_rate", "measure", "channel"}
     for case in run["cases"].values():
         assert case["median_s"] > 0 and len(case["times_s"]) >= 2

@@ -1,7 +1,7 @@
 """Smoke tests: the demo scripts run to completion and print their headers.
 
 Every demo runs here.  demos/practical_factorization.py, the slowest, takes
-3.2-3.7 s on a 2-core x86-64 machine (3 runs), now that it designs each
+4.0-4.7 s on a 2-core x86-64 machine (3 runs), now that it designs each
 cell's 10 seeds in one stacked fs_altmin call.
 """
 

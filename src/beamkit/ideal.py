@@ -8,10 +8,11 @@ is cheap and the quadratic objective never decreases.
 """
 
 import cmath
+import functools
 
 import numpy as np
 
-from .arrays import _count, steering_matrix
+from .arrays import _count, _gram, steering_matrix
 
 __all__ = [
     "SynthesisError",
@@ -47,21 +48,29 @@ class PhaseOptimizer:
     """
 
     def __init__(self, gram, magnitudes, phases):
-        self.gram = np.asarray(gram, dtype=complex)
+        gram = np.asarray(gram, dtype=complex)
+        self._start(gram, _row_constants(gram), magnitudes, phases)
+
+    @classmethod
+    def _shared(cls, gram, n, k, magnitudes, phases):
+        """The optimizer on gram, the shared Gram of steering_matrix(n, k),
+        with the constants of its rows built once per (n, k)."""
+        opt = cls.__new__(cls)
+        opt._start(gram, _shared_row_constants(n, k), magnitudes, phases)
+        return opt
+
+    def _start(self, gram, row_constants, magnitudes, phases):
+        self.gram = gram
         self.magnitudes = np.asarray(magnitudes, dtype=float)
         self.phases = np.array(phases, dtype=float)
         self.gains = self.magnitudes * np.exp(1j * self.phases)
+        norms, self._rows, self._diagonal = row_constants
         # |g| is fixed by the magnitudes, so each threshold is a constant
         self._degenerate = (
-            _DEGENERATE_RTOL
-            * np.linalg.norm(self.gram, axis=1)
-            * np.linalg.norm(self.magnitudes)
+            _DEGENERATE_RTOL * norms * np.linalg.norm(self.magnitudes)
         ).tolist()
-        # the other per-k inputs of update, in lists: faster to index.  The
-        # magnitudes are Python floats, so their product with the Python
+        # the magnitudes are Python floats, so their product with the Python
         # complex cmath.exp returns is a fast Python one
-        self._rows = list(self.gram)
-        self._diagonal = list(self.gram.diagonal())
         self._magnitudes = self.magnitudes.tolist()
 
     def update(self, k):
@@ -84,6 +93,21 @@ class PhaseOptimizer:
         self.phases[k] = phase
         g[k] = magnitude * cmath.exp(1j * phase)
         return phase
+
+
+def _row_constants(gram):
+    """The inputs of update that depend on the Gram alone: its row norms,
+    and its rows and diagonal entries in tuples, which are faster to index."""
+    return np.linalg.norm(gram, axis=1), tuple(gram), tuple(gram.diagonal())
+
+
+@functools.lru_cache(maxsize=4)  # keys are counts SteeringMatrix has checked
+def _shared_row_constants(n, k):
+    """_row_constants of the shared, read-only Gram of (n, k), built once:
+    about 75 us at K = 128 on a 2-core x86-64 machine."""
+    norms, rows, diagonal = _row_constants(_gram(n, k))
+    norms.setflags(write=False)
+    return norms, rows, diagonal
 
 
 def _target_gains(target, grid):
@@ -126,7 +150,7 @@ def ps_icd(target, n, k, r_max, seed):
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)
-    opt = PhaseOptimizer(sm.gram(), mags, rng.uniform(-np.pi, np.pi, k))
+    opt = PhaseOptimizer._shared(sm.gram(), n, k, mags, rng.uniform(-np.pi, np.pi, k))
     live = np.flatnonzero(mags)
     for j in np.concatenate([np.tile(live, r_max // k), live[live < r_max % k]]).tolist():
         opt.update(j)

@@ -81,6 +81,13 @@ _NAN_ARGS = np.array([[1.0], [-1.0]])
 # 0.74 MB, not in fresh arrays, whose frees crossed glibc's trim or mmap
 # threshold and made every block page-fault its memory in again.
 _SOLVE_BLOCK = 1024
+# Blocks of fewer targets take wrap_phase and argmin, as whole-array calls
+# do.  The compare wrap and the first-minimum search make more ufunc calls,
+# each with its own fixed cost, and only pay from about this many targets.
+_FAST_BLOCK = 192
+_TWO_PI = 2.0 * np.pi
+# 18 - c for candidate c: the largest weight of a column's minima is its first
+_FIRST_WEIGHTS = np.arange(len(_CANDIDATES), 0, -1, dtype=np.uint8)[:, None]
 # Each thread's kernel buffers (numpy releases the GIL inside ufuncs, so
 # threads must not share them), and each buffer's shape per target and dtype.
 _scratch = threading.local()
@@ -164,6 +171,58 @@ def _quantize_index(theta, bits):
     x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
     idx = np.ceil(x).astype(int) - 1
     return np.minimum(np.maximum(idx, 0), size - 1)
+
+
+def _wrap_near(theta):
+    """wrap_phase(theta) bit for bit, for a float array theta, by compares
+    in place of np.remainder, which costs about three times as much.
+
+    x = theta + pi loses 2 pi while x >= 2 pi and gains 2 pi while x < 0;
+    then pi is subtracted.  While |x| <= 4 pi (so for |theta| <= 3 pi)
+    every step but the last gain is exact (Sterbenz), as np.remainder's
+    fmod is, and that gain rounds as np.remainder's own fix-up does.  A
+    theta outside that range, or not finite, takes wrap_phase.
+    """
+    x = theta + np.pi
+    lo, hi = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    if not (-2.0 * _TWO_PI <= lo and hi <= 2.0 * _TWO_PI):
+        return wrap_phase(theta)
+    while hi >= _TWO_PI:  # at most twice; x - 0.0 is x
+        x -= _TWO_PI * (x >= _TWO_PI)
+        hi -= _TWO_PI
+    while lo < 0.0:  # x + 0.0 turns -0.0 into 0.0, which subtracting pi hides
+        x += _TWO_PI * (x < 0.0)
+        lo += _TWO_PI
+    x -= np.pi
+    return x
+
+
+def _quantize_near(theta, bits):
+    """_quantize_index of a float array through _wrap_near, in place on
+    the wrapped angles; the same operations in the same order."""
+    size = 2**bits
+    x = _wrap_near(theta)
+    x += np.pi
+    x /= 2.0 * np.pi / size
+    idx = np.ceil(x, out=x).astype(int)
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    return np.minimum(idx, size - 1, out=idx)
+
+
+def _first_min(residuals):
+    """(argmin(axis=0), the minima) of an (18, M) array, with the first
+    minimum winning ties.  A minimum over axis 0 and a compare cost about a
+    fifth of argmin over that axis, which gathers strided columns.  A column
+    holding NaN has no entry equal to its minimum; argmin then runs."""
+    low = residuals.min(axis=0)
+    top = (residuals == low).view(np.uint8)
+    top *= _FIRST_WEIGHTS
+    top = top.max(axis=0)
+    if not top.all():
+        best = residuals.argmin(axis=0)
+        return best, residuals[best, np.arange(best.size)]
+    return np.subtract(len(_FIRST_WEIGHTS), top, dtype=np.intp), low
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,13 +326,15 @@ def _two_rf_setup(f1, f2, pset):
     return z[0], z[1], consts, tables[0].ravel(), tables[1].ravel(), wrap, pset.bits
 
 
-def _two_rf_phases(gamma, alpha, setup, rows=None):
+def _two_rf_phases(gamma, alpha, setup, rows=None, wrap=wrap_phase):
     """Both continuous branches of the two-phasor match, wrapped: th (2, 2, M)
     with th[0] = (th1a, th2a), th[1] = (th1b, th2b).  rows gives each
     target's row of the setup; None, for a one-row setup, gives row 0 to
     all.  Infeasible triangles (|gamma| outside [|z1-z2|, z1+z2]) clamp the
     arccos arguments, which aligns or anti-aligns both phasors with the
-    target -- the optimum."""
+    target -- the optimum.  wrap is wrap_phase or _wrap_near: each angle
+    before wrapping is an arctan2 less another plus or minus an arccos, so
+    |th| <= 3 pi."""
     consts = setup[2] if rows is None else setup[2].take(rows, axis=1)
     offset, scale, angles = consts[0:2], consts[2:4], consts[4:6]
     # (alpha^2 +- (z1+z2)(z1-z2)) / (2 z alpha) per phasor.  A zero entry
@@ -290,7 +351,7 @@ def _two_rf_phases(gamma, alpha, setup, rows=None):
     np.clip(arg, -1.0, 1.0, out=arg)
     beta = np.arctan2(gamma.imag, gamma.real)  # np.angle without its wrapper
     # x + (-d) rounds exactly as x - d, and adding -a as subtracting a
-    return wrap_phase(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
+    return wrap(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
 
 
 def _two_rf_solve(gamma, alpha, setup, rows=None):
@@ -323,14 +384,19 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     Both branches' phases are rounded in one buffer; gamma - f1 e1 is formed
     once per first-phase offset, and each candidate's residual is
     |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
-    wins: branch a before b, offsets (d1, d2) in row-major order.  Every
-    value returned is a fresh array, not a view of scratch.
+    wins: branch a before b, offsets (d1, d2) in row-major order.  Blocks
+    of at least _FAST_BLOCK targets wrap and pick it by the faster forms,
+    which give the same bits.  Every value returned is a fresh array, not a
+    view of scratch.
     """
     f1e, f2e, wrap, bits = setup[3:]
     m = gamma.size
     at, e1, e2, diff, residuals = (buf[:math.prod(shape) * m].reshape(*shape, m)
                                    for buf, (shape, _) in zip(scratch, _SCRATCH))
-    r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
+    if m >= _FAST_BLOCK:
+        r = _quantize_near(_two_rf_phases(gamma, alpha, setup, rows, _wrap_near), bits)
+    else:
+        r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
     np.add(r[:, :, None], _OFFSETS, out=at)  # (branch, phasor, d, M), padded positions
     if rows is not None:
         at += rows * wrap.size  # in each target's row of the tables
@@ -340,12 +406,15 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     np.subtract(gamma, e1, out=e1)
     np.subtract(e1[:, :, None], e2[:, None], out=diff)
     np.abs(diff, out=residuals.reshape(diff.shape))  # (branch, d1, d2) flattened
-    best = residuals.argmin(axis=0)  # first minimum wins ties
     cols = np.arange(m)
+    if m >= _FAST_BLOCK:
+        best, low = _first_min(residuals)
+    else:
+        best = residuals.argmin(axis=0)  # first minimum wins ties
+        low = residuals[best, cols]
     branch, d1, d2 = _CANDIDATES[best].T
     # r + d is the padded position of offset d - 1 from index r
-    return (wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2],
-            residuals[best, cols])
+    return wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2], low
 
 
 def solve_two_rf(gamma, f1, f2, pset):
@@ -421,9 +490,11 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     start = target - np.sum(per_row * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
     setup = _two_rf_setup(fbb[..., 0], fbb[..., 1], pset)
-    z1, z2 = (setup[0][0], setup[1][0]) if owner is None else \
-        (setup[0][owner, None], setup[1][owner, None])
+    # the bound's constants of each digital vector: z1 + z2 and |z1 - z2|
+    reach, gap = setup[0] + setup[1], abs(setup[0] - setup[1])
+    reach, gap = (reach[0], gap[0]) if owner is None else (reach[owner, None], gap[owner, None])
 
+    size = pset.size
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
     unchanged = np.zeros(target.size, dtype=int)
     active = np.arange(target.size)  # rows still searching
@@ -431,8 +502,8 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
         rows = idx[active]
-        f, za, zb = (fbb, z1, z2) if owner is None else \
-            (per_row[active], z1[active], z2[active])
+        f, za, zd = (fbb, reach, gap) if owner is None else \
+            (per_row[active], reach[active], gap[active])
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
@@ -443,28 +514,29 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         fixed = np.sum((f * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
         resid_targets = (target[active] - fixed)[:, None] - fp[..., None] * phasors
         # solve only the candidates whose bound, less the margin, does not
-        # exceed the incumbent; the rest keep residual +inf.  The bound's 0
-        # term is left out, as res >= 0 keeps such candidates anyway.
+        # exceed the incumbent: their flat positions in (rows, candidates).
+        # The bound's 0 term is left out, as res >= 0 keeps such candidates.
         alpha = np.abs(resid_targets)
-        bound = np.maximum(alpha - (za + zb), abs(za - zb) - alpha)
-        bound -= _BOUND_MARGIN * (alpha + za + zb)
-        keep = bound <= res[active, None]
-        gamma, alpha = resid_targets[keep], alpha[keep]
+        bound = np.maximum(alpha - za, zd - alpha)
+        bound -= _BOUND_MARGIN * (alpha + za)
+        kept = np.flatnonzero(bound <= res[active, None])
+        gamma, alpha = resid_targets.take(kept), alpha.take(kept)
         del bound, resid_targets  # before the kernel's temporaries
-        solved = _two_rf_solve(gamma, alpha, setup, None if owner is None else
-                               owner[np.broadcast_to(active[:, None], keep.shape)[keep]])
-        i1, i2 = np.zeros(keep.shape, dtype=int), np.zeros(keep.shape, dtype=int)
-        errs = np.full(keep.shape, np.inf)
-        i1[keep], i2[keep], errs[keep] = solved
+        i1, i2, solved = _two_rf_solve(gamma, alpha, setup, None if owner is None else
+                                       owner[active].take(kept // size))
+        errs = np.full((active.size, size), np.inf)  # a skipped candidate's
+        errs.put(kept, solved)
         best = np.argmin(errs, axis=1)
-        at = (np.arange(active.size), best)
-        new = np.column_stack([i1[at], i2[at], best])
-        # keep the incumbent row when no candidate improves on it, so every
-        # residual sequence is non-increasing
-        accept = errs[at] <= res[active]
-        moved = accept & np.any(new != rows[:, [0, 1, p]], axis=1)
-        idx[active[accept, None], [0, 1, p]] = new[accept]
-        res[active[accept]] = errs[at][accept]
+        # a row takes its best candidate unless it is worse than the
+        # incumbent, so every residual sequence is non-increasing; a taken
+        # candidate was solved, at its position's place among the kept
+        won = np.flatnonzero(errs[np.arange(active.size), best] <= res[active])
+        at = np.searchsorted(kept, won * size + best[won])
+        new = np.column_stack([i1[at], i2[at], best[won]])
+        moved = np.zeros(active.size, dtype=bool)
+        moved[won] = np.any(new != rows[won][:, [0, 1, p]], axis=1)
+        idx[active[won, None], [0, 1, p]] = new
+        res[active[won]] = solved[at]
         t += 1
         unchanged[active] = np.where(moved, 0, unchanged[active] + 1)
         active = active[unchanged[active] < n_rf - 2]

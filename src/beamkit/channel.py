@@ -99,14 +99,21 @@ def _normal_pairs(rng, n):
 
 
 def _snr_params(snr_db):
-    """(transmit power, noise std) with unit noise variance as the knob."""
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
-    if snr_db == np.inf:
-        return 1.0, 0.0
-    if snr_db == -np.inf:
-        return 0.0, 1.0
-    return 10.0 ** (snr_db / 10.0), 1.0
+    """(transmit power, noise std) with unit noise variance as the knob.
+    NaN, an int past the float range, and a finite snr_db whose power
+    overflows (above about 3082 dB) raise ValueError."""
+    try:
+        if math.isnan(snr_db):
+            raise ValueError("snr_db must not be NaN")
+        if snr_db == np.inf:
+            return 1.0, 0.0
+        if snr_db == -np.inf:
+            return 0.0, 1.0
+        return 10.0 ** (snr_db / 10.0), 1.0
+    except OverflowError:
+        raise ValueError("snr_db must be a float-range number of dB up to about "
+                         "3082, past which the power 10^(snr_db / 10) overflows; "
+                         "+inf is the noiseless limit") from None
 
 
 def measure(v, w, ch, snr_db, rng):
@@ -114,7 +121,8 @@ def measure(v, w, ch, snr_db, rng):
 
     y = sqrt(P) w^H H v + w^H eta with eta circular Gaussian of unit
     per-entry variance; P is set by snr_db.  snr_db of +/-inf selects the
-    noiseless and pure-noise limits; NaN raises ValueError.
+    noiseless and pure-noise limits; NaN, or a P past the float range,
+    raises ValueError.
 
     Bit for bit, with n = N_r: z is one draw of 2n standard normals from
     rng, and eta = (z[:n] + j z[n:]) * sigma / sqrt(2) in complex
@@ -218,7 +226,7 @@ class TrainingConfig:
         if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
             raise ValueError(f"snr_db must be a real number in dB, or +/-inf, "
                              f"got {self.snr_db!r}")
-        _snr_params(self.snr_db)  # rejects NaN
+        _snr_params(self.snr_db)  # rejects NaN and powers past the float range
 
 
 def success_rate(cfg):

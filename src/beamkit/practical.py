@@ -68,12 +68,13 @@ _ROW_CAP_PER_PHASE = 64
 # pair's reach, where a relative margin would be no margin at all.
 _BOUND_MARGIN = 256 * np.finfo(float).eps
 # The two-phasor kernel's constants: offsets -1, 0, 1 around each rounded
-# phase, as positions in a phasor table padded by one entry at each end; the
-# (branch, d1, d2) of the 18 candidates in search order; the sign of arccos
-# in (th1, th2) of branches a and b; and the arccos arguments 0/0 resolves
-# to, per phasor (anti-aligned phasors).
+# phase, as positions in a phasor table padded by one entry at each end; of
+# the 18 candidates (branch, d1, d2) in search order, the row 2 * branch of
+# the first phasor's rounded phases among the (branch, phasor) rows, d1 and
+# d2; the sign of arccos in (th1, th2) of branches a and b; and the arccos
+# arguments 0/0 resolves to, per phasor (anti-aligned phasors).
 _OFFSETS = np.array([0, 1, 2])[:, None]
-_CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
+_CAND_ROW, _CAND_D1, _CAND_D2 = np.indices((2, 3, 3)).reshape(3, -1) * np.array([[2], [1], [1]])
 _BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 _NAN_ARGS = np.array([[1.0], [-1.0]])
 # Targets per block of the two-phasor kernel.  Its five largest temporaries
@@ -87,7 +88,7 @@ _SOLVE_BLOCK = 1024
 _FAST_BLOCK = 192
 _TWO_PI = 2.0 * np.pi
 # 18 - c for candidate c: the largest weight of a column's minima is its first
-_FIRST_WEIGHTS = np.arange(len(_CANDIDATES), 0, -1, dtype=np.uint8)[:, None]
+_FIRST_WEIGHTS = np.arange(_CAND_ROW.size, 0, -1, dtype=np.uint8)[:, None]
 # Each thread's kernel buffers (numpy releases the GIL inside ufuncs, so
 # threads must not share them), and each buffer's shape per target and dtype.
 _scratch = threading.local()
@@ -412,9 +413,18 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     else:
         best = residuals.argmin(axis=0)  # first minimum wins ties
         low = residuals[best, cols]
-    branch, d1, d2 = _CANDIDATES[best].T
-    # r + d is the padded position of offset d - 1 from index r
-    return wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2], low
+    # each winner's rounded phases in r's (branch, phasor) rows of m; r + d
+    # is the padded position of offset d - 1 from index r
+    pos = _CAND_ROW.take(best)
+    pos *= m
+    pos += cols
+    r = r.reshape(-1)
+    i1 = r.take(pos)
+    i1 += _CAND_D1.take(best)
+    pos += m
+    i2 = r.take(pos)
+    i2 += _CAND_D2.take(best)
+    return wrap.take(i1), wrap.take(i2), low
 
 
 def solve_two_rf(gamma, f1, f2, pset):
@@ -556,7 +566,7 @@ def ls_fbb(analog, v):
         if not np.isfinite(np.linalg.norm(a)):
             raise ValueError(f"{name} has norm {np.linalg.norm(a)}")
     gram = analog.conj().T @ analog
-    if np.linalg.cond(gram) > 1e12:
+    if _near_singular(gram):
         warnings.warn(
             "analog matrix is rank deficient (duplicated columns?); "
             "using pseudo-inverse",
@@ -565,6 +575,29 @@ def ls_fbb(analog, v):
         )
         return np.linalg.pinv(analog) @ v
     return np.linalg.solve(gram, analog.conj().T @ v)
+
+
+def _near_singular(gram):
+    """np.linalg.cond(gram) > 1e12, its SVD skipped where bounds decide.
+
+    For any square matrix, sigma_max <= max(||G||_1, ||G||_inf) = max_i w_i,
+    w_i the larger of row i's and column i's sums of |g|; where the smallest
+    margin m = min_i (2 |g_ii| - w_i) is positive (every Gershgorin disc,
+    by rows and by columns, clear of 0), sigma_min >= m (Varah).  Bounds
+    that give cond <= 1e11 decide without the SVD: there the computed cond
+    errs from the true one by a relative 1e-4 at most, and a margin rounded
+    up from 0 is far below what the test asks for.  The bounds run on
+    Python floats, about a fifth of what cond costs at n_rf = 4.
+    """
+    if gram.ndim == 2 and gram.size:  # cond raises on anything else
+        a = np.abs(gram).tolist()
+        rows = [sum(row) for row in a]
+        if math.isfinite(sum(rows)):  # so every entry is, and no NaN hides
+            w = [max(r, sum(col)) for r, col in zip(rows, zip(*a))]
+            m = min([2.0 * row[i] - w[i] for i, row in enumerate(a)])
+            if m > 0.0 and max(w) <= 1e11 * m:
+                return False
+    return np.linalg.cond(gram) > 1e12
 
 
 def fs_altmin(v, n_rf, b, t_max=50, seed=0, trace=None):

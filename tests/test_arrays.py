@@ -123,6 +123,19 @@ def test_gram_is_one_shared_read_only_array_per_size():
         gram[0, 0] = 0.0
 
 
+def test_grid_and_matrix_are_shared_read_only_arrays_per_size():
+    sm = steering_matrix(8, 32)
+    again = steering_matrix(8, 32)
+    assert again.grid is sm.grid and again.matrix is sm.matrix
+    assert steering_matrix(8, 64).matrix is not sm.matrix
+    with pytest.raises(ValueError):
+        sm.grid[0] = 0.0
+    with pytest.raises(ValueError):
+        sm.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        sm.matrix *= 2.0
+
+
 def test_steering_matrix_requires_k_ge_n():
     with pytest.raises(ValueError):
         steering_matrix(16, 8)

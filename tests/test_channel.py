@@ -244,9 +244,15 @@ def test_training_config_validation(small_codebooks):
         with pytest.raises(ValueError, match=f"snr_db must be a real number in dB, "
                                              f"or \\+/-inf, got {snr_db!r}"):
             TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=snr_db, trials=5)
-    for snr_db in (3, np.float32(-2.5), np.int64(0), -np.inf):
+    for snr_db in (3, np.float32(-2.5), np.int64(0), -np.inf, 3082):
         assert TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=snr_db,
                               trials=5).snr_db == snr_db
+    # an int past the float range raised OverflowError, as did a power
+    # 10^(snr_db / 10) past it
+    for snr_db in (10**400, -10**400, 3083, 1e308):
+        with pytest.raises(ValueError, match="snr_db must be a float-range number of dB "
+                                             "up to about 3082"):
+            TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=snr_db, trials=5)
     with pytest.raises(ValueError,
                        match="paths must be >= 1 and an integer, got -1"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,

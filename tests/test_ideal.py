@@ -184,3 +184,21 @@ def test_ps_icd_rejects_negative_update_count():
     with pytest.raises(ValueError, match="r_max must be >= 0 and an integer, got -3"):
         ps_icd(target, 8, 16, -3, seed=0)
     ps_icd(target, 8, 16, 0, seed=0)  # zero updates: the seeded start
+
+
+def test_ps_icd_optimizer_shares_its_row_constants_per_size():
+    # ps_icd's optimizer takes the row norms, rows and diagonal of the
+    # shared Gram from one build per (n, k), and updates exactly as one
+    # built by the public constructor does
+    target = make_target("rect", (-0.5, 0.25))
+    sm = steering_matrix(8, 32)
+    mags = target(sm.grid)
+    phases = np.random.default_rng(3).uniform(-np.pi, np.pi, 32)
+    public = PhaseOptimizer(sm.gram(), mags, phases)
+    shared = PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases)
+    assert PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases)._rows is shared._rows
+    assert shared._degenerate == public._degenerate
+    assert shared._diagonal == public._diagonal
+    for k in list(range(32)) * 3:
+        assert shared.update(k) == public.update(k)
+    assert shared.gains.tobytes() == public.gains.tobytes()

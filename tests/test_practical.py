@@ -334,6 +334,25 @@ def test_ls_fbb_rank_deficient_warns():
     np.testing.assert_allclose(analog @ f, v, atol=1e-10)
 
 
+def test_ls_fbb_skips_the_svd_only_where_bounds_decide(monkeypatch):
+    # a 32 x 4 quantized analog matrix has a diagonally dominant Gram; with
+    # a column duplicated the bounds cannot decide, and cond still does
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda g: svds.append(g) or cond(g))
+    rng = np.random.default_rng(8)
+    analog = phase_set(6).phasors[rng.integers(0, 64, (32, 4))]
+    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    gram = analog.conj().T @ analog
+    assert ls_fbb(analog, v).tobytes() == \
+        np.linalg.solve(gram, analog.conj().T @ v).tobytes()
+    assert svds == [] and cond(gram) < 1e12
+    analog[:, 3] = analog[:, 1]
+    with pytest.warns(RuntimeWarning, match="pseudo-inverse") as caught:
+        ls_fbb(analog, v)
+    assert len(svds) == 1 and len(caught) == 1
+
+
 def test_fs_altmin_residual_trace_non_increasing():
     target = make_target("rect", (-1.0, 0.0))
     v = ps_icd(target, 16, 64, 500, seed=0)

@@ -40,8 +40,10 @@ from beamkit import (
 from beamkit.ideal import _DEGENERATE_RTOL, PhaseOptimizer, _assemble
 from beamkit.practical import (
     _ROW_CAP_PER_PHASE,
+    _first_min,
     _two_rf_setup,
     _two_rf_solve,
+    _wrap_near,
     wrap_phase,
 )
 from beamkit.serialization import load_hybrid, save_hybrid
@@ -155,8 +157,12 @@ def _assert_same_bits(got, expected):
 
 def _assert_solve_matches_reference(gamma, f1, f2, bits):
     pset = phase_set(bits)
-    _assert_same_bits(solve_two_rf(gamma, f1, f2, pset),
-                      _reference_solve_two_rf(gamma, f1, f2, pset))
+    want = _reference_solve_two_rf(gamma, f1, f2, pset)
+    _assert_same_bits(solve_two_rf(gamma, f1, f2, pset), want)
+    # and through the large-block forms, which blocks this small skip
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamkit.practical, "_FAST_BLOCK", 0)
+        _assert_same_bits(solve_two_rf(gamma, f1, f2, pset), want)
 
 
 @_SETTINGS
@@ -245,6 +251,79 @@ def test_two_rf_kernel_on_no_targets():
                       _reference_solve_two_rf(empty, 1.0 + 0j, 0.5j, pset))
 
 
+def test_two_rf_kernel_equals_reference_around_the_block_size():
+    # block splits, the last block's size switching between the small- and
+    # large-block forms, and rows of constants gathered per target
+    block = beamkit.practical._SOLVE_BLOCK
+    rng = np.random.default_rng(22)
+    pset = phase_set(6)
+    f = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    f[:, 2] = f[0, 0]  # equal phasors: swapped pairs tie at gamma = 0
+    for m in (0, 1, block - 1, block, block + 1):
+        gamma = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        gamma[::7] = 0.0
+        _assert_solve_matches_reference(gamma, f[0, 0], f[1, 0], 6)
+        rows = rng.integers(0, 3, m)
+        got = _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f[0], f[1], pset), rows)
+        for r in range(3):
+            mine = rows == r
+            _assert_same_bits([a[mine] for a in got],
+                              _reference_solve_two_rf(gamma[mine], *f[:, r], pset))
+
+
+def test_near_wrap_equals_wrap_phase_bit_for_bit_within_three_pi(monkeypatch):
+    multiples = np.arange(-3, 4) * np.pi
+    theta = np.concatenate([
+        np.random.default_rng(22).uniform(-3 * np.pi, 3 * np.pi, 200_000),
+        multiples, np.nextafter(multiples, -np.inf), np.nextafter(multiples, np.inf),
+        [0.0, -0.0, 3 * np.pi, -3 * np.pi]])
+    theta = theta[np.abs(theta) <= 3 * np.pi]
+    want = wrap_phase(theta)
+    assert np.sum(want == np.pi) > 0  # the documented +pi is among them
+    # within range, np.remainder never runs
+    monkeypatch.setattr(beamkit.practical, "wrap_phase", None)
+    _assert_same_bits([_wrap_near(theta)], [want])
+    _assert_same_bits([_wrap_near(theta[:0])], [want[:0]])
+    for t, w in zip(theta[-40:], want[-40:]):  # one at a time
+        _assert_same_bits([_wrap_near(np.array([t]))], [np.array([w])])
+
+
+def test_near_wrap_falls_back_to_wrap_phase_outside_its_range(monkeypatch):
+    calls = []
+
+    def counted(theta):
+        calls.append(theta.size)
+        return wrap_phase(theta)
+
+    monkeypatch.setattr(beamkit.practical, "wrap_phase", counted)
+    rng = np.random.default_rng(23)
+    for outside in (5.5 * np.pi, -5.5 * np.pi, 1e10, np.inf, -np.inf, np.nan):
+        theta = np.append(rng.uniform(-np.pi, np.pi, 99), outside)
+        with np.errstate(invalid="ignore"):  # inf % 2 pi
+            got, want = _wrap_near(theta), wrap_phase(theta)
+        assert calls.pop(0) == theta.size
+        _assert_same_bits([got], [want])
+    # theta + pi within [-4 pi, 4 pi] keeps every step exact: no fallback
+    theta = np.array([-5 * np.pi, np.nextafter(-5 * np.pi, 0), 3 * np.pi, -1.0])
+    _assert_same_bits([_wrap_near(theta)], [wrap_phase(theta)])
+    assert calls == []
+
+
+def test_first_minimum_equals_argmin():
+    rng = np.random.default_rng(24)
+    residuals = rng.integers(0, 3, (18, 4000)).astype(float)  # ties everywhere
+    residuals[:, :18] = 1.0  # all-equal columns
+    residuals[:, 18:36] = np.diag(np.full(18, 0.5)) + 1.0  # one minimum per row
+    residuals[:, 36] = np.inf
+    residuals[5, 37] = np.inf
+    cols = np.arange(residuals.shape[1])
+    for nan_rows in ([], [3], [0, 17], list(range(18))):
+        r = residuals.copy()
+        r[nan_rows, 40] = np.nan
+        best = r.argmin(axis=0)
+        _assert_same_bits(_first_min(r), [best, r[best, cols]])
+
+
 def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
     """The reference sweep: fs_row's loop with no bound test, so every step
     solves the two-phasor match for every candidate of every active row,
@@ -315,12 +394,15 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
 
 
 def _assert_pruning_changes_nothing(target, fbb, pset, init, owner=None):
-    idx, res, steps = fs_row(target, fbb, pset, init, owner)
     ref_idx, ref_res, ref_steps = _exhaustive_fs_row(
         target, fbb if owner is None else fbb[owner], pset, init)
-    assert idx.tobytes() == ref_idx.tobytes()
-    assert res.tobytes() == ref_res.tobytes()
-    assert steps == ref_steps
+    for fast_block in (beamkit.practical._FAST_BLOCK, 0):  # 0: the large-block forms
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(beamkit.practical, "_FAST_BLOCK", fast_block)
+            idx, res, steps = fs_row(target, fbb, pset, init, owner)
+        assert idx.tobytes() == ref_idx.tobytes()
+        assert res.tobytes() == ref_res.tobytes()
+        assert steps == ref_steps
 
 
 @_SETTINGS
@@ -394,6 +476,47 @@ def test_two_rf_kernel_with_row_constants_equals_one_pair_at_a_time(
         mine = rows == r
         want = solve_two_rf(gamma[mine], *f[r], pset)
         _assert_same_bits([a[mine] for a in got], want)
+
+
+def test_pruned_fs_row_equals_exhaustive_on_large_steps(monkeypatch):
+    # 24 rows of 64 candidates, so the kernel's own block size picks its
+    # large-block forms.  Rows 0-7 start at an exact fit, with the first two
+    # phasors of their digital vector 1000 times smaller than the rest:
+    # every candidate but the incumbent's own value is pruned.
+    pset = phase_set(6)
+    rng = np.random.default_rng(25)
+    fbb = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    fbb[1, :2] *= 1e-3
+    owner = np.append(np.ones(8, dtype=int), rng.integers(0, 2, 16))
+    init = rng.integers(0, pset.size, (24, 4))
+    target = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    target[:8] = np.sum(fbb[1] * pset.phasors[init[:8]], axis=1)
+    solved = []
+    solve = beamkit.practical._two_rf_solve
+    monkeypatch.setattr(beamkit.practical, "_two_rf_solve",
+                        lambda gamma, *a: solved.append(gamma.size) or solve(gamma, *a))
+    _assert_pruning_changes_nothing(target, fbb, pset, init, owner)
+    assert max(solved) >= beamkit.practical._FAST_BLOCK
+    assert solved[0] <= 16 * pset.size + 8
+    _assert_pruning_changes_nothing(target, fbb[0], pset, init)
+
+
+def test_fs_row_keeps_rows_whose_every_candidate_is_pruned(monkeypatch):
+    # the incumbent's own value is never pruned, so only a margin below
+    # every bound prunes whole rows: no candidate is solved, no row moves,
+    # and every row stops after n_rf - 2 unchanged steps
+    monkeypatch.setattr(beamkit.practical, "_BOUND_MARGIN", -np.inf)
+    pset = phase_set(4)
+    rng = np.random.default_rng(26)
+    fbb = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    owner = rng.integers(0, 2, 12)
+    init = rng.integers(0, pset.size, (12, 5))
+    target = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    for f, o in ((fbb, owner), (fbb[0], None)):
+        start = target - np.sum((f if o is None else f[o]) * pset.phasors[init], axis=1)
+        idx, res, steps = fs_row(target, f, pset, init, o)
+        assert idx.tobytes() == init.tobytes() and steps == 3
+        assert res.tobytes() == np.hypot(start.real, start.imag).tobytes()
 
 
 @pytest.mark.parametrize("bits,n_rf", itertools.product((1, 2), (3, 4)))
@@ -481,6 +604,35 @@ def test_stacked_fs_altmin_equals_one_call_per_entry(n, entries, n_rf, bits,
         for name in ("phase_indices", "digital", "realized"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@_SETTINGS
+@given(
+    n=st.integers(1, 40),
+    n_rf=st.integers(1, 8),
+    kind=st.sampled_from(["random", "duplicated", "near", "scaled"]),
+    scale=st.sampled_from([1e-9, 1e-6, 1e-3, 1e-1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounds_decide_near_singularity_as_cond_does(n, n_rf, kind, scale, seed):
+    # random quantized analog matrices; one column copied onto another, or
+    # copied and moved by scale; or random columns scaled apart by scale
+    rng = np.random.default_rng(seed)
+    analog = phase_set(6).phasors[rng.integers(0, 64, (n, n_rf))]
+    if n_rf > 1 and kind != "random":
+        if kind == "scaled":
+            analog = analog * scale ** (np.arange(n_rf) / (n_rf - 1))
+        else:
+            analog[:, -1] = analog[:, 0]
+            if kind == "near":
+                analog[:, -1] *= np.exp(1j * scale * rng.standard_normal(n))
+    gram = analog.conj().T @ analog
+    cond = np.linalg.cond(gram)
+    svds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cond", lambda g: svds.append(g) or cond)
+        assert beamkit.practical._near_singular(gram) == (cond > 1e12)
+    assert svds or cond <= 1e11 * (1 + 1e-9)  # skipped only where the bounds decide
 
 
 def test_wrap_phase_equals_numpy_remainder_bit_for_bit():

@@ -150,7 +150,7 @@ def ps_icd(target, n, k, r_max, seed):
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     rng = np.random.default_rng(seed)
-    opt = PhaseOptimizer._shared(sm.gram(), n, k, mags, rng.uniform(-np.pi, np.pi, k))
+    opt = PhaseOptimizer._shared(sm.gram(), sm.n, sm.k, mags, rng.uniform(-np.pi, np.pi, k))
     live = np.flatnonzero(mags)
     for j in np.concatenate([np.tile(live, r_max // k), live[live < r_max % k]]).tolist():
         opt.update(j)

@@ -501,8 +501,9 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     res = np.hypot(start.real, start.imag)
     setup = _two_rf_setup(fbb[..., 0], fbb[..., 1], pset)
     # the bound's constants of each digital vector: z1 + z2 and |z1 - z2|
-    reach, gap = setup[0] + setup[1], abs(setup[0] - setup[1])
-    reach, gap = (reach[0], gap[0]) if owner is None else (reach[owner, None], gap[owner, None])
+    zsum, zdiff = setup[0] + setup[1], abs(setup[0] - setup[1])
+    zsum, zdiff = (zsum[0], zdiff[0]) if owner is None else \
+        (zsum[owner, None], zdiff[owner, None])
 
     size = pset.size
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
@@ -512,8 +513,8 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
         rows = idx[active]
-        f, za, zd = (fbb, reach, gap) if owner is None else \
-            (per_row[active], reach[active], gap[active])
+        f, zs, zd = (fbb, zsum, zdiff) if owner is None else \
+            (per_row[active], zsum[active], zdiff[active])
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
@@ -527,14 +528,14 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         # exceed the incumbent: their flat positions in (rows, candidates).
         # The bound's 0 term is left out, as res >= 0 keeps such candidates.
         alpha = np.abs(resid_targets)
-        bound = np.maximum(alpha - za, zd - alpha)
-        bound -= _BOUND_MARGIN * (alpha + za)
+        bound = np.maximum(alpha - zs, zd - alpha)
+        bound -= _BOUND_MARGIN * (alpha + zs)
         kept = np.flatnonzero(bound <= res[active, None])
         gamma, alpha = resid_targets.take(kept), alpha.take(kept)
         del bound, resid_targets  # before the kernel's temporaries
         i1, i2, solved = _two_rf_solve(gamma, alpha, setup, None if owner is None else
                                        owner[active].take(kept // size))
-        errs = np.full((active.size, size), np.inf)  # a skipped candidate's
+        errs = np.full((active.size, size), np.inf)  # skipped candidates keep +inf
         errs.put(kept, solved)
         best = np.argmin(errs, axis=1)
         # a row takes its best candidate unless it is worse than the

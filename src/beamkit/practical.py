@@ -25,7 +25,10 @@ block) are freed at the end of each block; glibc then returns pages to the
 kernel, because the memory lies above its trim threshold (or was mapped
 on its own, above its mmap threshold), and the next block page-faults them
 in again.  Reusing the buffers took one 1,024-target block from about 630
-to 390 us on a 2-core x86-64 machine.
+to 390 us on a 2-core x86-64 machine.  Blocks of at least _FAST_BLOCK
+targets also wrap phases by compares, not np.remainder, and find each
+first minimum with a minimum and a compare, not argmin: the same bits,
+which took that block to about 290 us.
 """
 
 import contextlib
@@ -68,13 +71,15 @@ _ROW_CAP_PER_PHASE = 64
 # pair's reach, where a relative margin would be no margin at all.
 _BOUND_MARGIN = 256 * np.finfo(float).eps
 # The two-phasor kernel's constants: offsets -1, 0, 1 around each rounded
-# phase, as positions in a phasor table padded by one entry at each end; of
-# the 18 candidates (branch, d1, d2) in search order, the row 2 * branch of
-# the first phasor's rounded phases among the (branch, phasor) rows, d1 and
-# d2; the sign of arccos in (th1, th2) of branches a and b; and the arccos
-# arguments 0/0 resolves to, per phasor (anti-aligned phasors).
+# phase, as positions in a phasor table padded by one entry at each end; the
+# (branch, d1, d2) of the 18 candidates in search order, and apart, with
+# the branch as the row 2 * branch of its first phasor among the (branch,
+# phasor) rows of rounded phases; the sign of arccos in (th1, th2) of
+# branches a and b; and the arccos arguments 0/0 resolves to, per phasor
+# (anti-aligned phasors).
 _OFFSETS = np.array([0, 1, 2])[:, None]
-_CAND_ROW, _CAND_D1, _CAND_D2 = np.indices((2, 3, 3)).reshape(3, -1) * np.array([[2], [1], [1]])
+_CANDIDATES = np.indices((2, 3, 3)).reshape(3, -1).T
+_CAND_ROW, _CAND_D1, _CAND_D2 = _CANDIDATES.T * np.array([[2], [1], [1]])
 _BRANCH_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 _NAN_ARGS = np.array([[1.0], [-1.0]])
 # Targets per block of the two-phasor kernel.  Its five largest temporaries
@@ -82,13 +87,14 @@ _NAN_ARGS = np.array([[1.0], [-1.0]])
 # 0.74 MB, not in fresh arrays, whose frees crossed glibc's trim or mmap
 # threshold and made every block page-fault its memory in again.
 _SOLVE_BLOCK = 1024
-# Blocks of fewer targets take wrap_phase and argmin, as whole-array calls
-# do.  The compare wrap and the first-minimum search make more ufunc calls,
-# each with its own fixed cost, and only pay from about this many targets.
+# Blocks of fewer targets take wrap_phase, argmin and fancy indexing.  The
+# compare wrap, the first-minimum search and the flat gathers make more
+# numpy calls, each with its own fixed cost, and only pay from about this
+# many targets.
 _FAST_BLOCK = 192
 _TWO_PI = 2.0 * np.pi
 # 18 - c for candidate c: the largest weight of a column's minima is its first
-_FIRST_WEIGHTS = np.arange(_CAND_ROW.size, 0, -1, dtype=np.uint8)[:, None]
+_FIRST_WEIGHTS = np.arange(len(_CANDIDATES), 0, -1, dtype=np.uint8)[:, None]
 # Each thread's kernel buffers (numpy releases the GIL inside ufuncs, so
 # threads must not share them), and each buffer's shape per target and dtype.
 _scratch = threading.local()
@@ -213,9 +219,10 @@ def _quantize_near(theta, bits):
 
 def _first_min(residuals):
     """(argmin(axis=0), the minima) of an (18, M) array, with the first
-    minimum winning ties.  A minimum over axis 0 and a compare cost about a
-    fifth of argmin over that axis, which gathers strided columns.  A column
-    holding NaN has no entry equal to its minimum; argmin then runs."""
+    minimum winning ties.  A minimum over axis 0, a compare and a weighted
+    maximum took about 30 us at M = 1024, against 80 us for argmin over
+    that axis, which gathers strided columns.  A column holding NaN has no
+    entry equal to its minimum; argmin then runs."""
     low = residuals.min(axis=0)
     top = (residuals == low).view(np.uint8)
     top *= _FIRST_WEIGHTS
@@ -386,15 +393,16 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     once per first-phase offset, and each candidate's residual is
     |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
     wins: branch a before b, offsets (d1, d2) in row-major order.  Blocks
-    of at least _FAST_BLOCK targets wrap and pick it by the faster forms,
-    which give the same bits.  Every value returned is a fresh array, not a
-    view of scratch.
+    of at least _FAST_BLOCK targets wrap, pick the winner and gather its
+    indices by forms that are faster there and give the same bits.  Every
+    value returned is a fresh array, not a view of scratch.
     """
     f1e, f2e, wrap, bits = setup[3:]
     m = gamma.size
     at, e1, e2, diff, residuals = (buf[:math.prod(shape) * m].reshape(*shape, m)
                                    for buf, (shape, _) in zip(scratch, _SCRATCH))
-    if m >= _FAST_BLOCK:
+    fast = m >= _FAST_BLOCK
+    if fast:
         r = _quantize_near(_two_rf_phases(gamma, alpha, setup, rows, _wrap_near), bits)
     else:
         r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
@@ -408,13 +416,14 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     np.subtract(e1[:, :, None], e2[:, None], out=diff)
     np.abs(diff, out=residuals.reshape(diff.shape))  # (branch, d1, d2) flattened
     cols = np.arange(m)
-    if m >= _FAST_BLOCK:
-        best, low = _first_min(residuals)
-    else:
+    if not fast:
         best = residuals.argmin(axis=0)  # first minimum wins ties
-        low = residuals[best, cols]
-    # each winner's rounded phases in r's (branch, phasor) rows of m; r + d
-    # is the padded position of offset d - 1 from index r
+        branch, d1, d2 = _CANDIDATES[best].T
+        # r + d is the padded position of offset d - 1 from index r
+        return (wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2],
+                residuals[best, cols])
+    best, low = _first_min(residuals)
+    # the same gathers from r's (branch, phasor) rows of m, flat
     pos = _CAND_ROW.take(best)
     pos *= m
     pos += cols

@@ -548,8 +548,8 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         errs.put(kept, solved)
         best = np.argmin(errs, axis=1)
         # a row takes its best candidate unless it is worse than the
-        # incumbent, so every residual sequence is non-increasing; a taken
-        # candidate was solved, at its position's place among the kept
+        # incumbent, so every residual sequence is non-increasing.  A taken
+        # candidate was solved: its rank among the kept positions finds it
         won = np.flatnonzero(errs[np.arange(active.size), best] <= res[active])
         at = np.searchsorted(kept, won * size + best[won])
         new = np.column_stack([i1[at], i2[at], best[won]])

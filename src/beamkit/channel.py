@@ -129,7 +129,9 @@ def measure(v, w, ch, snr_db, rng):
     arithmetic, where sigma is 0 at snr_db = +inf and 1 otherwise (a
     factor of 1 is exact and skipped).  P is 10^(snr_db / 10), 1 at +inf
     and 0 at -inf.  y = sqrt(P) * ((conj(w) H) v) + conj(w) eta, with the
-    products in that order, and the result is float(np.abs(y) ** 2).
+    products in that order, and the result is float(np.abs(y) ** 2).  A
+    result that is not finite raises ValueError naming snr_db: near the top
+    of its range (about 3082 dB) |y|^2 can overflow where P does not.
     """
     p, sigma = _snr_params(snr_db)
     h = ch.matrix
@@ -141,7 +143,11 @@ def measure(v, w, ch, snr_db, rng):
     y = math.sqrt(p) * np.dot(np.dot(w_h, h), np.asarray(v, dtype=complex))
     y += np.dot(w_h, eta)
     # np.abs, not abs(): the two round differently in the last bit
-    return float(np.abs(y) ** 2)
+    power = float(np.abs(y) ** 2)
+    if not math.isfinite(power):
+        raise ValueError(f"received power is {power} at snr_db = {snr_db}: a finite power "
+                         f"needs a lower snr_db, and finite beams and channel")
+    return power
 
 
 def _check_dims(tx_cb, rx_cb, ch):

@@ -116,17 +116,20 @@ def cmd_design_practical(args):
     if args.out is not None and not single:
         raise ValueError("--out needs a single run: one --nrf value, --seeds 1")
     v = load_codeword(args.input)
+    if single:
+        trace = []
+        hybrid = fs_altmin(v, args.nrf[0], args.bits, t_max=args.tmax, seed=args.seed,
+                           trace=trace)
+        save_hybrid(hybrid, "hybrid.json" if args.out is None else args.out)
+        print("trace " + " ".join(f"{e:.12g}" for e in trace))
+        print(f"nrf {args.nrf[0]} median_deviation {deviation(v, hybrid.realized):.12g}")
+        return 0
+    # every seed's run of one n_rf in one stacked call, each equal to its own
     seeds = [args.seed + i for i in range(args.seeds)]
     for n_rf in args.nrf:
-        devs = []
-        for seed in seeds:
-            trace = []
-            hybrid = fs_altmin(v, n_rf, args.bits, t_max=args.tmax, seed=seed,
-                               trace=trace)
-            devs.append(deviation(v, hybrid.realized))
-            if single:
-                save_hybrid(hybrid, "hybrid.json" if args.out is None else args.out)
-                print("trace " + " ".join(f"{e:.12g}" for e in trace))
+        hybrids = fs_altmin(np.array([v] * len(seeds)), n_rf, args.bits, t_max=args.tmax,
+                            seed=seeds)
+        devs = [deviation(v, hybrid.realized) for hybrid in hybrids]
         print(f"nrf {n_rf} median_deviation {statistics.median(devs):.12g}")
     return 0
 

@@ -157,6 +157,15 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     midpoint (quantized per entry phase when hw is set) instead of a
     synthesized codeword.
 
+    The build takes the paper's two steps.  First it designs every ideal
+    codeword, layer by layer.  Then, when hw is set, it factors the
+    synthesized entries of all layers in one stacked fs_altmin call, in
+    layer order, each entry with its own seed and equal bit for bit to its
+    own call; the bottom layer's steering vectors take one chain each.  A
+    failure raises RuntimeError naming its layer and index.  An ideal
+    design that fails in any layer is reported before any factorization
+    failure, and of several factorization failures, the first in the stack.
+
     n must be m^s for some s >= 1, and the grid size k at least n.  Per-entry
     seeds derive from the master seed and the layer/index, so any single
     codeword is reproducible in isolation.
@@ -169,29 +178,37 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     if isinstance(hw, dict):  # anything else is _check_hw's to reject
         hw = {**hw, "t_max": hw.get("t_max", 50)}
     hw = _check_hw(hw, n)
-    layers = []
-    for s in range(1, s_total + 1):
-        tiles = [_tile(m, s, i) for i in range(1, m**s + 1)]
-        seeds = [_entry_seed(seed, s, i) for i in range(1, m**s + 1)]
-        ideals, hybrids = [], [None] * len(tiles)
-        for i, ((lo, hi), sub_seed) in enumerate(zip(tiles, seeds), 1):
+    # (layer, index) of every entry, in layer order; the bottom layer's m^s
+    # entries come last
+    places = [(s, i) for s in range(1, s_total + 1) for i in range(1, m**s + 1)]
+    synth = len(places) - m**s_total
+    ideals = []
+    for s, i in places:
+        lo, hi = _tile(m, s, i)
+        try:
+            if s == s_total:
+                ideals.append(steering_vector(n, 0.5 * (lo + hi)))
+            elif method == "ps-icd":
+                ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max,
+                                     _entry_seed(seed, s, i)))
+            else:
+                ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
+        except Exception as exc:
+            raise _failed(s, i) from exc
+    hybrids = [None] * len(places)
+    if hw:
+        if synth:  # every synthesized entry in one call
             try:
-                if s == s_total:
-                    ideals.append(steering_vector(n, 0.5 * (lo + hi)))
-                    if hw:
-                        hybrids[i - 1] = design_nrf1(ideals[-1], phase_set(hw["b"]))
-                elif method == "ps-icd":
-                    ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max, sub_seed))
-                else:
-                    ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
-            except Exception as exc:
-                raise _failed(s, i) from exc
-        if hw and s < s_total:  # the whole layer in one call
-            try:
-                hybrids = fs_altmin(np.array(ideals), hw["n_rf"], hw["b"], hw["t_max"],
-                                    seed=seeds)
+                hybrids[:synth] = fs_altmin(
+                    np.array(ideals[:synth]), hw["n_rf"], hw["b"], hw["t_max"],
+                    seed=[_entry_seed(seed, s, i) for s, i in places[:synth]])
             except SynthesisError as exc:  # it names the entry that failed
-                raise _failed(s, exc.entry + 1) from exc
-        layers.append([CodebookEntry(tile, ideal, hybrid)
-                       for tile, ideal, hybrid in zip(tiles, ideals, hybrids)])
+                raise _failed(*places[exc.entry]) from exc
+        pset = phase_set(hw["b"])
+        hybrids[synth:] = [design_nrf1(v, pset) for v in ideals[synth:]]
+    entries = [CodebookEntry(_tile(m, s, i), ideal, hybrid)
+               for (s, i), ideal, hybrid in zip(places, ideals, hybrids)]
+    # layer s starts after the m + m^2 + ... + m^(s-1) entries above it
+    layers = [entries[(m**s - m) // (m - 1):(m**(s + 1) - m) // (m - 1)]
+              for s in range(1, s_total + 1)]
     return HierarchicalCodebook(n, m, seed, layers, method=method, hw=hw)

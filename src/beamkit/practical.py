@@ -385,6 +385,18 @@ def _kernel_scratch():
     return _scratch.buffers
 
 
+def _row_scratch(n, size):
+    """This thread's buffers for an fs_row step of n = rows x size entries,
+    each shaped (rows, size): the residual targets (complex), then alpha,
+    the bound and the errors (float).  They grow to the widest step asked
+    for; fresh arrays of that size page-faulted their memory in on every
+    step, as the kernel's temporaries did."""
+    if getattr(_scratch, "row_entries", 0) < n:
+        _scratch.row_entries = n
+        _scratch.row_buffers = (np.empty(n, complex), np.empty(n), np.empty(n), np.empty(n))
+    return tuple(buf[:n].reshape(-1, size) for buf in _scratch.row_buffers)
+
+
 def _two_rf_block(gamma, alpha, setup, rows, scratch):
     """One block of _two_rf_solve, its large temporaries in the leading,
     contiguous entries of the buffers scratch holds.
@@ -532,19 +544,22 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
                                fp.real * ep.imag + fp.imag * ep.real])
         fixed = np.sum((f * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
-        resid_targets = (target[active] - fixed)[:, None] - fp[..., None] * phasors
+        resid_targets, alpha, bound, errs = _row_scratch(active.size * size, size)
+        np.multiply(fp[..., None], phasors, out=resid_targets)
+        np.subtract((target[active] - fixed)[:, None], resid_targets, out=resid_targets)
         # solve only the candidates whose bound, less the margin, does not
         # exceed the incumbent: their flat positions in (rows, candidates).
         # The bound's 0 term is left out, as res >= 0 keeps such candidates.
-        alpha = np.abs(resid_targets)
-        bound = np.maximum(alpha - zs, zd - alpha)
-        bound -= _BOUND_MARGIN * (alpha + zs)
+        # errs holds the bound's other terms until the kernel has run.
+        np.abs(resid_targets, out=alpha)
+        np.maximum(np.subtract(alpha, zs, out=bound), np.subtract(zd, alpha, out=errs),
+                   out=bound)
+        bound -= np.multiply(_BOUND_MARGIN, np.add(alpha, zs, out=errs), out=errs)
         kept = np.flatnonzero(bound <= res[active, None])
-        gamma, alpha = resid_targets.take(kept), alpha.take(kept)
-        del bound, resid_targets  # before the kernel's temporaries
-        i1, i2, solved = _two_rf_solve(gamma, alpha, setup, None if owner is None else
+        i1, i2, solved = _two_rf_solve(resid_targets.take(kept), alpha.take(kept), setup,
+                                       None if owner is None else
                                        owner[active].take(kept // size))
-        errs = np.full((active.size, size), np.inf)  # skipped candidates keep +inf
+        errs.fill(np.inf)  # skipped candidates keep +inf
         errs.put(kept, solved)
         best = np.argmin(errs, axis=1)
         # a row takes its best candidate unless it is worse than the

@@ -272,6 +272,29 @@ def test_nan_snr_raises_when_called_directly():
         hierarchical_search(tx, rx, ch, np.nan, rng)
 
 
+def test_measure_rejects_a_received_power_past_the_float_range():
+    # P = 10^308.2 is finite, but |y|^2 of a strong beam pair is not: such a
+    # power read inf and tied the descent's comparisons; now it raises
+    tx = build_codebook(8, k=64, r_max=100, seed=0)
+    rx = build_codebook(4, k=64, r_max=100, seed=1)
+    ch = draw_channel(8, 4, 2, seed=0)
+    pairs = [(a.ideal, b.ideal) for a in tx.bottom for b in rx.bottom]
+    failed = 0
+    with np.errstate(over="ignore"):
+        for v, w in pairs:
+            assert np.isfinite(measure(v, w, ch, 3060, np.random.default_rng(0)))
+            try:
+                assert np.isfinite(measure(v, w, ch, 3082, np.random.default_rng(0)))
+            except ValueError as exc:
+                assert "received power is inf at snr_db = 3082" in str(exc)
+                failed += 1
+        assert failed == 1
+        config = TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=3082, trials=20,
+                                seed=0, paths=2)
+        with pytest.raises(ValueError, match="snr_db = 3082"):
+            success_rate(config)
+
+
 def test_mismatched_hierarchical_factors_raise():
     tx = build_codebook(4, m=2, k=32, r_max=50, seed=0)
     rx = build_codebook(3, m=3, k=32, r_max=50, seed=0)

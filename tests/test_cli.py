@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 import beamkit
-from beamkit import build_codebook, ls_icd, main_lobe_mse, make_target, ps_icd
+from beamkit import (
+    build_codebook,
+    deviation,
+    fs_altmin,
+    ls_icd,
+    main_lobe_mse,
+    make_target,
+    ps_icd,
+)
 from beamkit.cli import build_parser, main
 from beamkit.serialization import (
     load_codebook,
@@ -65,6 +74,29 @@ def test_design_practical_multi_nrf(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert text.count("median_deviation") == 2
+
+
+def test_design_practical_runs_each_nrf_in_one_stacked_call(tmp_path, capsys, monkeypatch):
+    # --seeds 5 over two --nrf values: one fs_altmin call per n_rf, and
+    # stdout byte for byte that of one single-codeword call per seed
+    out, _ = _design(tmp_path, "--rmax", "200")
+    v = load_codeword(out)
+    expect = "".join(
+        f"nrf {n_rf} median_deviation "
+        f"{statistics.median(deviation(v, fs_altmin(v, n_rf, 4, t_max=10, seed=7 + i).realized) for i in range(5)):.12g}\n"
+        for n_rf in (2, 3))
+    real, shapes = beamkit.cli.fs_altmin, []
+
+    def recorded(v, *args, **kwargs):
+        shapes.append(np.shape(v))
+        return real(v, *args, **kwargs)
+
+    monkeypatch.setattr(beamkit.cli, "fs_altmin", recorded)
+    capsys.readouterr()
+    assert main(["design-practical", "--input", str(out), "--nrf", "2,3", "--bits", "4",
+                 "--tmax", "10", "--seeds", "5", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == expect
+    assert shapes == [(5, 16), (5, 16)]
 
 
 @pytest.mark.parametrize("runs", [["--nrf", "1,2"], ["--nrf", "2", "--seeds", "2"]])
@@ -183,6 +215,22 @@ def test_simulate_nan_snr_is_usage_error(tmp_path, capsys):
     rc = main(["simulate", "--codebook", str(cb), "--snr", "nan",
                "--trials", "2", "--out", str(tmp_path / "sim.csv")])
     assert rc == 2
+    assert not (tmp_path / "sim.csv").exists()
+
+
+def test_simulate_with_an_overflowing_received_power_is_usage_error(tmp_path, capsys):
+    # 3082 dB is a finite power, but some received powers overflow it
+    paths = {}
+    for n in (4, 8):
+        paths[n] = tmp_path / f"cb{n}.json"
+        assert main(["build-codebook", "--n", str(n), "--k", "32",
+                     "--rmax", "100", "--out", str(paths[n])]) == 0
+    with np.errstate(over="ignore"):
+        rc = main(["simulate", "--tx-codebook", str(paths[8]), "--rx-codebook",
+                   str(paths[4]), "--snr", "3082", "--paths", "2", "--trials", "20",
+                   "--out", str(tmp_path / "sim.csv")])
+    assert rc == 2
+    assert "error: received power is inf at snr_db = 3082" in capsys.readouterr().err
     assert not (tmp_path / "sim.csv").exists()
 
 

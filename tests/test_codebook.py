@@ -9,10 +9,12 @@ from beamkit import (
     HierarchicalCodebook,
     SynthesisError,
     build_codebook,
+    fs_altmin,
     layer_count,
     steering_vector,
     training_test_count,
 )
+from beamkit.practical import design_nrf1, phase_set
 
 
 def test_layer_count():
@@ -124,9 +126,10 @@ def test_build_failure_reports_location(monkeypatch):
         build_codebook(16, m=2, k=128, r_max=100, seed=0)
 
 
-def test_build_factors_each_layer_in_one_call(monkeypatch):
-    # one stacked fs_altmin call per synthesized layer, whose entries equal
-    # their own calls; a failing entry is still named by layer and index
+def test_build_factors_every_synthesized_layer_in_one_call(monkeypatch):
+    # one stacked fs_altmin call for the synthesized entries of every layer,
+    # whose entries equal their own calls; a failing entry is still named by
+    # layer and index
     hw = {"n_rf": 3, "b": 4, "t_max": 3}
     real = beamkit.codebook.fs_altmin
     shapes = []
@@ -137,7 +140,7 @@ def test_build_factors_each_layer_in_one_call(monkeypatch):
 
     monkeypatch.setattr(beamkit.codebook, "fs_altmin", recorded)
     cb = build_codebook(16, k=64, r_max=100, seed=3, hw=hw)
-    assert shapes == [(2, 16), (4, 16), (8, 16)]
+    assert shapes == [(14, 16)]
     for s, layer in enumerate(cb.layers[:-1], 1):
         for i, e in enumerate(layer, 1):
             one = real(e.ideal, 3, 4, t_max=3, seed=beamkit.codebook._entry_seed(3, s, i))
@@ -153,6 +156,66 @@ def test_build_factors_each_layer_in_one_call(monkeypatch):
     monkeypatch.setattr(beamkit.codebook, "fs_altmin", failing)
     with pytest.raises(RuntimeError, match="layer 2, index 3$"):
         build_codebook(16, k=64, r_max=100, seed=3, hw=hw)
+
+
+def _zeroing(real, bad):
+    """fs_altmin with every row equal to the codeword bad zeroed."""
+    def call(v, *args, **kwargs):
+        return real(np.array([0 * row if np.array_equal(row, bad) else row for row in v]),
+                    *args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("s, i", [(1, 2), (3, 8)])
+def test_build_names_a_failing_factorization_by_layer_and_index(monkeypatch, s, i):
+    # an entry of the first synthesized layer, and the last entry of the
+    # last one (the stack's last row), map back to their places
+    kw = dict(k=64, r_max=100, seed=3, hw={"n_rf": 2, "b": 4, "t_max": 2})
+    bad = build_codebook(16, **kw).layers[s - 1][i - 1].ideal
+    monkeypatch.setattr(beamkit.codebook, "fs_altmin",
+                        _zeroing(beamkit.codebook.fs_altmin, bad))
+    with pytest.raises(RuntimeError, match=f"layer {s}, index {i}$") as err:
+        build_codebook(16, **kw)
+    assert isinstance(err.value.__cause__, SynthesisError)
+
+
+def test_build_reports_an_ideal_failure_before_any_factorization_failure(monkeypatch):
+    # every ideal codeword is designed before any is factored, so an ideal
+    # design failing in layer 3 wins over a factorization failing in layer 1
+    kw = dict(k=64, r_max=100, seed=3, hw={"n_rf": 2, "b": 4, "t_max": 2})
+    bad = build_codebook(16, **kw).layers[0][0].ideal
+    real_ps_icd = beamkit.codebook.ps_icd
+
+    def ps_icd(target, n, k, r_max, seed):
+        if seed == beamkit.codebook._entry_seed(3, 3, 5):
+            raise SynthesisError("designed vector collapsed to zero")
+        return real_ps_icd(target, n, k, r_max, seed)
+
+    monkeypatch.setattr(beamkit.codebook, "fs_altmin",
+                        _zeroing(beamkit.codebook.fs_altmin, bad))
+    monkeypatch.setattr(beamkit.codebook, "ps_icd", ps_icd)
+    with pytest.raises(RuntimeError, match="layer 3, index 5$"):
+        build_codebook(16, **kw)
+
+
+@pytest.mark.parametrize("m, n", [(2, 16), (3, 27)])
+@pytest.mark.parametrize("t_max", [0, 3])
+@pytest.mark.parametrize("n_rf", [1, 2, 3, 4])
+def test_build_hybrids_equal_one_fs_altmin_call_per_entry(m, n, t_max, n_rf):
+    # the stacked factorization of every synthesized layer gives each entry
+    # the hybrid of its own call; the bottom layer quantizes steering vectors
+    b = 4
+    cb = build_codebook(n, m=m, k=64, r_max=100, seed=2,
+                        hw={"n_rf": n_rf, "b": b, "t_max": t_max})
+    for s, layer in enumerate(cb.layers, 1):
+        for i, e in enumerate(layer, 1):
+            if s < cb.s:
+                one = fs_altmin(e.ideal, n_rf, b, t_max=t_max,
+                                seed=beamkit.codebook._entry_seed(2, s, i))
+            else:
+                one = design_nrf1(e.ideal, phase_set(b))
+            assert one.phase_indices.tobytes() == e.hybrid.phase_indices.tobytes()
+            assert one.digital.tobytes() == e.hybrid.digital.tobytes()
 
 
 def test_build_rejects_grid_smaller_than_array():

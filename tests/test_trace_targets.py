@@ -84,8 +84,8 @@ def test_design_calls_go_through_the_traced_names():
         "ideal.ps_icd", "arrays.steering_matrix", "arrays.SteeringMatrix.gram",
         "practical.fs_altmin", "practical.design_nrf1")}
     # 6 synthesized entries in two layers of r_max live updates each, one
-    # fs_altmin call per synthesized layer, 8 bottom steering vectors
+    # fs_altmin call for both synthesized layers, 8 bottom steering vectors
     assert got == {"ideal.ps_icd": 6, "arrays.steering_matrix": 6,
-                   "arrays.SteeringMatrix.gram": 6, "practical.fs_altmin": 2,
+                   "arrays.SteeringMatrix.gram": 6, "practical.fs_altmin": 1,
                    "practical.design_nrf1": 8}
     assert tracer.counts["ideal.PhaseOptimizer.update"] == 2 * 100

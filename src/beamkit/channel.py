@@ -145,8 +145,8 @@ def measure(v, w, ch, snr_db, rng):
     # np.abs, not abs(): the two round differently in the last bit
     power = float(np.abs(y) ** 2)
     if not math.isfinite(power):
-        raise ValueError(f"received power is {power} at snr_db = {snr_db}: a finite power "
-                         f"needs a lower snr_db, and finite beams and channel")
+        raise ValueError(f"received power is {power} at snr_db = {snr_db}, not a finite "
+                         f"number; a lower snr_db keeps it in the float range")
     return power
 
 

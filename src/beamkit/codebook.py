@@ -4,7 +4,8 @@ Layer s holds M^s codewords whose coverage intervals tile [-1, 1] into
 equal pieces; each parent beam covers exactly the M beams of its children.
 Upper-layer codewords come from the ideal design (optionally factored
 through hardware), while bottom-layer sectors of width 2/N use plain
-steering vectors.
+steering vectors.  A build designs every ideal codeword before it
+factors any.
 """
 
 from dataclasses import dataclass
@@ -164,7 +165,7 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     own call; the bottom layer's steering vectors take one chain each.  A
     failure raises RuntimeError naming its layer and index.  An ideal
     design that fails in any layer is reported before any factorization
-    failure, and of several factorization failures, the first in the stack.
+    failure.
 
     n must be m^s for some s >= 1, and the grid size k at least n.  Per-entry
     seeds derive from the master seed and the layer/index, so any single
@@ -182,15 +183,15 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     # entries come last
     places = [(s, i) for s in range(1, s_total + 1) for i in range(1, m**s + 1)]
     synth = len(places) - m**s_total
+    tiles = [_tile(m, s, i) for s, i in places]
+    seeds = [_entry_seed(seed, s, i) for s, i in places[:synth]]
     ideals = []
-    for s, i in places:
-        lo, hi = _tile(m, s, i)
+    for e, ((s, i), (lo, hi)) in enumerate(zip(places, tiles)):
         try:
             if s == s_total:
                 ideals.append(steering_vector(n, 0.5 * (lo + hi)))
             elif method == "ps-icd":
-                ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max,
-                                     _entry_seed(seed, s, i)))
+                ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max, seeds[e]))
             else:
                 ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
         except Exception as exc:
@@ -199,15 +200,13 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     if hw:
         if synth:  # every synthesized entry in one call
             try:
-                hybrids[:synth] = fs_altmin(
-                    np.array(ideals[:synth]), hw["n_rf"], hw["b"], hw["t_max"],
-                    seed=[_entry_seed(seed, s, i) for s, i in places[:synth]])
+                hybrids[:synth] = fs_altmin(np.array(ideals[:synth]), hw["n_rf"], hw["b"],
+                                            hw["t_max"], seed=seeds)
             except SynthesisError as exc:  # it names the entry that failed
                 raise _failed(*places[exc.entry]) from exc
         pset = phase_set(hw["b"])
         hybrids[synth:] = [design_nrf1(v, pset) for v in ideals[synth:]]
-    entries = [CodebookEntry(_tile(m, s, i), ideal, hybrid)
-               for (s, i), ideal, hybrid in zip(places, ideals, hybrids)]
+    entries = [CodebookEntry(*entry) for entry in zip(tiles, ideals, hybrids)]
     # layer s starts after the m + m^2 + ... + m^(s-1) entries above it
     layers = [entries[(m**s - m) // (m - 1):(m**(s + 1) - m) // (m - 1)]
               for s in range(1, s_total + 1)]

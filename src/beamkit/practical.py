@@ -28,7 +28,9 @@ in again.  Reusing the buffers took one 1,024-target block from about 630
 to 390 us on a 2-core x86-64 machine.  Blocks of at least _FAST_BLOCK
 targets also wrap phases by compares, not np.remainder, and find each
 first minimum with a minimum and a compare, not argmin: the same bits,
-which took that block to about 290 us.
+which took that block to about 290 us.  fs_row keeps its per-step
+(rows x candidates) arrays in per-thread buffers too, grown to the widest
+step it has run.
 """
 
 import contextlib
@@ -385,12 +387,13 @@ def _kernel_scratch():
     return _scratch.buffers
 
 
-def _row_scratch(n, size):
-    """This thread's buffers for an fs_row step of n = rows x size entries,
+def _row_scratch(rows, size):
+    """This thread's buffers for an fs_row step of rows x size candidates,
     each shaped (rows, size): the residual targets (complex), then alpha,
     the bound and the errors (float).  They grow to the widest step asked
     for; fresh arrays of that size page-faulted their memory in on every
     step, as the kernel's temporaries did."""
+    n = rows * size
     if getattr(_scratch, "row_entries", 0) < n:
         _scratch.row_entries = n
         _scratch.row_buffers = (np.empty(n, complex), np.empty(n), np.empty(n), np.empty(n))
@@ -544,7 +547,7 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         own = np.column_stack([fp.real * ep.real - fp.imag * ep.imag,
                                fp.real * ep.imag + fp.imag * ep.real])
         fixed = np.sum((f * e)[:, 2:], axis=1) - own.view(complex)[:, 0]
-        resid_targets, alpha, bound, errs = _row_scratch(active.size * size, size)
+        resid_targets, alpha, bound, errs = _row_scratch(active.size, size)
         np.multiply(fp[..., None], phasors, out=resid_targets)
         np.subtract((target[active] - fixed)[:, None], resid_targets, out=resid_targets)
         # solve only the candidates whose bound, less the margin, does not

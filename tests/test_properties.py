@@ -675,6 +675,31 @@ def test_two_rf_kernel_scratch_leaks_nothing_between_calls():
         _assert_same_bits(got, fresh[0])
 
 
+def test_fs_row_scratch_leaks_nothing_between_calls():
+    # each thread reuses fs_row's per-step buffers, grown to the widest step:
+    # a call must equal the same call on a new thread's buffers, after wider
+    # and narrower steps, other phase-set sizes, and with or without owner
+    rng = np.random.default_rng(8)
+    calls = []
+    for rows, n_rf, bits, groups in ((40, 4, 6, 3), (5, 3, 4, 1), (40, 5, 2, 2), (1, 3, 6, 1)):
+        target = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        fbb = rng.standard_normal((groups, n_rf)) + 1j * rng.standard_normal((groups, n_rf))
+        init = rng.integers(0, 2**bits, (rows, n_rf))
+        owner = rng.integers(0, groups, rows) if groups > 1 else None
+        calls.append((target, fbb if owner is not None else fbb[0], phase_set(bits), init,
+                      owner))
+
+    in_turn = [fs_row(*c) for c in calls]  # later calls overwrite the buffers
+    for c, got in zip(calls, in_turn):
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(fs_row(*c)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        _assert_same_bits(got[:2], fresh[0][:2])
+        assert got[2] == fresh[0][2]
+
+
 def test_threads_designing_stacks_at_once_equal_serial_runs():
     # more threads than a 2-core machine has cores, switching often: kernel
     # buffers shared between threads would mix their candidates
@@ -693,6 +718,36 @@ def test_threads_designing_stacks_at_once_equal_serial_runs():
     def run(i):
         start.wait()
         threaded[i] = design(jobs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(threaded, serial):
+        for g, w in zip(got, want, strict=True):
+            _assert_same_bits([g.phase_indices, g.digital], [w.phase_indices, w.digital])
+
+
+def test_threads_running_wide_row_searches_at_once_equal_serial_runs():
+    # fs_row's per-step buffers shared between threads would mix their rows'
+    # candidates; these steps are up to 256 rows x 64 candidates wide
+    rng = np.random.default_rng(9)
+    jobs = [(rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32)), n_rf)
+            for n_rf in (3, 4, 5)]
+    serial = [fs_altmin(v, n_rf, 6, t_max=4, seed=range(8)) for v, n_rf in jobs]
+    start, threaded = threading.Barrier(len(jobs)), [None] * len(jobs)
+
+    def run(i):
+        start.wait()
+        v, n_rf = jobs[i]
+        threaded[i] = fs_altmin(v, n_rf, 6, t_max=4, seed=range(8))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()

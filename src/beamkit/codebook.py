@@ -159,13 +159,15 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     synthesized codeword.
 
     The build takes the paper's two steps.  First it designs every ideal
-    codeword, layer by layer.  Then, when hw is set, it factors the
-    synthesized entries of all layers in one stacked fs_altmin call, in
-    layer order, each entry with its own seed and equal bit for bit to its
-    own call; the bottom layer's steering vectors take one chain each.  A
-    failure raises RuntimeError naming its layer and index.  An ideal
-    design that fails in any layer is reported before any factorization
-    failure.
+    codeword: with "ps-icd", the synthesized entries of all layers in one
+    stacked ps_icd call, ps_icd(targets, n, k, r_max, seeds) in layer order,
+    each entry with its own seed and equal bit for bit to its own call.
+    Then, when hw is set, it factors the synthesized entries in one stacked
+    fs_altmin call, in the same order and with the same seeds, each again
+    equal to its own call; the bottom layer's steering vectors take one
+    chain each.  A failure raises RuntimeError naming its layer and index,
+    the first in layer order.  An ideal design that fails in any layer is
+    reported before any factorization failure.
 
     n must be m^s for some s >= 1, and the grid size k at least n.  Per-entry
     seeds derive from the master seed and the layer/index, so any single
@@ -186,12 +188,16 @@ def build_codebook(n, m=2, k=128, r_max=2000, seed=0, method="ps-icd", hw=None):
     tiles = [_tile(m, s, i) for s, i in places]
     seeds = [_entry_seed(seed, s, i) for s, i in places[:synth]]
     ideals = []
-    for e, ((s, i), (lo, hi)) in enumerate(zip(places, tiles)):
+    if method == "ps-icd" and synth:  # every synthesized entry in one call
+        try:
+            ideals = list(ps_icd([make_target("rect", tile) for tile in tiles[:synth]],
+                                 n, k, r_max, seeds))
+        except SynthesisError as exc:  # it names the first entry that failed
+            raise _failed(*places[exc.entry]) from exc
+    for (s, i), (lo, hi) in zip(places[len(ideals):], tiles[len(ideals):]):
         try:
             if s == s_total:
                 ideals.append(steering_vector(n, 0.5 * (lo + hi)))
-            elif method == "ps-icd":
-                ideals.append(ps_icd(make_target("rect", (lo, hi)), n, k, r_max, seeds[e]))
             else:
                 ideals.append(ls_icd(make_target("rect", (lo, hi)), n, k))
         except Exception as exc:

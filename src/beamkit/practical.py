@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrays import _count
-from .ideal import SynthesisError
+from .ideal import SynthesisError, _named
 
 __all__ = [
     "PhaseSet",
@@ -298,10 +298,6 @@ def _design_input(v, entry=None):
     if not (np.isfinite(nrm) and nrm > 0.0):
         raise SynthesisError(f"codeword{_named(entry)} to factor has norm {nrm}", entry)
     return v
-
-
-def _named(entry):
-    return "" if entry is None else f" {entry}"
 
 
 def design_nrf1(v, pset):

@@ -234,6 +234,29 @@ def test_simulate_with_an_overflowing_received_power_is_usage_error(tmp_path, ca
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_simulate_overflow_prints_only_the_error_line(tmp_path):
+    # the overflow that makes the received power inf is the error's cause,
+    # so no RuntimeWarning (with its source line) comes before the error
+    paths = {}
+    for n in (4, 8):
+        paths[n] = tmp_path / f"cb{n}.json"
+        assert main(["build-codebook", "--n", str(n), "--k", "32",
+                     "--rmax", "100", "--out", str(paths[n])]) == 0
+    src = str(Path(beamkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "beamkit.cli", "simulate",
+                          "--tx-codebook", str(paths[8]), "--rx-codebook", str(paths[4]),
+                          "--snr", "3082", "--paths", "2", "--trials", "20",
+                          "--out", str(tmp_path / "sim.csv")],
+                         capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 2
+    assert run.stderr == ("error: received power is inf at snr_db = 3082.0, not a finite "
+                          "number; a lower snr_db keeps it in the float range\n")
+    assert run.stdout == ""
+    assert not (tmp_path / "sim.csv").exists()
+
+
 def test_simulate_nan_codebook_is_usage_error(tmp_path, capsys):
     # every power > nan is False: a NaN codeword would decide nothing, and
     # the campaign would still report a success rate

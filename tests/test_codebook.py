@@ -118,8 +118,8 @@ def test_entry_and_children_accessors():
 
 
 def test_build_failure_reports_location(monkeypatch):
-    def collapse(*args, **kwargs):
-        raise SynthesisError("designed vector collapsed to zero")
+    def collapse(targets, n, k, r_max, seeds):  # the stack fails at its first entry
+        raise SynthesisError("designed vector 0 collapsed to zero", 0)
 
     monkeypatch.setattr(beamkit.codebook, "ps_icd", collapse)
     with pytest.raises(RuntimeError, match="layer 1, index 1"):
@@ -186,10 +186,10 @@ def test_build_reports_an_ideal_failure_before_any_factorization_failure(monkeyp
     bad = build_codebook(16, **kw).layers[0][0].ideal
     real_ps_icd = beamkit.codebook.ps_icd
 
-    def ps_icd(target, n, k, r_max, seed):
-        if seed == beamkit.codebook._entry_seed(3, 3, 5):
-            raise SynthesisError("designed vector collapsed to zero")
-        return real_ps_icd(target, n, k, r_max, seed)
+    def ps_icd(targets, n, k, r_max, seeds):
+        failing = seeds.index(beamkit.codebook._entry_seed(3, 3, 5))
+        real_ps_icd(targets, n, k, r_max, seeds)
+        raise SynthesisError(f"designed vector {failing} collapsed to zero", failing)
 
     monkeypatch.setattr(beamkit.codebook, "fs_altmin",
                         _zeroing(beamkit.codebook.fs_altmin, bad))

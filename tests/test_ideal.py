@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import beamkit.ideal
 from beamkit import (
     TargetPattern,
     ls_icd,
@@ -179,6 +180,43 @@ def test_ps_icd_validates_target():
         ps_icd("not a target", 16, 128, 100, seed=0)
 
 
+def test_stacked_ps_icd_names_its_first_failing_entry(monkeypatch):
+    good = make_target("rect", (-1.0, 0.0))
+    narrow = make_target("rect", (-0.004, -0.002))  # no grid direction inside
+    nan = TargetPattern((-1.0, 0.0), lambda om: np.where(om < -0.5, np.nan, 1.0))
+    with pytest.raises(SynthesisError, match="^target 2 magnitudes vanish") as err:
+        ps_icd([good, good, narrow, good, nan], 16, 128, 100, seed=[1, 2, 3, 4, 5])
+    assert err.value.entry == 2
+    with pytest.raises(SynthesisError, match="^target 1 magnitudes must be finite") as err:
+        ps_icd([good, nan, narrow], 16, 128, 100, seed=[1, 2, 3])
+    assert err.value.entry == 1
+    # the entries before a failing target are still designed, and one of
+    # them that fails is named first
+    real = beamkit.ideal._assemble
+
+    def assemble(matrix, gains, k, entry=None):
+        if entry == 0:
+            raise SynthesisError("designed vector 0 collapsed to zero", 0)
+        return real(matrix, gains, k, entry)
+
+    monkeypatch.setattr(beamkit.ideal, "_assemble", assemble)
+    with pytest.raises(SynthesisError, match="^designed vector 0 collapsed") as err:
+        ps_icd([good, narrow], 16, 128, 100, seed=[1, 2])
+    assert err.value.entry == 0
+
+
+def test_stacked_ps_icd_checks_its_targets_and_seeds():
+    good = make_target("rect", (-1.0, 0.0))
+    assert ps_icd([], 8, 16, 10, seed=[]).shape == (0, 8)
+    for seed in (0, [1], [1, 2, 3], [[1, 2]]):
+        with pytest.raises(ValueError, match="seed must be 2 counts, one per target"):
+            ps_icd([good, good], 8, 16, 10, seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0 and an integer, got -1"):
+        ps_icd([good, good], 8, 16, 10, seed=[1, -1])
+    with pytest.raises(TypeError, match="target must be a magnitude profile"):
+        ps_icd([good, "not a target"], 8, 16, 10, seed=[1, 2])
+
+
 def test_ps_icd_rejects_negative_update_count():
     target = make_target("rect", (-1.0, 0.0))
     with pytest.raises(ValueError, match="r_max must be >= 0 and an integer, got -3"):
@@ -195,10 +233,13 @@ def test_ps_icd_optimizer_shares_its_row_constants_per_size():
     mags = target(sm.grid)
     phases = np.random.default_rng(3).uniform(-np.pi, np.pi, 32)
     public = PhaseOptimizer(sm.gram(), mags, phases)
-    shared = PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases)
-    assert PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases)._rows is shared._rows
+    gains = mags * np.exp(1j * phases)
+    shared = PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases.copy(), gains)
+    assert PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases, gains)._rows is shared._rows
+    assert shared.gains is gains  # updated in place
     assert shared._degenerate == public._degenerate
     assert shared._diagonal == public._diagonal
     for k in list(range(32)) * 3:
         assert shared.update(k) == public.update(k)
     assert shared.gains.tobytes() == public.gains.tobytes()
+    assert shared.phases.tobytes() == public.phases.tobytes()

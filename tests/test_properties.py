@@ -789,6 +789,78 @@ def test_ps_icd_updates_only_live_directions(monkeypatch, n, k, r_max):
     assert order == [i % k for i in range(r_max) if mags[i % k] > 0]
 
 
+@st.composite
+def _targets(draw, k):
+    """A rect, triangular or step target on a grid of k directions, or a step
+    with a zero plateau."""
+    kind = draw(st.sampled_from(["rect", "triangular", "step", "zero-step"]))
+    width = draw(st.sampled_from([3, 1, 8, k])) * 2.0 / k  # in grid steps
+    lo = draw(st.floats(-1.0, 1.0 - min(width, 1.0)))
+    hi = min(lo + width, 1.0)
+    if kind == "zero-step":
+        return make_target("step", (lo, hi), heights=(0.0, 1.0),
+                           split=draw(st.floats(0.1, 0.9)))
+    return make_target(kind, (lo, hi))
+
+
+@_SETTINGS
+@given(
+    n=st.integers(2, 12),
+    oversample=st.integers(1, 3),
+    extra=st.sampled_from([0, 0, 1, 5]),
+    entries=st.integers(1, 30),
+    data=st.data(),
+)
+def test_stacked_ps_icd_equals_one_call_per_entry(n, oversample, extra, entries, data):
+    # K = N (the degenerate grid) and K > N; r_max 0, below K and above it;
+    # duplicate seeds and targets; stacks on both sides of the hand-off to
+    # PhaseOptimizer.update
+    k = n * oversample + extra
+    r_max = data.draw(st.sampled_from([0, k // 2, k, 3 * k + 1, 8 * k]))
+    pool = data.draw(st.lists(_targets(k), min_size=1, max_size=4))
+    targets = [pool[e % len(pool)] for e in range(entries)]
+    vanishing = data.draw(st.sampled_from([None, None, None, 0, entries // 2, entries - 1]))
+    if vanishing is not None:  # a coverage that holds no grid direction
+        targets[vanishing] = make_target("rect", (-1.0, -1.0 + 0.5 / k))
+    seeds = data.draw(st.lists(st.one_of(st.integers(0, 2), st.integers(0, 2**32 - 1)),
+                               min_size=entries, max_size=entries))
+    one = []
+    for e, (target, seed) in enumerate(zip(targets, seeds)):
+        try:
+            one.append(ps_icd(target, n, k, r_max, seed))
+        except SynthesisError:  # the stack fails at its first such entry
+            with pytest.raises(SynthesisError, match=f"target {e} magnitudes") as err:
+                ps_icd(targets, n, k, r_max, seeds)
+            assert err.value.entry == e
+            return
+    stacked = ps_icd(targets, n, k, r_max, seeds)
+    assert stacked.shape == (entries, n) and stacked.dtype == complex
+    for got, want in zip(stacked, one):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(8, 8), (16, 16), (8, 32), (16, 128)])
+def test_stacked_ps_icd_steps_together_then_hands_off(monkeypatch, n, k):
+    # a codebook's 2 + 4 + 8 tiles, with a duplicated seed: the stack takes
+    # some updates together and leaves the rest to PhaseOptimizer.update,
+    # and at K = N no update moves a phase
+    tiles = [(-1.0 + i * w, -1.0 + (i + 1) * w) for w in (1.0, 0.5, 0.25)
+             for i in range(round(2 / w))]
+    targets = [make_target("rect", tile) for tile in tiles]
+    seeds = [7, 7, *range(2, len(tiles))]
+    r_max = 10 * k + 3
+    want = [ps_icd(t, n, k, r_max, seed) for t, seed in zip(targets, seeds)]
+    calls = []
+    update = PhaseOptimizer.update
+    monkeypatch.setattr(PhaseOptimizer, "update",
+                        lambda self, j: calls.append(j) or update(self, j))
+    got = ps_icd(targets, n, k, r_max, seeds)
+    live = sum(np.count_nonzero(t(steering_matrix(n, k).grid)) for t in targets)
+    assert 0 < len(calls) < live * (r_max // k)
+    for row, one in zip(got, want):
+        assert row.tobytes() == one.tobytes()
+
+
 @_SETTINGS
 @given(
     v=arrays(complex, st.integers(2, 10), elements=_complex).filter(

@@ -83,9 +83,12 @@ def test_design_calls_go_through_the_traced_names():
     got = {name: spans[name] for name in (
         "ideal.ps_icd", "arrays.steering_matrix", "arrays.SteeringMatrix.gram",
         "practical.fs_altmin", "practical.design_nrf1")}
-    # 6 synthesized entries in two layers of r_max live updates each, one
-    # fs_altmin call for both synthesized layers, 8 bottom steering vectors
-    assert got == {"ideal.ps_icd": 6, "arrays.steering_matrix": 6,
-                   "arrays.SteeringMatrix.gram": 6, "practical.fs_altmin": 1,
+    # one ps_icd and one fs_altmin call for the 6 synthesized entries of both
+    # layers, 8 bottom steering vectors
+    assert got == {"ideal.ps_icd": 1, "arrays.steering_matrix": 1,
+                   "arrays.SteeringMatrix.gram": 1, "practical.fs_altmin": 1,
                    "practical.design_nrf1": 8}
-    assert tracer.counts["ideal.PhaseOptimizer.update"] == 2 * 100
+    # of the entries' 52, 48, 28, 24, 24 and 24 live updates (200, two layers
+    # of r_max), all 6 take their first 24 together; the 28, 24 and 4 left
+    # run in PhaseOptimizer.update
+    assert tracer.counts["ideal.PhaseOptimizer.update"] == 28 + 24 + 4

@@ -4,14 +4,14 @@ Each case runs a fixed, seeded call several times and records the median
 and quartile distance of its wall times (time.perf_counter) together with
 quality numbers (deviation, main-lobe MSE, residuals) and a sha256 over its
 outputs, so a speedup that moves a result shows up in the same record.
-Each case also records the minor page faults per timed call (the process's
-ru_minflt, summed over the timed calls only).  OpenBLAS is held to one
-thread.  The cases:
+OpenBLAS is held to one thread.  The cases:
 
 - build_codebook(32, n_rf=4, b=6), end to end;
 - fs_altmin at N = 32 with n_rf = 2, 3 and 4;
 - one fs_row pass over the 32 rows of an N = 32 codeword, n_rf = 4, b = 6;
-- solve_two_rf on 2048 targets, b = 6;
+- the two-phasor kernel on 2048 targets, b = 6, set-up included:
+  practical._two_rf_solve as the public solve_two_rf called it, under that
+  case name still, so runs from before and after its removal compare;
 - ps_icd at N = 32, K = 128 with 2000 updates;
 - a 500-trial success_rate campaign at N_t = N_r = 32, 3 paths, 0 dB,
   practical (ps-icd codebooks, 2 RF chains, 6 bits) and ideal (ls-icd);
@@ -29,9 +29,7 @@ A run is stored under its label in the output file's "runs", replacing a
 run of the same label.  --compare exits 1 when any quality field or digest
 of a case in both runs differs, or no case is in both, and otherwise only
 reports time ratios, marking a ratio "unresolved" when the two medians
-differ by no more than the first run's quartile distance.  It prints the
-minor faults per call of both runs next to the ratio; they are for
-information only and never make it exit 1.
+differ by no more than the first run's quartile distance.
 --toy runs every case at toy sizes, for a smoke test.
 """
 
@@ -46,7 +44,6 @@ import hashlib
 import importlib
 import json
 import platform
-import resource
 import statistics
 import subprocess
 import time
@@ -165,9 +162,10 @@ def cases(bk, size):
             return ({"residual_mean": float(np.mean(res))},
                     digest(i1, i2, res))
 
-        pset = bk.phase_set(size["bits"])
-        return (f"solve_two_rf/targets{size['targets']}/b{size['bits']}",
-                setup, lambda a: bk.solve_two_rf(a[0], a[1], a[2], pset),
+        pset, kernel = bk.phase_set(size["bits"]), bk.practical
+        return (f"solve_two_rf/targets{size['targets']}/b{size['bits']}", setup,
+                lambda a: kernel._two_rf_solve(a[0], np.abs(a[0]),
+                                               kernel._two_rf_setup(a[1], a[2], pset)),
                 score)
 
     def icd_case():
@@ -256,24 +254,20 @@ def cases(bk, size):
 def time_case(setup, call, score, repeats, seconds):
     """Median and quartile distance of the wall times of at least repeats
     calls lasting at least seconds in all, with the quality and digest of
-    the result, which must not change between repeats, and the minor page
-    faults per call."""
+    the result, which must not change between repeats."""
     args = setup()
-    times, seen, faults = [], set(), 0
+    times, seen = [], set()
     while len(times) < repeats or sum(times) < seconds:
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         result = call(args)
         times.append(time.perf_counter() - t0)
-        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
         quality, sha = score(result)
         seen.add(sha)
     if len(seen) != 1:
         raise RuntimeError("outputs differ between repeats")
     q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else (0, 0, 0)
     return {"median_s": statistics.median(times), "iqr_s": q3 - q1,
-            "times_s": times, "minflt_per_call": faults / len(times),
-            "quality": quality, "sha256": sha}
+            "times_s": times, "quality": quality, "sha256": sha}
 
 
 def _git(path, *args):
@@ -351,9 +345,8 @@ def _load_run(spec):
 
 def compare(spec_a, spec_b):
     """Report B's time over A's per case, unresolved where the medians differ
-    by no more than A's quartile distance, and the minor faults per call
-    where both runs have them; 1 if any quality or digest differs, or if
-    the runs share no case."""
+    by no more than A's quartile distance; 1 if any quality or digest
+    differs, or if the runs share no case."""
     a, b = _load_run(spec_a)["cases"], _load_run(spec_b)["cases"]
     status = 0 if a.keys() & b.keys() else 1
     for name in sorted(a.keys() | b.keys()):
@@ -369,9 +362,6 @@ def compare(spec_a, spec_b):
         # a move no larger than A's own spread cannot be told from noise
         noise = abs(cb["median_s"] - ca["median_s"]) <= ca["iqr_s"]
         note = f"  DIFFERS: {', '.join(sorted(diff))}" if diff else ""
-        if "minflt_per_call" in ca and "minflt_per_call" in cb:
-            note = (f"; minor faults/call {ca['minflt_per_call']:.4g} -> "
-                    f"{cb['minflt_per_call']:.4g}{note}")
         print(f"{name}: {ca['median_s']:.4g} s -> {cb['median_s']:.4g} s "
               f"(x{ratio:.3f}{', unresolved' if noise else ''}){note}")
         status |= bool(diff)

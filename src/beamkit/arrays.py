@@ -7,15 +7,12 @@ accepted wherever documented.
 """
 
 import functools
-import io
 
 import numpy as np
 
 __all__ = [
     "steering_vector",
     "beam_gain",
-    "sample_pattern",
-    "pattern_csv",
     "main_lobe_mse",
     "steering_matrix",
 ]
@@ -51,26 +48,6 @@ def beam_gain(v, omega):
     om = np.asarray(omega, dtype=float)
     g = np.exp(-1j * np.pi * np.outer(om, np.arange(v.size))) @ v
     return g.reshape(om.shape)
-
-
-def sample_pattern(v, grid):
-    """Sample the beam pattern of v on a grid of directions.
-
-    Returns an (len(grid), 3) float array with columns
-    (omega, |G|, angle(G) in radians).
-    """
-    grid = np.asarray(grid, dtype=float)
-    g = beam_gain(v, grid)
-    return np.column_stack([grid, np.abs(g), np.angle(g)])
-
-
-def pattern_csv(rows):
-    """Render sample_pattern rows as CSV text (12 significant digits)."""
-    buf = io.StringIO()
-    buf.write("omega,magnitude,phase_rad\n")
-    for om, mag, ph in rows:
-        buf.write(f"{om:.12g},{mag:.12g},{ph:.12g}\n")
-    return buf.getvalue()
 
 
 def main_lobe_mse(v, target):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .arrays import _count
 from .codebook import HierarchicalCodebook
+from .practical import _finite
 
 __all__ = [
     "Channel",
@@ -130,8 +131,9 @@ def measure(v, w, ch, snr_db, rng):
     factor of 1 is exact and skipped).  P is 10^(snr_db / 10), 1 at +inf
     and 0 at -inf.  y = sqrt(P) * ((conj(w) H) v) + conj(w) eta, with the
     products in that order, and the result is float(np.abs(y) ** 2).  A
-    result that is not finite raises ValueError naming snr_db: near the top
-    of its range (about 3082 dB) |y|^2 can overflow where P does not.
+    result that is not finite raises ValueError naming the first non-finite
+    entry of w or v, or else snr_db: near the top of its range (about
+    3082 dB) |y|^2 can overflow where P does not.
     """
     p, sigma = _snr_params(snr_db)
     h = ch.matrix
@@ -145,6 +147,10 @@ def measure(v, w, ch, snr_db, rng):
     # np.abs, not abs(): the two round differently in the last bit
     power = float(np.abs(y) ** 2)
     if not math.isfinite(power):
+        # a non-finite beam is named first; checked only here, so the
+        # per-trial path keeps its one isfinite
+        _finite("w", w, complex)
+        _finite("v", v, complex)
         raise ValueError(f"received power is {power} at snr_db = {snr_db}, not a finite "
                          f"number; a lower snr_db keeps it in the float range")
     return power

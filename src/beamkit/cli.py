@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from .arrays import _count, main_lobe_mse, pattern_csv, sample_pattern
+from .arrays import _count, beam_gain, main_lobe_mse
 from .channel import TrainingConfig, success_rate
 from .codebook import build_codebook
 from .ideal import ls_icd, ps_icd
-from .practical import _finite, deviation, fs_altmin
+from .practical import deviation, fs_altmin
 from .serialization import (
     load_codebook,
     load_codeword,
@@ -97,6 +97,16 @@ def positive_int_list(text):
     return [positive_int(t) for t in text.split(",")]
 
 
+def _pattern_csv(v, grid):
+    """The beam pattern of v on the directions grid, as CSV text: a header,
+    then omega, |G| and angle(G) in radians per direction, each to 12
+    significant digits."""
+    g = beam_gain(v, grid)
+    rows = zip(grid, np.abs(g), np.angle(g))
+    return "omega,magnitude,phase_rad\n" + "".join(
+        f"{om:.12g},{mag:.12g},{ph:.12g}\n" for om, mag, ph in rows)
+
+
 def cmd_design_ideal(args):
     target = make_target(args.target, args.cover, heights=args.heights,
                          split=args.split)
@@ -106,7 +116,7 @@ def cmd_design_ideal(args):
         v = ls_icd(target, args.n, args.k)
     save_codeword(v, args.out)
     with open(args.pattern_csv, "w") as fh:
-        fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, 2048))))
+        fh.write(_pattern_csv(v, np.linspace(-1.0, 1.0, 2048)))
     print(f"main_lobe_mse {main_lobe_mse(v, target):.12g}")
     return 0
 
@@ -178,10 +188,9 @@ def cmd_simulate(args):
 
 
 def cmd_pattern(args):
-    # a non-finite entry would sample as rows of nan
-    v = _finite(f"{args.input}: codeword", load_codeword(args.input), complex)
+    v = load_codeword(args.input)
     with open(args.out, "w") as fh:
-        fh.write(pattern_csv(sample_pattern(v, np.linspace(-1.0, 1.0, args.points))))
+        fh.write(_pattern_csv(v, np.linspace(-1.0, 1.0, args.points)))
     return 0
 
 

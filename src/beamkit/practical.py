@@ -13,10 +13,10 @@ cannot be accepted: no quantized pair comes closer to a target than the
 best continuous-phase pair, whose distance has a closed form, so a
 candidate whose distance bound exceeds the row's incumbent residual by more
 than rounding could never win, tie or be accepted.  Skipping it changes no
-index, residual or step count.  The remaining solves, the two-chain match
-and solve_two_rf run one kernel, _two_rf_solve.  fs_altmin designs a stack
-of codewords, such as a codebook layer, with one row search per
-alternation over the rows of them all.
+index, residual or step count.  The remaining solves and the two-chain
+match run one kernel, _two_rf_solve.  fs_altmin designs a stack of
+codewords, such as a codebook layer, with one row search per alternation
+over the rows of them all.
 
 The kernel works in blocks of up to _SOLVE_BLOCK targets, and writes its
 large temporaries into buffers that each thread allocates once and reuses
@@ -25,12 +25,11 @@ block) are freed at the end of each block; glibc then returns pages to the
 kernel, because the memory lies above its trim threshold (or was mapped
 on its own, above its mmap threshold), and the next block page-faults them
 in again.  Reusing the buffers took one 1,024-target block from about 630
-to 390 us on a 2-core x86-64 machine.  Blocks of at least _FAST_BLOCK
-targets also wrap phases by compares, not np.remainder, and find each
-first minimum with a minimum and a compare, not argmin: the same bits,
-which took that block to about 290 us.  fs_row keeps its per-step
-(rows x candidates) arrays in per-thread buffers too, grown to the widest
-step it has run.
+to 390 us on a 2-core x86-64 machine.  The kernel also wraps phases by
+compares, not np.remainder, and finds each first minimum with a minimum
+and a compare, not argmin: the same bits, which took that block to about
+290 us.  fs_row keeps its per-step (rows x candidates) arrays in
+per-thread buffers too, grown to the widest step it has run.
 """
 
 import contextlib
@@ -46,12 +45,8 @@ from .arrays import _count
 from .ideal import SynthesisError, _named
 
 __all__ = [
-    "PhaseSet",
     "phase_set",
-    "wrap_phase",
-    "quantize_index",
     "HybridCodeword",
-    "solve_two_rf",
     "fs_row",
     "ls_fbb",
     "fs_altmin",
@@ -89,11 +84,6 @@ _NAN_ARGS = np.array([[1.0], [-1.0]])
 # 0.74 MB, not in fresh arrays, whose frees crossed glibc's trim or mmap
 # threshold and made every block page-fault its memory in again.
 _SOLVE_BLOCK = 1024
-# Blocks of fewer targets take wrap_phase, argmin and fancy indexing.  The
-# compare wrap, the first-minimum search and the flat gathers make more
-# numpy calls, each with its own fixed cost, and only pay from about this
-# many targets.
-_FAST_BLOCK = 192
 _TWO_PI = 2.0 * np.pi
 # 18 - c for candidate c: the largest weight of a column's minima is its first
 _FIRST_WEIGHTS = np.arange(len(_CANDIDATES), 0, -1, dtype=np.uint8)[:, None]
@@ -140,18 +130,8 @@ def _phase_set(bits):
 def wrap_phase(theta):
     """Wrap angles into [-pi, pi), or to +pi where (theta + pi) mod 2 pi
     rounds up to 2 pi: less than about 4.4e-16 below an odd multiple of pi,
-    as np.nextafter(-pi, -4) is.  quantize_index maps +pi to the last phase."""
+    as np.nextafter(-pi, -4) is.  _quantize_index maps +pi to the last phase."""
     return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def quantize_index(theta, bits):
-    """Index of the phase-set member closest (circularly) to theta.
-
-    Equidistant ties resolve to the smaller phase value.  Vectorized.  A
-    non-finite theta, or bits outside [1, 16], raises ValueError.
-    """
-    theta = _finite("theta", theta, float)
-    return _quantize_index(theta, _count("bits", bits, 1, _MAX_BITS))
 
 
 def _finite(name, a, dtype, labels=None):
@@ -175,7 +155,9 @@ def _check_indices(name, idx, bits, shape_ok, shape):
 
 
 def _quantize_index(theta, bits):
-    """quantize_index on inputs already checked."""
+    """Index of the b-bit phase-set member closest (circularly) to the
+    finite angles theta, b = bits; equidistant ties resolve to the smaller
+    phase value."""
     size = 2**bits
     x = (wrap_phase(theta) + np.pi) / (2.0 * np.pi / size)
     idx = np.ceil(x).astype(int) - 1
@@ -332,15 +314,15 @@ def _two_rf_setup(f1, f2, pset):
     return z[0], z[1], consts, tables[0].ravel(), tables[1].ravel(), wrap, pset.bits
 
 
-def _two_rf_phases(gamma, alpha, setup, rows=None, wrap=wrap_phase):
+def _two_rf_phases(gamma, alpha, setup, rows=None):
     """Both continuous branches of the two-phasor match, wrapped: th (2, 2, M)
     with th[0] = (th1a, th2a), th[1] = (th1b, th2b).  rows gives each
     target's row of the setup; None, for a one-row setup, gives row 0 to
     all.  Infeasible triangles (|gamma| outside [|z1-z2|, z1+z2]) clamp the
     arccos arguments, which aligns or anti-aligns both phasors with the
-    target -- the optimum.  wrap is wrap_phase or _wrap_near: each angle
-    before wrapping is an arctan2 less another plus or minus an arccos, so
-    |th| <= 3 pi."""
+    target -- the optimum.  Each angle before wrapping is an arctan2 less
+    another plus or minus an arccos, so |th| <= 3 pi, where _wrap_near
+    never falls back."""
     consts = setup[2] if rows is None else setup[2].take(rows, axis=1)
     offset, scale, angles = consts[0:2], consts[2:4], consts[4:6]
     # (alpha^2 +- (z1+z2)(z1-z2)) / (2 z alpha) per phasor.  A zero entry
@@ -357,13 +339,21 @@ def _two_rf_phases(gamma, alpha, setup, rows=None, wrap=wrap_phase):
     np.clip(arg, -1.0, 1.0, out=arg)
     beta = np.arctan2(gamma.imag, gamma.real)  # np.angle without its wrapper
     # x + (-d) rounds exactly as x - d, and adding -a as subtracting a
-    return wrap(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
+    return _wrap_near(beta - angles + _BRANCH_SIGNS * np.arccos(arg, out=arg))
 
 
 def _two_rf_solve(gamma, alpha, setup, rows=None):
-    """solve_two_rf on 1-D gamma, given alpha = |gamma|, the setup and each
-    target's setup row (None for a one-row setup), in blocks of at most
-    _SOLVE_BLOCK targets, which bounds the temporaries."""
+    """Solve the two-phasor match gamma ~ f1 e^{j th1} + f2 e^{j th2}.
+
+    gamma is a 1-D complex array of finite targets, alpha = |gamma|, setup
+    the _two_rf_setup of the digital entries f1, f2 and the phase set, and
+    rows each target's setup row (None for a one-row setup).  Both
+    continuous branches are rounded to the nearest members of the phase set
+    and the 3x3 index neighborhood of each rounded pair is searched, which
+    recovers pairs that rounding the two coupled phases apart misses;
+    returns (idx1, idx2, residual) of the best of the 18 candidates.  Runs
+    in blocks of at most _SOLVE_BLOCK targets, which bounds the temporaries.
+    """
     scratch = _kernel_scratch()
     blocks = [_two_rf_block(gamma[lo:lo + _SOLVE_BLOCK], alpha[lo:lo + _SOLVE_BLOCK], setup,
                             None if rows is None else rows[lo:lo + _SOLVE_BLOCK], scratch)
@@ -403,20 +393,14 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     Both branches' phases are rounded in one buffer; gamma - f1 e1 is formed
     once per first-phase offset, and each candidate's residual is
     |(gamma - f1 e1) - f2 e2|.  The first minimum over the 18 candidates
-    wins: branch a before b, offsets (d1, d2) in row-major order.  Blocks
-    of at least _FAST_BLOCK targets wrap, pick the winner and gather its
-    indices by forms that are faster there and give the same bits.  Every
+    wins: branch a before b, offsets (d1, d2) in row-major order.  Every
     value returned is a fresh array, not a view of scratch.
     """
     f1e, f2e, wrap, bits = setup[3:]
     m = gamma.size
     at, e1, e2, diff, residuals = (buf[:math.prod(shape) * m].reshape(*shape, m)
                                    for buf, (shape, _) in zip(scratch, _SCRATCH))
-    fast = m >= _FAST_BLOCK
-    if fast:
-        r = _quantize_near(_two_rf_phases(gamma, alpha, setup, rows, _wrap_near), bits)
-    else:
-        r = _quantize_index(_two_rf_phases(gamma, alpha, setup, rows), bits)
+    r = _quantize_near(_two_rf_phases(gamma, alpha, setup, rows), bits)
     np.add(r[:, :, None], _OFFSETS, out=at)  # (branch, phasor, d, M), padded positions
     if rows is not None:
         at += rows * wrap.size  # in each target's row of the tables
@@ -426,18 +410,12 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     np.subtract(gamma, e1, out=e1)
     np.subtract(e1[:, :, None], e2[:, None], out=diff)
     np.abs(diff, out=residuals.reshape(diff.shape))  # (branch, d1, d2) flattened
-    cols = np.arange(m)
-    if not fast:
-        best = residuals.argmin(axis=0)  # first minimum wins ties
-        branch, d1, d2 = _CANDIDATES[best].T
-        # r + d is the padded position of offset d - 1 from index r
-        return (wrap[r[branch, 0, cols] + d1], wrap[r[branch, 1, cols] + d2],
-                residuals[best, cols])
     best, low = _first_min(residuals)
-    # the same gathers from r's (branch, phasor) rows of m, flat
+    # the winner's rounded indices, gathered flat from r's (branch, phasor)
+    # rows of m; r + d is the padded position of offset d - 1 from index r
     pos = _CAND_ROW.take(best)
     pos *= m
-    pos += cols
+    pos += np.arange(m)
     r = r.reshape(-1)
     i1 = r.take(pos)
     i1 += _CAND_D1.take(best)
@@ -445,22 +423,6 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     i2 = r.take(pos)
     i2 += _CAND_D2.take(best)
     return wrap.take(i1), wrap.take(i2), low
-
-
-def solve_two_rf(gamma, f1, f2, pset):
-    """Solve the two-phasor match gamma ~ f1 e^{j th1} + f2 e^{j th2}.
-
-    gamma is a 1-D array of complex targets; f1, f2 are the complex digital
-    entries of the two free phasors.  Both continuous branches are rounded
-    to the nearest members of pset and the 3x3 index neighborhood of each
-    rounded pair is searched, which recovers pairs that rounding the two
-    coupled phases apart misses; returns (idx1, idx2, residual) of the best
-    of the 18 candidates.  A non-finite target or digital entry raises
-    ValueError.
-    """
-    gamma = _finite("target", gamma, complex)
-    _finite("digital", [f1, f2], None, labels=("f1", "f2"))
-    return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
 def fs_row(target, fbb, pset, init_indices, owner=None):

@@ -4,10 +4,9 @@ Complex entries are stored as [re, im] pairs of plain floats, which JSON
 round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
 constraint survives the disk exactly.  Loaders check every field they
-read and raise ValueError naming the file and the first bad field.  Only
-codeword files load non-finite entries, for the design steps to reject;
-save_codeword refuses them, naming the entry, as NaN is not JSON (a
-HybridCodeword cannot hold them).
+read and raise ValueError naming the file and the first bad field; a
+non-finite entry is one.  save_codeword refuses non-finite entries too,
+naming the entry, as NaN is not JSON (a HybridCodeword cannot hold them).
 """
 
 import json
@@ -126,7 +125,8 @@ def save_codeword(v, path):
 
 
 def load_codeword(path):
-    return _read(path, lambda doc: _complex(doc, "entries", _field(doc, "n", int)))
+    return _read(path, lambda doc: _finite(
+        "codeword", _complex(doc, "entries", _field(doc, "n", int)), complex))
 
 
 def save_hybrid(h, path):

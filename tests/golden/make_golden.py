@@ -27,7 +27,8 @@ bit, or changes its dtype, shows up by name.  The runs are:
 - the matrix of every channel drawn above (seeds [11, c] and [17, c]), at
   N_t/N_r = 32/16, 32/8 and 16/16;
 - the save_codebook file bytes of every codebook built above;
-- solve_two_rf with one or both digital entries exactly 0, at b = 1/2/6:
+- the two-phasor kernel (practical._two_rf_solve, with _two_rf_setup of
+  the digital entries) with one or both of them exactly 0, at b = 1/2/6:
   the residuals and the live chain's indices (the zero-weight chain's are
   not hashed, since it adds nothing);
 - the files and stdout of every beamkit command, run through
@@ -74,10 +75,10 @@ from beamkit import (
     measure,
     phase_set,
     ps_icd,
-    solve_two_rf,
     success_rate,
 )
 from beamkit.cli import main as cli_main
+from beamkit.practical import _two_rf_setup, _two_rf_solve
 from beamkit.serialization import save_codebook
 
 MANIFEST = Path(__file__).resolve().parent / "manifest.json"
@@ -271,7 +272,7 @@ def _codebook_file_outputs(books):
 
 
 def _two_rf_zero_outputs():
-    """solve_two_rf with one or both digital entries exactly 0."""
+    """The two-phasor kernel with one or both digital entries exactly 0."""
     rng = np.random.default_rng(19)
     gamma = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     gamma[0] = 0.0
@@ -280,7 +281,7 @@ def _two_rf_zero_outputs():
     cases = (("f2zero", f, 0j, 0), ("f1zero", 0j, f, 1), ("both", 0j, 0j, None))
     for b in (1, 2, 6):
         for label, f1, f2, live in cases:
-            out = solve_two_rf(gamma, f1, f2, phase_set(b))
+            out = _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, phase_set(b)))
             yield f"two_rf_zero/b{b}/{label}/residuals", out[2]
             if live is not None:
                 yield f"two_rf_zero/b{b}/{label}/live", out[live]

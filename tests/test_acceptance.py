@@ -24,14 +24,13 @@ from beamkit import (
     make_target,
     phase_set,
     ps_icd,
-    solve_two_rf,
     steering_matrix,
     success_rate,
     training_test_count,
 )
 from beamkit.cli import main
 from beamkit.ideal import PhaseOptimizer
-from beamkit.practical import _two_rf_phases, _two_rf_setup
+from beamkit.practical import _two_rf_phases, _two_rf_setup, _two_rf_solve
 
 
 def _report(num, name, ok, detail):
@@ -135,14 +134,14 @@ def test_criterion_05_two_rf_oracle():
         target = np.array([alpha * np.exp(1j * beta)])
         f1 = z1 * np.exp(1j * rng.uniform(-np.pi, np.pi))
         f2 = z2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        _, _, res = solve_two_rf(target, f1, f2, pset)
+        setup = _two_rf_setup(f1, f2, pset)
+        _, _, res = _two_rf_solve(target, np.abs(target), setup)
         best = min(
             abs(target[0] - f1 * np.exp(1j * t1) - f2 * np.exp(1j * t2))
             for t1, t2 in itertools.product(pset.values, repeat=2)
         )
         worst_gap = max(worst_gap, res[0] - best - (z1 + z2) * np.pi / 4)
         # both continuous branches, not only the better one, reach the target
-        setup = _two_rf_setup(f1, f2, pset)
         for th1, th2 in _two_rf_phases(target, np.abs(target), setup):
             cont = abs(target[0] - f1 * np.exp(1j * th1[0])
                        - f2 * np.exp(1j * th2[0]))

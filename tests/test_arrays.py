@@ -6,8 +6,6 @@ from beamkit import (
     beam_gain,
     main_lobe_mse,
     make_target,
-    pattern_csv,
-    sample_pattern,
     steering_matrix,
     steering_vector,
 )
@@ -53,28 +51,6 @@ def test_pattern_energy_parseval():
     grid = np.linspace(-1.0, 1.0, 20001)
     energy = np.trapezoid(np.abs(beam_gain(v, grid)) ** 2, grid)
     assert energy == pytest.approx(2.0, abs=1e-6)
-
-
-def test_sample_pattern_columns():
-    v = steering_vector(4, 0.0)
-    grid = np.linspace(-1.0, 1.0, 7)
-    rows = sample_pattern(v, grid)
-    assert rows.shape == (7, 3)
-    np.testing.assert_allclose(rows[:, 0], grid)
-    g = beam_gain(v, grid)
-    np.testing.assert_allclose(rows[:, 1], np.abs(g), atol=1e-12)
-    np.testing.assert_allclose(rows[:, 2], np.angle(g), atol=1e-12)
-
-
-def test_pattern_csv_format():
-    v = steering_vector(4, 0.0)
-    text = pattern_csv(sample_pattern(v, np.array([0.0, 0.5])))
-    lines = text.strip().split("\n")
-    assert lines[0] == "omega,magnitude,phase_rad"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_main_lobe_mse_against_brute_force():

@@ -295,6 +295,18 @@ def test_measure_rejects_a_received_power_past_the_float_range():
             success_rate(config)
 
 
+@pytest.mark.parametrize("beam, i, bad", [("w", 2, np.nan), ("v", 0, np.inf),
+                                          ("v", 3, complex(0.0, -np.inf))])
+def test_measure_names_a_non_finite_beam(beam, i, bad):
+    # the non-finite power it gives used to be blamed on snr_db
+    ch = draw_channel(4, 4, 1, seed=0)
+    beams = {"v": np.full(4, 0.5, dtype=complex), "w": np.full(4, 0.5, dtype=complex)}
+    beams[beam][i] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=rf"^{beam} entry {i} is not finite: "):
+        measure(beams["v"], beams["w"], ch, 10.0, np.random.default_rng(0))
+
+
 def test_mismatched_hierarchical_factors_raise():
     tx = build_codebook(4, m=2, k=32, r_max=50, seed=0)
     rx = build_codebook(3, m=3, k=32, r_max=50, seed=0)

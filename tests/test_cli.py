@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ import pytest
 
 import beamkit
 from beamkit import (
+    beam_gain,
     build_codebook,
     deviation,
     fs_altmin,
@@ -18,8 +20,9 @@ from beamkit import (
     main_lobe_mse,
     make_target,
     ps_icd,
+    steering_vector,
 )
-from beamkit.cli import build_parser, main
+from beamkit.cli import _pattern_csv, build_parser, main
 from beamkit.serialization import (
     load_codebook,
     load_codeword,
@@ -148,6 +151,28 @@ def test_pattern_command(tmp_path):
                "--out", str(csv)])
     assert rc == 0
     assert len(csv.read_text().strip().split("\n")) == 65
+
+
+def test_pattern_csv_columns():
+    v = steering_vector(4, 0.0)
+    grid = np.linspace(-1.0, 1.0, 7)
+    rows = np.loadtxt(io.StringIO(_pattern_csv(v, grid)), delimiter=",", skiprows=1)
+    assert rows.shape == (7, 3)
+    np.testing.assert_allclose(rows[:, 0], grid)
+    g = beam_gain(v, grid)
+    np.testing.assert_allclose(rows[:, 1], np.abs(g), atol=1e-12)
+    np.testing.assert_allclose(rows[:, 2], np.angle(g), atol=1e-12)
+
+
+def test_pattern_csv_format():
+    v = steering_vector(4, 0.0)
+    text = _pattern_csv(v, np.array([0.0, 0.5]))
+    lines = text.strip().split("\n")
+    assert lines[0] == "omega,magnitude,phase_rad"
+    assert len(lines) == 3
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[1]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_pattern_of_a_nan_codeword_is_usage_error(tmp_path, capsys):
@@ -307,15 +332,15 @@ def test_simulate_rejects_a_codebook_out_of_tree_order(tmp_path, capsys, edit,
 
 
 @pytest.mark.parametrize("nrf", ["1", "2"])
-def test_design_practical_nan_codeword_is_numerical_failure(tmp_path, capsys,
-                                                            nrf):
+def test_design_practical_nan_codeword_is_usage_error(tmp_path, capsys, nrf):
+    # the file is rejected as it loads; it used to reach fs_altmin and exit 4
     v = tmp_path / "nan.json"
     v.write_text(json.dumps({"n": 4, "entries": [[float("nan"), 0.0]] * 4}))
     out = tmp_path / "h.json"
     rc = main(["design-practical", "--input", str(v), "--nrf", nrf,
                "--out", str(out)])
-    assert rc == 4
-    assert "numerical failure" in capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {v}: codeword entry 0 is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -33,3 +33,11 @@ def test_top_level_is_the_union_of_the_module_exports():
     top = {name for name, value in vars(beamkit).items()
            if not name.startswith("_") and not inspect.ismodule(value)}
     assert top == union
+
+
+@pytest.mark.parametrize("name", ["wrap_phase", "quantize_index", "solve_two_rf",
+                                  "PhaseSet", "sample_pattern", "pattern_csv"])
+def test_kernel_and_cli_helpers_are_not_public(name):
+    # the two-phasor kernel's parts and the CLI's pattern writer; none is
+    # needed by the quick start, a demo or the command line's users
+    assert not hasattr(beamkit, name)

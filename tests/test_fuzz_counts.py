@@ -1,5 +1,6 @@
 """Fuzz of every public count parameter and seed, of the CLI's integer
-options, and of the files the CLI reads: --config documents and codebooks.
+options, and of the files the CLI reads: --config documents, codebooks and
+codewords.
 
 Each count is given Python and numpy integers in its range, and floats,
 bools, 0, negatives, out-of-range values and other junk.  A call either
@@ -35,7 +36,6 @@ from beamkit import (
     make_target,
     phase_set,
     ps_icd,
-    quantize_index,
     steering_matrix,
     steering_vector,
     success_rate,
@@ -140,8 +140,6 @@ CASES = {
                                          phase_set(bits).phasors),
                                 _types(phase_set(bits).bits)),
                   {"bits": (1, 16, [1, 2, 6, 16])}),
-    "quantize_index": (lambda bits: _bits_of(quantize_index([-3.0, 0.1, 2.5], bits)),
-                       {"bits": (1, 16, [1, 3, 16])}),
     "HybridCodeword": (_hybrid, {"bits": (1, 16, [1, 4, 16])}),
     "fs_altmin": (_factored, {"n_rf": (1, 6, [1, 2, 3]), "b": (1, 16, [1, 3, 6]),
                               "t_max": (0, None, [0, 1, 3]),
@@ -326,8 +324,8 @@ def test_beam_seed_follows_the_count_rule(workdir, monkeypatch, command, seed,
     assert code == 0, err
 
 
-# --config documents and codebook files: whatever a file holds, a command
-# exits 0, 2, 3 or 4 and prints no traceback.  Every drawn integer stays
+# --config documents, codebook and codeword files: whatever a file holds, a
+# command exits 0, 2, 3 or 4 and prints no traceback.  Every drawn integer stays
 # small, since a valid count in a config runs at the size it asks for.
 _SUBPARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 _OPTIONS = {c: sorted(a.dest for a in _SUBPARSERS[c]._actions
@@ -390,13 +388,29 @@ def _set(doc, path, value=None, drop=False):
         doc[last] = value
 
 
+_VALUES = _json_values(st.integers(-3, 8) | st.just(10**400))
+
+
+def _mutate_node(draw, doc, kind):
+    """Mutate doc in place: drop a member or item ("drop"), put a JSON value
+    of any type in its place ("retype"), or replace a number by an int past
+    the float range, NaN or an infinity ("extreme")."""
+    if kind == "drop":
+        _set(doc, draw(st.sampled_from([p for p, _ in _nodes(doc)])), drop=True)
+    elif kind == "retype":
+        _set(doc, draw(st.sampled_from([p for p, _ in _nodes(doc)])), draw(_VALUES))
+    else:
+        numbers = [p for p, v in _nodes(doc) if type(v) in (int, float)]
+        _set(doc, draw(st.sampled_from(numbers)),
+             draw(st.sampled_from([10**400, np.nan, np.inf, -np.inf])))
+
+
 @st.composite
 def _mutated_codebook(draw, doc):
     """(a mutated copy of doc, whether the mutation alone must exit 2)."""
     doc = copy.deepcopy(doc)
     kind = draw(st.sampled_from(["drop", "retype", "extreme", "swap", "null-hybrid",
                                  "hw"]))
-    values = _json_values(st.integers(-3, 8) | st.just(10**400))
     if kind == "swap":  # entries of a layer trade places
         layer = draw(st.sampled_from(doc["layers"]))
         i, j = draw(st.lists(st.sampled_from(range(len(layer))), min_size=2,
@@ -408,20 +422,13 @@ def _mutated_codebook(draw, doc):
     elif kind == "hw":
         key = draw(st.sampled_from([None, "n_rf", "b", "t_max", "junk"]))
         if key is None:
-            doc["hw"] = draw(values)
+            doc["hw"] = draw(_VALUES)
         elif draw(st.booleans()):
             doc["hw"].pop(key, None)
         else:
-            doc["hw"][key] = draw(values)
-    elif kind == "drop":
-        _set(doc, draw(st.sampled_from([p for p, _ in _nodes(doc)])), drop=True)
-    else:  # an extreme value replaces a number: one past the float range,
-        # NaN or an infinity
-        numbers = [p for p, v in _nodes(doc) if type(v) in (int, float)]
-        path = draw(st.sampled_from(numbers if kind == "extreme" else
-                                    [p for p, _ in _nodes(doc)]))
-        extreme = st.sampled_from([10**400, np.nan, np.inf, -np.inf])
-        _set(doc, path, draw(extreme if kind == "extreme" else values))
+            doc["hw"][key] = draw(_VALUES)
+    else:
+        _mutate_node(draw, doc, kind)
     return doc, kind in ("swap", "null-hybrid")
 
 
@@ -443,5 +450,29 @@ def test_cli_mutated_codebook_files_exit_cleanly(workdir, codebook_doc, practica
         _exits_cleanly(code, err)
         if rejected:
             assert (code, out) == (2, ""), err
+
+    check()
+
+
+@pytest.mark.parametrize("command", ["pattern", "design-practical"])
+def test_cli_mutated_codeword_files_exit_0_or_2(workdir, command):
+    # a codeword file holds only JSON fields and numbers, so whatever it
+    # holds is the caller's to fix: a run succeeds or exits 2.  The one
+    # numerical failure is a finite codeword whose norm overflows (an entry
+    # near the float range's top), which fs_altmin cannot factor.
+    doc = json.loads((workdir / "v.json").read_text())
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["drop", "retype", "extreme"]), data=st.data())
+    def check(kind, data):
+        mutated = copy.deepcopy(doc)
+        _mutate_node(data.draw, mutated, kind)
+        path = workdir / "mutated_v.json"
+        path.write_text(json.dumps(mutated))
+        code, _, err = _run(workdir, command, "--input", str(path))
+        overflow = err.endswith("numerical failure: codeword to factor has norm inf\n")
+        assert code in (0, 2) or (code, command, overflow) == (4, "design-practical", True), err
+        assert "Traceback" not in err
+        assert (code == 2) == err.startswith("error:"), err
 
     check()

@@ -13,12 +13,16 @@ from beamkit import (
     ls_fbb,
     phase_set,
     ps_icd,
-    quantize_index,
-    solve_two_rf,
-    wrap_phase,
 )
 from beamkit import SynthesisError, make_target
-from beamkit.practical import _two_rf_phases, _two_rf_setup, design_nrf1
+from beamkit.practical import (
+    _quantize_index,
+    _two_rf_phases,
+    _two_rf_setup,
+    _two_rf_solve,
+    design_nrf1,
+    wrap_phase,
+)
 
 
 def _continuous_branches(gamma, f1, f2):
@@ -26,6 +30,11 @@ def _continuous_branches(gamma, f1, f2):
     then b, each (theta1, theta2)."""
     setup = _two_rf_setup(f1, f2, phase_set(1))
     return _two_rf_phases(gamma, np.abs(gamma), setup)
+
+
+def _solve(gamma, f1, f2, pset):
+    """The quantized two-phasor match of the complex targets gamma."""
+    return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
 
 
 def _solve_one(alpha, beta, z1, p1, z2, p2):
@@ -53,17 +62,17 @@ def test_quantize_member_maps_to_itself():
     # members of Phi_6 are odd multiples of pi/64 with spacing pi/32
     ps = phase_set(6)
     assert ps.size == 64
-    assert ps.values[quantize_index(np.pi / 64, ps.bits)] == pytest.approx(
+    assert ps.values[_quantize_index(np.pi / 64, ps.bits)] == pytest.approx(
         np.pi / 64, abs=1e-12)
     for member in ps.values:
-        assert ps.values[quantize_index(member, ps.bits)] == pytest.approx(
+        assert ps.values[_quantize_index(member, ps.bits)] == pytest.approx(
             member, abs=1e-12)
 
 
 def test_quantize_tie_breaks_to_smaller_value():
     # theta = 0 is equidistant from -pi/2 and +pi/2 when b = 1
     ps = phase_set(1)
-    assert ps.values[quantize_index(0.0, ps.bits)] == pytest.approx(-np.pi / 2)
+    assert ps.values[_quantize_index(0.0, ps.bits)] == pytest.approx(-np.pi / 2)
 
 
 def test_quantize_matches_linear_scan():
@@ -71,7 +80,7 @@ def test_quantize_matches_linear_scan():
         ps = phase_set(bits)
         rng = np.random.default_rng(bits)
         thetas = rng.uniform(-10, 10, 10000)
-        idx = quantize_index(thetas, bits)
+        idx = _quantize_index(thetas, bits)
         # independent oracle: circular distance scan over all members
         d = np.abs(wrap_phase(thetas[:, None] - ps.values[None, :]))
         best = np.min(d, axis=1)
@@ -86,7 +95,7 @@ def test_wrap_phase_range():
     # documented +pi, which quantizes to the nearest member, the last
     below = np.nextafter(-np.pi, -4)
     assert wrap_phase(below) == np.pi
-    assert quantize_index(below, 3) == 7
+    assert _quantize_index(below, 3) == 7
 
 
 def test_design_nrf1_quantizes_each_phase():
@@ -96,7 +105,7 @@ def test_design_nrf1_quantizes_each_phase():
     v /= np.linalg.norm(v)
     h = design_nrf1(v, ps)
     np.testing.assert_array_equal(
-        h.phase_indices[:, 0], quantize_index(np.angle(v), 4)
+        h.phase_indices[:, 0], _quantize_index(np.angle(v), 4)
     )
     assert np.linalg.norm(h.realized) == pytest.approx(1.0, abs=1e-12)
 
@@ -107,7 +116,7 @@ def test_design_nrf1_constant_modulus_input():
     omega = 0.37
     v = np.exp(1j * np.pi * np.arange(8) * omega) / np.sqrt(8)
     h = design_nrf1(v, ps)
-    expect = ps.values[quantize_index(np.pi * np.arange(8) * omega, 6)]
+    expect = ps.values[_quantize_index(np.pi * np.arange(8) * omega, 6)]
     np.testing.assert_allclose(np.angle(h.realized * np.sqrt(8)), expect, atol=1e-12)
 
 
@@ -173,7 +182,7 @@ def test_two_rf_quantized_near_exhaustive():
         target = alpha * np.exp(1j * beta)
         f1 = z1 * np.exp(1j * rng.uniform(-np.pi, np.pi))
         f2 = z2 * np.exp(1j * rng.uniform(-np.pi, np.pi))
-        res = solve_two_rf(np.array([target]), f1, f2, ps)[2][0]
+        res = _solve(np.array([target]), f1, f2, ps)[2][0]
         best = _two_rf_exhaustive(target, f1, f2, ps)
         assert res <= best + (z1 + z2) * np.pi / 4 + 1e-12
         hits += res <= best + 1e-9
@@ -189,8 +198,8 @@ def _two_rf_reference(gamma, f1, f2, ps):
     best = [(np.inf, -1, -1)] * gamma.size
     ties = 0
     for th1, th2 in _continuous_branches(gamma, f1, f2):
-        r1 = quantize_index(th1, ps.bits)
-        r2 = quantize_index(th2, ps.bits)
+        r1 = _quantize_index(th1, ps.bits)
+        r2 = _quantize_index(th2, ps.bits)
         for d1 in (-1, 0, 1):
             for d2 in (-1, 0, 1):
                 j1 = (r1 + d1) % ps.size
@@ -216,28 +225,13 @@ def test_two_rf_solve_matches_candidate_loop(bits):
             f2 = f1  # equal phasors: swapped pairs tie exactly at gamma = 0
         gamma = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         gamma[:5] = 0.0
-        i1, i2, res = solve_two_rf(gamma, f1, f2, ps)
+        i1, i2, res = _solve(gamma, f1, f2, ps)
         ref, n = _two_rf_reference(gamma, f1, f2, ps)
         ties += n
         np.testing.assert_array_equal(res, [r for r, _, _ in ref])
         np.testing.assert_array_equal(i1, [j for _, j, _ in ref])
         np.testing.assert_array_equal(i2, [j for _, _, j in ref])
     assert ties > 0  # the first-minimum rule was exercised
-
-
-@pytest.mark.parametrize(
-    "gamma, f1, f2, message",
-    [
-        ([np.inf, np.nan, 1 + 1j], 1, 0.5, r"target entry 0 is not finite: \(inf"),
-        ([1 + 1j, complex(0, np.nan)], 1, 0.5, "target entry 1 is not finite"),
-        ([1 + 1j], np.inf, 0.5, "digital entry f1 is not finite: inf"),
-        ([1 + 1j], 1, complex(0.5, -np.inf), "digital entry f2 is not finite"),
-    ],
-)
-def test_two_rf_solve_rejects_non_finite_input(gamma, f1, f2, message):
-    # the kernel would return arbitrary indices and an inf or NaN residual
-    with pytest.raises(ValueError, match=message):
-        solve_two_rf(np.array(gamma, dtype=complex), f1, f2, phase_set(4))
 
 
 def _row_exhaustive(target, fbb, ps):
@@ -424,20 +418,6 @@ def test_fs_altmin_rejects_fractional_counts_by_name():
                         ((2, 4, 1.5), "t_max must be >= 0")):
         with pytest.raises(ValueError, match=re.escape(named + " and an integer")):
             fs_altmin(v, *args)
-
-
-def test_quantize_index_rejects_non_finite_theta_and_bad_bits():
-    # nan used to quantize to an index with only a RuntimeWarning, and a
-    # float bits to a float index
-    with pytest.raises(ValueError, match="theta entry 1 is not finite: nan"):
-        quantize_index([0.1, np.nan], 2)
-    with pytest.raises(ValueError, match="theta entry 0 is not finite: -inf"):
-        quantize_index(-np.inf, 2)
-    with pytest.raises(ValueError, match=re.escape(
-            "bits must be in [1, 16] and an integer, got 2.5")):
-        quantize_index(0.1, 2.5)
-    assert quantize_index(np.float64(0.1), np.int64(2)).tobytes() == \
-        quantize_index(0.1, 2).tobytes()
 
 
 def test_ls_fbb_rejects_non_finite_input():

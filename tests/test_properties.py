@@ -34,7 +34,6 @@ from beamkit import (
     measure,
     phase_set,
     ps_icd,
-    solve_two_rf,
     steering_matrix,
 )
 from beamkit.ideal import _DEGENERATE_RTOL, PhaseOptimizer, _assemble
@@ -55,6 +54,11 @@ _reals = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 _complex = st.builds(complex, _reals, _reals)
 
 
+def _solve(gamma, f1, f2, pset):
+    """The quantized two-phasor match of the complex targets gamma."""
+    return _two_rf_solve(gamma, np.abs(gamma), _two_rf_setup(f1, f2, pset))
+
+
 @_SETTINGS
 @given(
     gamma=arrays(complex, st.integers(1, 12), elements=_complex),
@@ -64,9 +68,9 @@ _complex = st.builds(complex, _reals, _reals)
 )
 def test_batched_two_rf_solve_equals_elementwise(gamma, f1, f2, bits):
     pset = phase_set(bits)
-    batched = solve_two_rf(gamma, f1, f2, pset)
+    batched = _solve(gamma, f1, f2, pset)
     for g in range(gamma.size):
-        single = solve_two_rf(gamma[g:g + 1], f1, f2, pset)
+        single = _solve(gamma[g:g + 1], f1, f2, pset)
         for whole, one in zip(batched, single):
             assert whole[g] == one[0]
 
@@ -157,12 +161,8 @@ def _assert_same_bits(got, expected):
 
 def _assert_solve_matches_reference(gamma, f1, f2, bits):
     pset = phase_set(bits)
-    want = _reference_solve_two_rf(gamma, f1, f2, pset)
-    _assert_same_bits(solve_two_rf(gamma, f1, f2, pset), want)
-    # and through the large-block forms, which blocks this small skip
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(beamkit.practical, "_FAST_BLOCK", 0)
-        _assert_same_bits(solve_two_rf(gamma, f1, f2, pset), want)
+    _assert_same_bits(_solve(gamma, f1, f2, pset),
+                      _reference_solve_two_rf(gamma, f1, f2, pset))
 
 
 @_SETTINGS
@@ -247,13 +247,13 @@ def test_two_rf_kernel_equals_reference_at_rounding_boundaries(bits):
 def test_two_rf_kernel_on_no_targets():
     pset = phase_set(4)
     empty = np.zeros(0, dtype=complex)
-    _assert_same_bits(solve_two_rf(empty, 1.0 + 0j, 0.5j, pset),
+    _assert_same_bits(_solve(empty, 1.0 + 0j, 0.5j, pset),
                       _reference_solve_two_rf(empty, 1.0 + 0j, 0.5j, pset))
 
 
 def test_two_rf_kernel_equals_reference_around_the_block_size():
-    # block splits, the last block's size switching between the small- and
-    # large-block forms, and rows of constants gathered per target
+    # block splits, a last block of one target, and rows of constants
+    # gathered per target
     block = beamkit.practical._SOLVE_BLOCK
     rng = np.random.default_rng(22)
     pset = phase_set(6)
@@ -396,13 +396,10 @@ def _exhaustive_fs_row(target, fbb, pset, init_indices, gaps=None):
 def _assert_pruning_changes_nothing(target, fbb, pset, init, owner=None):
     ref_idx, ref_res, ref_steps = _exhaustive_fs_row(
         target, fbb if owner is None else fbb[owner], pset, init)
-    for fast_block in (beamkit.practical._FAST_BLOCK, 0):  # 0: the large-block forms
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(beamkit.practical, "_FAST_BLOCK", fast_block)
-            idx, res, steps = fs_row(target, fbb, pset, init, owner)
-        assert idx.tobytes() == ref_idx.tobytes()
-        assert res.tobytes() == ref_res.tobytes()
-        assert steps == ref_steps
+    idx, res, steps = fs_row(target, fbb, pset, init, owner)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert res.tobytes() == ref_res.tobytes()
+    assert steps == ref_steps
 
 
 @_SETTINGS
@@ -463,7 +460,7 @@ def test_fs_row_with_per_row_fbb_equals_one_call_per_group(n_rf, bits, rows,
 def test_two_rf_kernel_with_row_constants_equals_one_pair_at_a_time(
         gamma, pairs, block, bits, data):
     # the kernel's rows of (f1, f2) constants, gathered per target and solved
-    # in blocks of any size, give what solve_two_rf gives one pair at a time
+    # in blocks of any size, give what one pair's constants give
     pset = phase_set(bits)
     f = data.draw(arrays(complex, (pairs, 2), elements=_complex))
     rows = data.draw(arrays(np.int64, gamma.size, elements=st.integers(0, pairs - 1)))
@@ -474,13 +471,13 @@ def test_two_rf_kernel_with_row_constants_equals_one_pair_at_a_time(
             rows)
     for r in range(pairs):
         mine = rows == r
-        want = solve_two_rf(gamma[mine], *f[r], pset)
+        want = _solve(gamma[mine], *f[r], pset)
         _assert_same_bits([a[mine] for a in got], want)
 
 
 def test_pruned_fs_row_equals_exhaustive_on_large_steps(monkeypatch):
-    # 24 rows of 64 candidates, so the kernel's own block size picks its
-    # large-block forms.  Rows 0-7 start at an exact fit, with the first two
+    # 24 rows of 64 candidates, so a step solves hundreds of targets in one
+    # kernel call.  Rows 0-7 start at an exact fit, with the first two
     # phasors of their digital vector 1000 times smaller than the rest:
     # every candidate but the incumbent's own value is pruned.
     pset = phase_set(6)
@@ -496,7 +493,7 @@ def test_pruned_fs_row_equals_exhaustive_on_large_steps(monkeypatch):
     monkeypatch.setattr(beamkit.practical, "_two_rf_solve",
                         lambda gamma, *a: solved.append(gamma.size) or solve(gamma, *a))
     _assert_pruning_changes_nothing(target, fbb, pset, init, owner)
-    assert max(solved) >= beamkit.practical._FAST_BLOCK
+    assert max(solved) > 8 * pset.size
     assert solved[0] <= 16 * pset.size + 8
     _assert_pruning_changes_nothing(target, fbb[0], pset, init)
 

@@ -44,6 +44,15 @@ def test_save_codeword_refuses_non_finite_entries(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_load_codeword_refuses_non_finite_entries(tmp_path, bad):
+    # Python's json reads the NaN and Infinity tokens; the entry used to load
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1.0, 0.0], [0.0, bad]]}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: codeword entry 1 is not finite")):
+        load_codeword(path)
+
+
 def test_hybrid_round_trip(tmp_path):
     target = make_target("rect", (-1.0, 0.0))
     v = ps_icd(target, 8, 64, 400, seed=0)

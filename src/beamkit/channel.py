@@ -132,8 +132,9 @@ def measure(v, w, ch, snr_db, rng):
     and 0 at -inf.  y = sqrt(P) * ((conj(w) H) v) + conj(w) eta, with the
     products in that order, and the result is float(np.abs(y) ** 2).  A
     result that is not finite raises ValueError naming the first non-finite
-    entry of w or v, or else snr_db: near the top of its range (about
-    3082 dB) |y|^2 can overflow where P does not.
+    entry of w, of v or of the channel matrix (by flat index), or else
+    snr_db: near the top of its range (about 3082 dB) |y|^2 can overflow
+    where P does not.
     """
     p, sigma = _snr_params(snr_db)
     h = ch.matrix
@@ -147,10 +148,11 @@ def measure(v, w, ch, snr_db, rng):
     # np.abs, not abs(): the two round differently in the last bit
     power = float(np.abs(y) ** 2)
     if not math.isfinite(power):
-        # a non-finite beam is named first; checked only here, so the
-        # per-trial path keeps its one isfinite
+        # a non-finite beam, then a non-finite channel, is named first;
+        # checked only here, so the per-trial path keeps its one isfinite
         _finite("w", w, complex)
         _finite("v", v, complex)
+        _finite("channel matrix", h, complex)
         raise ValueError(f"received power is {power} at snr_db = {snr_db}, not a finite "
                          f"number; a lower snr_db keeps it in the float range")
     return power

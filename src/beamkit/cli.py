@@ -100,8 +100,15 @@ def positive_int_list(text):
 def _pattern_csv(v, grid):
     """The beam pattern of v on the directions grid, as CSV text: a header,
     then omega, |G| and angle(G) in radians per direction, each to 12
-    significant digits."""
-    g = beam_gain(v, grid)
+    significant digits.  A gain that overflows (a finite v can have one)
+    raises FloatingPointError naming the first such direction."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = beam_gain(v, grid)
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        i = bad[0]
+        raise FloatingPointError(f"beam gain at direction {i} (omega = {grid[i]:.12g}) "
+                                 f"is not finite: {g[i]}")
     rows = zip(grid, np.abs(g), np.angle(g))
     return "omega,magnitude,phase_rad\n" + "".join(
         f"{om:.12g},{mag:.12g},{ph:.12g}\n" for om, mag, ph in rows)
@@ -115,8 +122,9 @@ def cmd_design_ideal(args):
     else:
         v = ls_icd(target, args.n, args.k)
     save_codeword(v, args.out)
+    text = _pattern_csv(v, np.linspace(-1.0, 1.0, 2048))
     with open(args.pattern_csv, "w") as fh:
-        fh.write(_pattern_csv(v, np.linspace(-1.0, 1.0, 2048)))
+        fh.write(text)
     print(f"main_lobe_mse {main_lobe_mse(v, target):.12g}")
     return 0
 
@@ -189,8 +197,9 @@ def cmd_simulate(args):
 
 def cmd_pattern(args):
     v = load_codeword(args.input)
+    text = _pattern_csv(v, np.linspace(-1.0, 1.0, args.points))  # before --out exists
     with open(args.out, "w") as fh:
-        fh.write(_pattern_csv(v, np.linspace(-1.0, 1.0, args.points)))
+        fh.write(text)
     return 0
 
 

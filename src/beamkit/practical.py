@@ -9,11 +9,21 @@ and a cyclic per-phase search that re-solves two free phasors for three or
 more chains.
 
 That search skips the two-phasor solve for every candidate that provably
-cannot be accepted: no quantized pair comes closer to a target than the
-best continuous-phase pair, whose distance has a closed form, so a
-candidate whose distance bound exceeds the row's incumbent residual by more
-than rounding could never win, tie or be accepted.  Skipping it changes no
-index, residual or step count.  The remaining solves and the two-chain
+cannot be accepted.  Any quantized pair f1 e^{j phi_m1} + f2 e^{j phi_m2}
+equals e^{j phi_m1} (f1 + f2 e^{j 2 pi d / 2^b}), d = m2 - m1, so its
+modulus is one of 2^b ring moduli, and no pair comes closer to a target
+than the target's modulus is to the nearest ring.  fs_row tabulates that
+ring bound over the target's modulus once per digital vector, each entry
+the least bound over its bucket of moduli.  A modulus whose bucket index
+rounds one off lies within a few ulps of the edge it crossed, and the bound
+moves no more than the modulus does, so the one margin _BOUND_MARGIN
+covers that rounding as it covers the bound's and the residual's own.  A
+candidate whose bound exceeds the row's incumbent residual by more than
+that margin could never win, tie or be accepted; skipping it changes no
+index, residual or step count.  Unlike the continuous-phase distance, the
+ring bound is nonzero between rings inside the pair's reach: the kernel's
+targets in build_codebook(32, n_rf=4, b=6) fell from 2,590,189 to
+1,059,633.  The remaining solves and the two-chain
 match run one kernel, _two_rf_solve.  fs_altmin designs a stack of
 codewords, such as a codebook layer, with one row search per alternation
 over the rows of them all.
@@ -64,8 +74,9 @@ _ROW_CAP_PER_PHASE = 64
 # by a few ulps of that sum (a residual can read up to about one ulp below
 # its bound), so 256 ulps leaves a wide safety factor and still skips
 # nearly every candidate an exact test would.  It must be absolute, not a
-# fraction of the bound: the bound is exactly 0 for every target inside the
-# pair's reach, where a relative margin would be no margin at all.
+# fraction of the bound: the bound is exactly 0 for every target whose
+# modulus shares a bucket with a ring modulus, where a relative margin
+# would be no margin at all.
 _BOUND_MARGIN = 256 * np.finfo(float).eps
 # The two-phasor kernel's constants: offsets -1, 0, 1 around each rounded
 # phase, as positions in a phasor table padded by one entry at each end; the
@@ -85,6 +96,8 @@ _NAN_ARGS = np.array([[1.0], [-1.0]])
 # threshold and made every block page-fault its memory in again.
 _SOLVE_BLOCK = 1024
 _TWO_PI = 2.0 * np.pi
+# Buckets of |gamma| in each of fs_row's ring-bound tables (_ring_table).
+_RING_BUCKETS = 512
 # 18 - c for candidate c: the largest weight of a column's minima is its first
 _FIRST_WEIGHTS = np.arange(len(_CANDIDATES), 0, -1, dtype=np.uint8)[:, None]
 # Each thread's kernel buffers (numpy releases the GIL inside ufuncs, so
@@ -425,6 +438,57 @@ def _two_rf_block(gamma, alpha, setup, rows, scratch):
     return wrap.take(i1), wrap.take(i2), low
 
 
+def _ring_table(setup, size):
+    """fs_row's ring bound for the digital entries f1, f2 whose
+    _two_rf_setup is setup (one pair per vector) and a phase set of the
+    given size, tabulated over |gamma|.
+
+    Any quantized pair has f1 e^{j phi_m1} + f2 e^{j phi_m2} = e^{j phi_m1}
+    (f1 + f2 e^{j 2 pi d / size}), d = m2 - m1 mod size, so its modulus is
+    one of the size ring moduli rho_d = |f1 + f2 e^{j 2 pi d / size}|, and
+    no pair comes closer to a target gamma than LB(|gamma|) = min_d
+    | |gamma| - rho_d |.  A vector's table holds _RING_BUCKETS entries over
+    [0, rho_max] in buckets of width h = rho_max / (_RING_BUCKETS - 1): entry
+    k is the least LB over [k h, (k + 1) h], the distance from the bucket's
+    centre to the nearest ring less h / 2 (0 if a ring lies in the bucket).
+    The last entry, open above, is 0; there |gamma| - rho_max is the LB.
+
+    Returns the tables laid end to end, (G * _RING_BUCKETS,), each vector's
+    1 / h and each vector's rho_max, (G,) each.
+    """
+    z1, z2, consts = setup[:3]
+    g = z1.size
+    # the rings in ascending order, without np.sort, whose vector sort maps
+    # 128 KB of numpy that the row search does not otherwise touch: with
+    # D = 2 pi / size and e the distance from angle(f2 / f1) to the nearest
+    # multiple of D, |wrap(angle(f2 / f1) + d D)| runs through e, D - e,
+    # D + e, 2 D - e, ... over d, and rho_d falls as that angle grows
+    step = _TWO_PI / size
+    turn = consts[5] - consts[4]  # angle(f2) - angle(f1)
+    turn -= np.ceil(turn / step) * step  # in (-D, 0]
+    e = np.where(turn < -0.5 * step, step + turn, -turn)
+    w = np.ceil(np.arange(size) / 2.0) * step + np.tile([1.0, -1.0], size // 2) * e[:, None]
+    rings = np.abs(z1[:, None] + z2[:, None] * np.exp(1j * w))[:, ::-1]
+    top = rings[:, -1]
+    h = np.maximum(top / (_RING_BUCKETS - 1), np.finfo(float).tiny)[:, None]
+    # ring i is the nearest to the centres between its midpoints with rings
+    # i - 1 and i + 1: cut i counts the centres below the (i, i + 1)
+    # midpoint, kept in order where rounding swaps two near-equal rings
+    cut = np.empty((g, size + 1), dtype=int)
+    cut[:, 0], cut[:, -1] = 0, _RING_BUCKETS
+    np.copyto(cut[:, 1:-1], np.ceil((rings[:, 1:] + rings[:, :-1]) / (2.0 * h) - 0.5),
+              casting="unsafe")
+    np.maximum.accumulate(np.maximum(cut, 0, out=cut), axis=1, out=cut)
+    np.minimum(cut, _RING_BUCKETS, out=cut)
+    table = np.repeat(rings.ravel(), np.diff(cut).ravel()).reshape(g, _RING_BUCKETS)
+    table -= (np.arange(_RING_BUCKETS) + 0.5) * h
+    np.abs(table, out=table)
+    table -= 0.5 * h
+    np.maximum(table, 0.0, out=table)
+    table[:, -1] = 0.0
+    return table.ravel(), 1.0 / h[:, 0], top
+
+
 def fs_row(target, fbb, pset, init_indices, owner=None):
     """Cyclic search of R antenna rows, each with at least three RF chains.
 
@@ -441,17 +505,27 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     incumbent.  A row stops after n_rf - 2 steps in a row leave it
     unchanged, or at the safety cap.
 
-    A candidate with residual target gamma is solved only if the bound
-    lb = max(0, |gamma| - (|f1| + |f2|), ||f1| - |f2|| - |gamma|), the
-    distance from gamma to every continuous-phase pair f1 e^{j th1} +
-    f2 e^{j th2}, less a rounding margin, is at most the row's incumbent
-    residual.  A skipped candidate's residual would exceed the incumbent,
-    so it can neither win, nor tie the winner, nor be accepted; every
-    candidate that can is still solved.  The result is the one an
-    exhaustive sweep gives.  A step's kept candidates are solved in one
-    kernel call, which reuses the bound's |gamma| and the constants of each
-    digital vector's f1, f2 (moduli, angles, phasor tables), set up once
-    per call.
+    A candidate with residual target gamma is solved only if its ring
+    bound, less a rounding margin, is at most the row's incumbent residual.
+    Every quantized pair f1 e^{j phi_m1} + f2 e^{j phi_m2} has one of the
+    2^b ring moduli rho_d = |f1 + f2 e^{j 2 pi d / 2^b}|, so none comes
+    closer to gamma than LB = min_d | |gamma| - rho_d |.  The ring bound is
+    the larger of |gamma| - max_d rho_d and the entry of |gamma|'s bucket
+    in a table of each digital vector's least LB per bucket, built once per
+    call (_ring_table); both are at most LB.  The rings lie in
+    [||f1| - |f2||, |f1| + |f2|], so inside that reach the bound is nonzero
+    wherever |gamma| falls between rings, where the continuous-phase
+    distance is 0.  Rounding: the bucket index floor(|gamma| / h) lands one
+    bucket off only for a |gamma| within a few ulps of a bucket edge, and LB
+    moves no more than |gamma| does, so the entry found errs by those ulps;
+    it, the table's entries and the kernel's residual each err by a few
+    ulps of |gamma| + |f1| + |f2|, far inside the margin.  A skipped
+    candidate's residual would exceed the incumbent, so it can neither win,
+    nor tie the winner, nor be accepted; every candidate that can is still
+    solved.  The result is the one an exhaustive sweep gives.  A step's
+    kept candidates are solved in one kernel call, which reuses the bound's
+    |gamma| and the constants of each digital vector's f1, f2 (moduli,
+    angles, phasor tables), set up once per call.
 
     Returns (indices (R, n_rf), residuals (R,), steps), steps being the
     slowest row's step count.
@@ -482,10 +556,12 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     start = target - np.sum(per_row * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
     setup = _two_rf_setup(fbb[..., 0], fbb[..., 1], pset)
-    # the bound's constants of each digital vector: z1 + z2 and |z1 - z2|
-    zsum, zdiff = setup[0] + setup[1], abs(setup[0] - setup[1])
-    zsum, zdiff = (zsum[0], zdiff[0]) if owner is None else \
-        (zsum[owner, None], zdiff[owner, None])
+    table, scale, top = _ring_table(setup, pset.size)
+    zsum = setup[0] + setup[1]  # the margin's scale is |gamma| + z1 + z2
+    # each row's constants, and its table's start in the tables
+    zsum, scale, top = (zsum[0], scale[0], top[0]) if owner is None else \
+        (zsum[owner, None], scale[owner, None], top[owner, None])
+    base = None if owner is None else owner[:, None] * _RING_BUCKETS
 
     size = pset.size
     cap = _ROW_CAP_PER_PHASE * (n_rf - 2)
@@ -495,8 +571,8 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     while t < cap and active.size:
         p = t % (n_rf - 2) + 2
         rows = idx[active]
-        f, zs, zd = (fbb, zsum, zdiff) if owner is None else \
-            (per_row[active], zsum[active], zdiff[active])
+        f, zs, sc, rho = (fbb, zsum, scale, top) if owner is None else \
+            (per_row[active], zsum[active], scale[active], top[active])
         # residual targets for every candidate value of phase p, one row each;
         # phase p's own term is rounded part by part like a scalar product
         # (as in the golden ledger), not fused like a vector product
@@ -508,13 +584,20 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
         resid_targets, alpha, bound, errs = _row_scratch(active.size, size)
         np.multiply(fp[..., None], phasors, out=resid_targets)
         np.subtract((target[active] - fixed)[:, None], resid_targets, out=resid_targets)
-        # solve only the candidates whose bound, less the margin, does not
-        # exceed the incumbent: their flat positions in (rows, candidates).
-        # The bound's 0 term is left out, as res >= 0 keeps such candidates.
-        # errs holds the bound's other terms until the kernel has run.
+        # solve only the candidates whose ring bound, less the margin, does
+        # not exceed the incumbent: their flat positions in (rows,
+        # candidates).  errs holds the bucket positions, then the bound's
+        # other terms, until the kernel has run.  A NaN position (from an
+        # overflowed alpha) clips to some entry, and its NaN bound keeps
+        # nothing.
         np.abs(resid_targets, out=alpha)
-        np.maximum(np.subtract(alpha, zs, out=bound), np.subtract(zd, alpha, out=errs),
-                   out=bound)
+        at = errs.view(np.intp)
+        np.minimum(np.multiply(alpha, sc, out=bound), _RING_BUCKETS - 1, out=at,
+                   casting="unsafe")
+        if base is not None:
+            at += base[active]
+        table.take(at, out=bound, mode="clip")
+        np.maximum(bound, np.subtract(alpha, rho, out=errs), out=bound)
         bound -= np.multiply(_BOUND_MARGIN, np.add(alpha, zs, out=errs), out=errs)
         kept = np.flatnonzero(bound <= res[active, None])
         i1, i2, solved = _two_rf_solve(resid_targets.take(kept), alpha.take(kept), setup,

@@ -307,6 +307,20 @@ def test_measure_names_a_non_finite_beam(beam, i, bad):
         measure(beams["v"], beams["w"], ch, 10.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("gains, aod", [([np.nan], 0.1), ([1.0, complex(np.inf, 0.0)], 0.1),
+                                       ([1.0], np.inf)])
+def test_measure_names_a_non_finite_channel(gains, aod):
+    # a finite beam pair on a channel with a NaN or infinite gain, or an
+    # infinite angle, used to be blamed on snr_db
+    k = len(gains)
+    with np.errstate(invalid="ignore"):
+        ch = Channel(4, 4, gains, [aod] * k, [0.2] * k)
+    beam = np.full(4, 0.5, dtype=complex)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match=r"^channel matrix entry 0 is not finite: "):
+        measure(beam, beam, ch, 10.0, np.random.default_rng(0))
+
+
 def test_mismatched_hierarchical_factors_raise():
     tx = build_codebook(4, m=2, k=32, r_max=50, seed=0)
     rx = build_codebook(3, m=3, k=32, r_max=50, seed=0)

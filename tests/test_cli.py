@@ -187,6 +187,21 @@ def test_pattern_of_a_nan_codeword_is_usage_error(tmp_path, capsys):
     assert not csv.exists()
 
 
+def test_pattern_of_an_overflowing_gain_is_numerical_failure(tmp_path, capsys):
+    # a finite codeword whose gain overflows used to exit 0 and write rows
+    # of inf and nan; design-practical on the same file exits 4 too
+    v = tmp_path / "big.json"
+    v.write_text(json.dumps({"n": 2, "entries": [[1e308, 0.0], [1e308, 0.0]]}))
+    csv = tmp_path / "pat.csv"
+    rc = main(["pattern", "--input", str(v), "--points", "9", "--out", str(csv)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: beam gain at direction 4 (omega = 0) is not finite: ")
+    assert not csv.exists()
+    assert main(["design-practical", "--input", str(v), "--nrf", "2",
+                 "--out", str(tmp_path / "h.json")]) == 4
+
+
 def test_simulate_rejects_receive_larger_than_transmit(tmp_path, capsys):
     paths = {}
     for n in (4, 8):

@@ -14,7 +14,7 @@ from beamkit import (
     phase_set,
     ps_icd,
 )
-from beamkit import SynthesisError, make_target
+from beamkit import SynthesisError, build_codebook, make_target
 from beamkit.practical import (
     _quantize_index,
     _two_rf_phases,
@@ -632,3 +632,17 @@ def test_fs_row_checks_once_per_call(monkeypatch):
                          rng.integers(0, 8, (8, 4)))
     assert steps > 1
     assert checks == ["_finite", "_finite", "_check_indices"]
+
+
+def test_ring_bound_prunes_a_codebook_builds_kernel_work(monkeypatch):
+    # the targets the two-phasor kernel receives in one 4-chain build.  The
+    # continuous-phase bound, 0 for every target inside the pair's reach,
+    # sent it 221,448.  A change that loses some of the ring bound's
+    # pruning fails here; the exhaustive-equality property tests catch one
+    # that prunes a candidate that must be solved.
+    solved = []
+    solve = beamkit.practical._two_rf_solve
+    monkeypatch.setattr(beamkit.practical, "_two_rf_solve",
+                        lambda gamma, *a: solved.append(gamma.size) or solve(gamma, *a))
+    build_codebook(16, k=64, r_max=200, seed=3, hw={"n_rf": 4, "b": 6, "t_max": 10})
+    assert sum(solved) == 114_032

@@ -38,8 +38,11 @@ from beamkit import (
 )
 from beamkit.ideal import _DEGENERATE_RTOL, PhaseOptimizer, _assemble
 from beamkit.practical import (
+    _BOUND_MARGIN,
+    _RING_BUCKETS,
     _ROW_CAP_PER_PHASE,
     _first_min,
+    _ring_table,
     _two_rf_setup,
     _two_rf_solve,
     _wrap_near,
@@ -52,6 +55,22 @@ _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
 
 _reals = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
 _complex = st.builds(complex, _reals, _reals)
+# the ring bound's edge cases for a digital vector's first two entries
+_PAIR_KINDS = st.sampled_from(["free", "zero f1", "zero f2", "equal moduli"])
+
+
+def _digital(data, shape):
+    """A drawn digital vector, or stack of them, whose first two entries
+    are free, or hold a zero f1 or f2, or share one modulus."""
+    fbb = data.draw(arrays(complex, shape, elements=_complex))
+    kind = data.draw(_PAIR_KINDS)
+    if kind == "zero f1":
+        fbb[..., 0] = 0.0
+    elif kind == "zero f2":
+        fbb[..., 1] = 0.0
+    elif kind == "equal moduli":
+        fbb[..., 1] = np.abs(fbb[..., 0]) * np.exp(1j * data.draw(st.floats(-np.pi, np.pi)))
+    return fbb
 
 
 def _solve(gamma, f1, f2, pset):
@@ -405,14 +424,14 @@ def _assert_pruning_changes_nothing(target, fbb, pset, init, owner=None):
 @_SETTINGS
 @given(
     n_rf=st.integers(3, 5),
-    bits=st.sampled_from([1, 2, 4, 6]),
+    bits=st.sampled_from([1, 2, 4, 6, 8]),
     rows=st.integers(1, 8),
     data=st.data(),
 )
 def test_pruned_fs_row_equals_exhaustive_on_random_rows(n_rf, bits, rows,
                                                         data):
     pset = phase_set(bits)
-    fbb = data.draw(arrays(complex, n_rf, elements=_complex))
+    fbb = _digital(data, n_rf)
     target = data.draw(arrays(complex, rows, elements=_complex))
     init = data.draw(arrays(np.int64, (rows, n_rf),
                             elements=st.integers(0, pset.size - 1)))
@@ -422,7 +441,7 @@ def test_pruned_fs_row_equals_exhaustive_on_random_rows(n_rf, bits, rows,
 @_SETTINGS
 @given(
     n_rf=st.integers(3, 5),
-    bits=st.sampled_from([1, 2, 4, 6]),
+    bits=st.sampled_from([1, 2, 4, 6, 8]),
     rows=st.integers(1, 10),
     groups=st.integers(1, 3),
     data=st.data(),
@@ -432,7 +451,7 @@ def test_fs_row_with_per_row_fbb_equals_one_call_per_group(n_rf, bits, rows,
     # each row takes the digital vector of its group; the groups' rows are
     # interleaved, and two groups may share a vector
     pset = phase_set(bits)
-    fbbs = data.draw(arrays(complex, (groups, n_rf), elements=_complex))
+    fbbs = _digital(data, (groups, n_rf))
     group = data.draw(arrays(np.int64, rows, elements=st.integers(0, groups - 1)))
     target = data.draw(arrays(complex, rows, elements=_complex))
     init = data.draw(arrays(np.int64, (rows, n_rf),
@@ -473,6 +492,47 @@ def test_two_rf_kernel_with_row_constants_equals_one_pair_at_a_time(
         mine = rows == r
         want = _solve(gamma[mine], *f[r], pset)
         _assert_same_bits([a[mine] for a in got], want)
+
+
+@_SETTINGS
+@given(
+    bits=st.integers(1, 10),
+    kind=_PAIR_KINDS,
+    data=st.data(),
+)
+def test_ring_bound_never_exceeds_the_kernels_residual(bits, kind, data):
+    # fs_row's bound, less the margin, for random targets, for targets a few
+    # ulps off a quantized pair (residual about 0) and for targets whose
+    # modulus sits a few ulps off a bucket edge or a ring modulus
+    pset = phase_set(bits)
+    f1, f2 = data.draw(_complex), data.draw(_complex)
+    if kind == "zero f1":
+        f1 = 0j
+    elif kind == "zero f2":
+        f2 = 0j
+    elif kind == "equal moduli":
+        f2 = abs(f1) * np.exp(1j * data.draw(st.floats(-np.pi, np.pi)))
+    table, scale, top = _ring_table(_two_rf_setup(f1, f2, pset), pset.size)
+    assert table.shape == (_RING_BUCKETS,) and scale.shape == top.shape == (1,)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(0, pset.size, (2, 200))
+    pairs = f1 * pset.phasors[m[0]] + f2 * pset.phasors[m[1]]
+    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    ulps = 1.0 + rng.integers(-4, 5, 400) * np.finfo(float).eps
+    edges = rng.integers(0, _RING_BUCKETS + 2, 200) / scale[0]
+    gamma = np.concatenate([
+        [1.0, 1j] @ rng.uniform(-1.5, 1.5, (2, 200)) * (abs(f1) + abs(f2) + 0.5),
+        pairs * ulps[:200],
+        np.concatenate([edges, np.abs(pairs)]) * ulps * turn,
+    ])
+    solved = _solve(gamma, f1, f2, pset)[2]
+    alpha = np.abs(gamma)
+    at = np.minimum(alpha * scale[0], _RING_BUCKETS - 1).astype(int)
+    bound = np.maximum(table[at], alpha - top[0])
+    assert np.all(bound - _BOUND_MARGIN * (alpha + abs(f1) + abs(f2)) <= solved)
+    # every ring modulus lies in the pair's reach, the largest at its top
+    assert (abs(abs(f1) - abs(f2)) * (1 - 1e-12) <= np.abs(pairs)).all()
+    assert np.abs(pairs).max() <= top[0] * (1 + 1e-12) <= (abs(f1) + abs(f2)) * (1 + 2e-12)
 
 
 def test_pruned_fs_row_equals_exhaustive_on_large_steps(monkeypatch):

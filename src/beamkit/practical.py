@@ -484,7 +484,9 @@ def _ring_table(setup, size):
     table -= (np.arange(_RING_BUCKETS) + 0.5) * h
     np.abs(table, out=table)
     table -= 0.5 * h
-    np.maximum(table, 0.0, out=table)
+    # 0 for a ring in the bucket, for the last bucket, and for NaN where
+    # |f1| + |f2| overflows (the margin then keeps every candidate)
+    table[~(table > 0.0)] = 0.0
     table[:, -1] = 0.0
     return table.ravel(), 1.0 / h[:, 0], top
 

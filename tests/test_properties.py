@@ -558,6 +558,30 @@ def test_pruned_fs_row_equals_exhaustive_on_large_steps(monkeypatch):
     _assert_pruning_changes_nothing(target, fbb[0], pset, init)
 
 
+def test_fs_row_solves_every_candidate_where_the_ring_moduli_overflow(monkeypatch):
+    # |f1| + |f2| past the float range leaves the ring table NaN; it then
+    # bounds nothing, so every candidate is solved and the rows end as with
+    # an infinite margin (where a NaN table once pruned them all, and
+    # fs_row failed on a row that no solved candidate had won)
+    pset = phase_set(2)
+    rng = np.random.default_rng(27)
+    fbb = np.array([1e308, 1e308j, 1.0, -1.0])
+    target = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    init = rng.integers(0, 4, (4, 4))
+    solved = []
+    solve = beamkit.practical._two_rf_solve
+    monkeypatch.setattr(beamkit.practical, "_two_rf_solve",
+                        lambda gamma, *a: solved.append(gamma.size) or solve(gamma, *a))
+    with np.errstate(all="ignore"):
+        got = fs_row(target, fbb, pset, init)
+        pruned, solved[:] = solved[:], []
+        monkeypatch.setattr(beamkit.practical, "_BOUND_MARGIN", np.inf)
+        want = fs_row(target, fbb, pset, init)
+    assert pruned == solved and solved[0] == 4 * pset.size
+    _assert_same_bits(got[:2], want[:2])
+    assert got[2] == want[2]
+
+
 def test_fs_row_keeps_rows_whose_every_candidate_is_pruned(monkeypatch):
     # the incumbent's own value is never pruned, so only a margin below
     # every bound prunes whole rows: no candidate is solved, no row moves,

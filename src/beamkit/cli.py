@@ -188,8 +188,9 @@ def cmd_simulate(args):
     with open(args.out, "w") as fh:
         fh.write(text)
     if args.record_trials:
+        trials = json.dumps(all_records)  # the C encoder: json.dump never uses it
         with open(args.out + ".trials.json", "w") as fh:
-            json.dump(all_records, fh)
+            fh.write(trials)
             fh.write("\n")
     sys.stdout.write(text)
     return 0

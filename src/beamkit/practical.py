@@ -26,7 +26,7 @@ targets in build_codebook(32, n_rf=4, b=6) fell from 2,590,189 to
 1,059,633.  The remaining solves and the two-chain
 match run one kernel, _two_rf_solve.  fs_altmin designs a stack of
 codewords, such as a codebook layer, with one row search per alternation
-over the rows of them all.
+over the rows of them all, and one stacked least-squares solve.
 
 The kernel works in blocks of up to _SOLVE_BLOCK targets, and writes its
 large temporaries into buffers that each thread allocates once and reuses
@@ -497,9 +497,9 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     Row r of init_indices (R, n_rf) is fitted to entry r of the 1-D target
     with a digital vector, every row on its own.  fbb is one (n_rf,) vector
     for every row, or a stack (G, n_rf) of them with owner (R,) giving each
-    row's.  A shape that does not fit, a non-finite target or fbb entry, or
-    an index that is not an integer in [0, 2^b) raises ValueError naming
-    the argument.  At step t, phase
+    row's.  A shape that does not fit, a non-finite target or fbb entry, an
+    index that is not an integer in [0, 2^b), or a target entry whose start
+    residual overflows raises ValueError naming the argument.  At step t, phase
     p = t mod (n_rf - 2) + 2 of each row still searching is swept over the
     whole phase set; for each candidate the first two phases are re-solved
     in closed form against the residual target, and the best candidate wins
@@ -557,6 +557,9 @@ def fs_row(target, fbb, pset, init_indices, owner=None):
     # on an array may take a vector path that differs in the last bit
     start = target - np.sum(per_row * phasors[idx], axis=1)
     res = np.hypot(start.real, start.imag)
+    if not np.isfinite(res).all():  # an inf incumbent would accept any candidate
+        i = np.flatnonzero(~np.isfinite(res))[0]
+        raise ValueError(f"target entry {i} is out of range: its start residual is {res[i]}")
     setup = _two_rf_setup(fbb[..., 0], fbb[..., 1], pset)
     table, scale, top = _ring_table(setup, pset.size)
     zsum = setup[0] + setup[1]  # the margin's scale is |gamma| + z1 + z2
@@ -629,10 +632,16 @@ def ls_fbb(analog, v):
 
     Solves (F^H F) f = F^H v; a near-singular Gram matrix (duplicated
     analog columns) falls back to the pseudo-inverse with a warning.  An
-    analog matrix or v whose norm is not finite raises ValueError.
+    analog matrix that is not 2-D (n x n_rf), a v that is not 1-D of
+    length n, or either with a norm that is not finite raises ValueError
+    naming it.
     """
     analog = np.asarray(analog, dtype=complex)
     v = np.asarray(v, dtype=complex)
+    if analog.ndim != 2:
+        raise ValueError(f"analog must be 2-D (n x n_rf), got shape {analog.shape}")
+    if v.shape != analog.shape[:1]:
+        raise ValueError(f"v must be 1-D of length n = {analog.shape[0]}, got shape {v.shape}")
     for name, a in (("analog", analog), ("v", v)):
         if not np.isfinite(np.linalg.norm(a)):
             raise ValueError(f"{name} has norm {np.linalg.norm(a)}")
@@ -646,6 +655,31 @@ def ls_fbb(analog, v):
         )
         return np.linalg.pinv(analog) @ v
     return np.linalg.solve(gram, analog.conj().T @ v)
+
+
+def _ls_stack(analog, v):
+    """ls_fbb(analog[e], v[e]) for every entry e of a stack, bit for bit:
+    analog (E, n, n_rf), v (E, n), both finite and unchecked; (E, n_rf).
+
+    Each slice of the stacked products has the layout of ls_fbb's 2-D
+    operands, so it makes the same BLAS call: gemm for the Gram, gemv for
+    the right-hand side (a (n, 1) column, as ls_fbb's 1-D v is to matmul).
+    np.linalg.solve then runs one LAPACK gesv per entry of an (E, n_rf, 1)
+    stack, as it does for one 1-D right-hand side; a 2-D one would be read
+    as a stack of matrices.  An entry whose Gram _near_singular flags goes
+    through ls_fbb itself, which warns and takes the pseudo-inverse.
+    """
+    adj = analog.conj().transpose(0, 2, 1)
+    gram, rhs = adj @ analog, adj @ v[..., None]
+    singular = [_near_singular(g) for g in gram]
+    if not any(singular):  # the usual case, without the gathers below
+        return np.linalg.solve(gram, rhs)[..., 0]
+    ok = ~np.array(singular)
+    out = np.empty(rhs.shape[:2], dtype=complex)
+    out[ok] = np.linalg.solve(gram[ok], rhs[ok])[..., 0]
+    for e in np.flatnonzero(~ok):
+        out[e] = ls_fbb(analog[e], v[e])
+    return out
 
 
 def _near_singular(gram):
@@ -728,10 +762,9 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
 
     n = v.shape[1]
     idx = np.empty((len(v), n, n_rf), dtype=int)
-    fbb = np.empty((len(v), n_rf), dtype=complex)
     for e, seed in enumerate(seeds):
         idx[e] = np.random.default_rng(seed).integers(0, pset.size, size=(n, n_rf))
-        fbb[e] = ls_fbb(pset.phasors[idx[e]], v[e])
+    fbb = _ls_stack(pset.phasors[idx], v)
     if trace is not None:
         trace.append(float(np.linalg.norm(v[0] - pset.phasors[idx[0]] @ fbb[0])))
     live = np.arange(len(v))  # entries whose digital vector still moves
@@ -739,7 +772,8 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
         if not live.size:
             break
         # the rows of every live entry (take: a third of what [] costs here)
-        target, rows = v.take(live, axis=0).reshape(-1), idx.take(live, axis=0).reshape(-1, n_rf)
+        vl = v.take(live, axis=0)
+        target, rows = vl.reshape(-1), idx.take(live, axis=0).reshape(-1, n_rf)
         fe = fbb.take(live, axis=0)
         # each row's entry among the live ones; None while only one is live
         owner = np.repeat(np.arange(len(live)), n) if len(live) > 1 else None
@@ -756,16 +790,14 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
         else:
             rows, _, _ = fs_row(target, fe[0] if owner is None else fe, pset, rows, owner)
         idx[live] = rows.reshape(-1, n, n_rf)
-        moving = []
-        for e in live.tolist():
-            analog = pset.phasors[idx[e]]
-            new_fbb = ls_fbb(analog, v[e])
-            if trace is not None:
-                trace.append(float(np.linalg.norm(v[e] - analog @ new_fbb)))
-            if not np.linalg.norm(new_fbb - fbb[e]) < _FBB_TOL:
-                moving.append(e)
-            fbb[e] = new_fbb
-        live = np.array(moving, dtype=int)
+        new = _ls_stack(pset.phasors[idx.take(live, axis=0)], vl)
+        if trace is not None:
+            trace.append(float(np.linalg.norm(v[0] - pset.phasors[idx[0]] @ new[0])))
+        # np.linalg.norm of each entry's step on its own: a norm over an
+        # axis sums in another order, which may round across _FBB_TOL
+        moving = [not np.linalg.norm(step) < _FBB_TOL for step in new - fe]
+        fbb[live] = new
+        live = live[moving]
 
     hybrids = []
     for e, entry in enumerate(entries):

@@ -3,10 +3,15 @@
 Complex entries are stored as [re, im] pairs of plain floats, which JSON
 round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
-constraint survives the disk exactly.  Loaders check every field they
-read and raise ValueError naming the file and the first bad field; a
-non-finite entry is one.  save_codeword refuses non-finite entries too,
-naming the entry, as NaN is not JSON (a HybridCodeword cannot hold them).
+constraint survives the disk exactly.  Each file is one line of JSON
+encoded in one shot by json.dumps, whose C encoder json.dump never runs.
+A codebook is encoded one entry at a time, so its whole document is never
+held, and the entries' texts are joined into the text json.dumps gives
+for the whole; the bytes are the ones json.dump wrote.  Loaders check
+every field they read and raise ValueError naming the file and the first
+bad field; a non-finite entry is one.  save_codeword refuses non-finite
+entries too, naming the entry, as NaN is not JSON (a HybridCodeword
+cannot hold them).
 """
 
 import json
@@ -28,9 +33,9 @@ __all__ = [
 ]
 
 
-def _write(doc, path):
+def _write(text, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
         fh.write("\n")
 
 
@@ -64,7 +69,10 @@ def _is_pair(p):
 
 
 def _to_pairs(v):
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+    # one tolist() of the (n, 2) float view: the Python floats that a loop
+    # over the numpy scalars' real and imaginary parts gives, in far fewer calls
+    v = np.asarray(v, dtype=complex, order="C")
+    return v.view(float).reshape(len(v), 2).tolist()
 
 
 def _complex(doc, key, size=None, where=""):
@@ -80,6 +88,11 @@ def _hybrid_doc(h):
     return {"n_rf": h.n_rf, "b": h.bits,
             "analog_phase_indices": h.phase_indices.astype(int).tolist(),
             "digital": _to_pairs(h.digital)}
+
+
+def _entry_doc(e):
+    return {"coverage": list(e.coverage), "ideal": _to_pairs(e.ideal),
+            "hybrid": _hybrid_doc(e.hybrid) if e.hybrid else None}
 
 
 def _hybrid(doc, where=""):
@@ -121,7 +134,7 @@ def _codebook(doc):
 
 def save_codeword(v, path):
     v = _finite("codeword", v, complex)
-    _write({"n": int(v.size), "entries": _to_pairs(v)}, path)
+    _write(json.dumps({"n": int(v.size), "entries": _to_pairs(v)}), path)
 
 
 def load_codeword(path):
@@ -130,7 +143,7 @@ def load_codeword(path):
 
 
 def save_hybrid(h, path):
-    _write(_hybrid_doc(h), path)
+    _write(json.dumps(_hybrid_doc(h)), path)
 
 
 def load_hybrid(path):
@@ -138,11 +151,13 @@ def load_hybrid(path):
 
 
 def save_codebook(cb, path):
-    layers = [[{"coverage": list(e.coverage), "ideal": _to_pairs(e.ideal),
-                "hybrid": _hybrid_doc(e.hybrid) if e.hybrid else None}
-               for e in layer] for layer in cb.layers]
-    _write({"n": cb.n, "m": cb.m, "s": cb.s, "seed": cb.seed, "method": cb.method,
-            "hw": cb.hw, "layers": layers}, path)
+    # json.dumps of the whole document, spelled out: each entry's document
+    # is encoded as soon as it is made, so no whole document is ever held
+    head = json.dumps({"n": cb.n, "m": cb.m, "s": cb.s, "seed": cb.seed, "method": cb.method,
+                       "hw": cb.hw})
+    layers = ", ".join("[" + ", ".join(json.dumps(_entry_doc(e)) for e in layer) + "]"
+                       for layer in cb.layers)
+    _write(head[:-1] + ', "layers": [' + layers + "]}", path)
 
 
 def load_codebook(path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -433,6 +434,19 @@ def test_ls_fbb_rejects_non_finite_input():
     assert np.all(np.isfinite(ls_fbb(analog, v)))
 
 
+@pytest.mark.parametrize("analog_shape, v_shape, message", [
+    # a 2-D v returned a matrix, a v of the wrong length raised numpy's
+    # matmul error and a 1-D analog raised LinAlgError
+    ((3, 2), (3, 1), re.escape("v must be 1-D of length n = 3, got shape (3, 1)")),
+    ((3, 2), (4,), re.escape("v must be 1-D of length n = 3, got shape (4,)")),
+    ((3,), (3,), re.escape("analog must be 2-D (n x n_rf), got shape (3,)")),
+], ids=["2-D v", "v of the wrong length", "1-D analog"])
+def test_ls_fbb_names_the_argument_of_the_wrong_shape(analog_shape, v_shape, message):
+    analog = phase_set(2).phasors[np.arange(math.prod(analog_shape)).reshape(analog_shape) % 4]
+    with pytest.raises(ValueError, match=message):
+        ls_fbb(analog, np.ones(v_shape, dtype=complex))
+
+
 @pytest.mark.parametrize("n_rf", [1, 2, 3])
 def test_fs_altmin_rejects_negative_iteration_count(n_rf):
     v = np.ones(4, dtype=complex) / 2
@@ -531,19 +545,19 @@ def test_stacked_fs_altmin_entries_leave_at_their_own_fixed_points(monkeypatch,
                                                                    n_rf):
     # six entries of one stack reach their fixed points after different
     # numbers of alternations; each keeps its own start, least-squares steps
-    # and exit, so it equals its own call bit for bit, with the same ls_fbb
-    # calls in total
+    # and exit, so it equals its own call bit for bit, with the same
+    # least-squares solves in total
     rng = np.random.default_rng(5)
     v = rng.standard_normal((6, 8)) + 1j * rng.standard_normal((6, 8))
     seeds = [11, 12, 13, 14, 15, 16]
     calls = []
-    real_ls_fbb = beamkit.practical.ls_fbb
+    real_ls_stack = beamkit.practical._ls_stack
 
     def counted(analog, target):
-        calls.append(target.shape)
-        return real_ls_fbb(analog, target)
+        calls.extend([target.shape[1:]] * len(target))
+        return real_ls_stack(analog, target)
 
-    monkeypatch.setattr(beamkit.practical, "ls_fbb", counted)
+    monkeypatch.setattr(beamkit.practical, "_ls_stack", counted)
     one, steps = [], []
     for row, seed in zip(v, seeds):
         trace = []
@@ -632,6 +646,18 @@ def test_fs_row_checks_once_per_call(monkeypatch):
                          rng.integers(0, 8, (8, 4)))
     assert steps > 1
     assert checks == ["_finite", "_finite", "_check_indices"]
+
+
+def test_fs_row_names_a_target_whose_start_residual_overflows():
+    # finite entries whose residual is inf: an inf incumbent accepted a
+    # candidate the search had not solved, and fs_row raised IndexError
+    target = np.full(4, 1.5e308 + 1.5e308j)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape("target entry 0 is out of range: its start residual is inf")):
+        fs_row(target, np.ones(3), phase_set(2), np.zeros((4, 3), int))
+    target[0] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="target entry 1 is out"):
+        fs_row(target, np.ones(3), phase_set(2), np.zeros((4, 3), int))
 
 
 def test_ring_bound_prunes_a_codebook_builds_kernel_work(monkeypatch):

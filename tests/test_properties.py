@@ -10,6 +10,7 @@ import os
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -685,6 +686,54 @@ def test_stacked_fs_altmin_equals_one_call_per_entry(n, entries, n_rf, bits,
         for name in ("phase_indices", "digital", "realized"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@_SETTINGS
+@given(
+    entries=st.integers(1, 30),
+    n_rf=st.integers(2, 5),
+    bits=st.integers(1, 6),
+    extra=st.integers(0, 30),
+    share=st.sampled_from([0.0, 0.2, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_least_squares_equals_one_ls_fbb_per_entry(entries, n_rf, bits,
+                                                            extra, share, seed):
+    # random analog matrices as fs_altmin gathers them, about a share of
+    # them with a duplicated column (and, at few antennas and bits, some
+    # near-singular by chance): exactly the entries whose own ls_fbb call
+    # warns go through ls_fbb in the stacked solve, in order, and every
+    # row is the same bit for bit
+    pset = phase_set(bits)
+    n = n_rf + extra
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, pset.size, (entries, n, n_rf))
+    duplicated = rng.random(entries) < share
+    idx[duplicated, :, -1] = idx[duplicated, :, 0]
+    analog = pset.phasors[idx]
+    v = rng.standard_normal((entries, n)) + 1j * rng.standard_normal((entries, n))
+    want, warned = [], []
+    for a, row in zip(analog, v):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            want.append(beamkit.practical.ls_fbb(a, row))
+        warned.append(len(caught) == 1)
+    assert all(warned[e] for e in np.flatnonzero(duplicated))
+    fallbacks = []
+    real = beamkit.practical.ls_fbb
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(beamkit.practical, "ls_fbb",
+                   lambda a, row: fallbacks.append((a, row)) or real(a, row))
+        got = beamkit.practical._ls_stack(analog, v)
+    flagged = np.flatnonzero(warned)
+    assert len(caught) == len(fallbacks) == len(flagged)
+    assert all("pseudo-inverse" in str(w.message) for w in caught)
+    for (a, row), e in zip(fallbacks, flagged):
+        assert a.tobytes() == analog[e].tobytes() and row.tobytes() == v[e].tobytes()
+    assert got.shape == (entries, n_rf) and got.dtype == complex
+    for e in range(entries):
+        assert got[e].tobytes() == want[e].tobytes(), e
 
 
 @_SETTINGS

@@ -5,7 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from beamkit import build_codebook, fs_altmin, ps_icd
+from beamkit import (
+    CodebookEntry,
+    HierarchicalCodebook,
+    HybridCodeword,
+    build_codebook,
+    fs_altmin,
+    ps_icd,
+)
 from beamkit import make_target
 from beamkit.serialization import (
     load_codebook,
@@ -215,3 +222,59 @@ def test_malformed_codeword_and_hybrid_name_the_field(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load(path)
+
+
+def _scalar_pairs(v):
+    """[re, im] pairs taken one numpy scalar at a time."""
+    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
+
+
+def test_files_hold_the_pure_python_encoders_text(tmp_path):
+    # files are encoded in one shot by json's C encoder, from pairs taken in
+    # one tolist(); the text must be what the pure-Python encoder writes for
+    # pairs taken one scalar at a time: -0.0, subnormals, 1e308, integral
+    # floats and ints past 64 bits included
+    odd = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                    3.0, 2.0**60, 0.1])
+    v = odd + 1j * odd[::-1]
+    cb = build_codebook(4, m=2, k=16, r_max=20, seed=1, hw={"n_rf": 2, "b": 3, "t_max": 2})
+
+    def odd_entry(i, e):
+        # a coverage ending at -0.0, and slices of v as codeword and digital
+        lo, hi = e.coverage
+        h = e.hybrid
+        return CodebookEntry((lo, -0.0 if hi == 0.0 else hi), v[i:i + 4],
+                             HybridCodeword(h.phase_indices, h.bits, v[i + 1:i + 1 + h.n_rf]))
+
+    with np.errstate(over="ignore"):  # the realized codewords overflow
+        layers = [[odd_entry(i, e) for i, e in enumerate(layer)] for layer in cb.layers]
+    cb = HierarchicalCodebook(4, 2, 2**80 + 1, layers, method=cb.method,
+                              hw={"n_rf": 2, "b": 3, "t_max": 10**30})
+
+    def hybrid_doc(h):
+        return {"n_rf": h.n_rf, "b": h.bits,
+                "analog_phase_indices": h.phase_indices.astype(int).tolist(),
+                "digital": _scalar_pairs(h.digital)}
+
+    doc = {"n": cb.n, "m": cb.m, "s": cb.s, "seed": cb.seed, "method": cb.method, "hw": cb.hw,
+           "layers": [[{"coverage": list(e.coverage), "ideal": _scalar_pairs(e.ideal),
+                        "hybrid": hybrid_doc(e.hybrid) if e.hybrid else None}
+                       for e in layer] for layer in cb.layers]}
+    for save, value, want in (
+        (save_codeword, v, {"n": v.size, "entries": _scalar_pairs(v)}),
+        (save_hybrid, cb.layers[0][1].hybrid, hybrid_doc(cb.layers[0][1].hybrid)),
+        (save_codebook, cb, doc),
+    ):
+        path = tmp_path / "x.json"
+        save(value, path)
+        text = path.read_text()
+        assert text == "".join(json.JSONEncoder().iterencode(want)) + "\n"
+    assert "-0.0" in text and "5e-324" in text and "1e+308" in text and "3.0" in text
+    assert str(2**80 + 1) in text and str(10**30) in text
+    with np.errstate(over="ignore"):
+        loaded = load_codebook(path)
+    assert loaded.seed == 2**80 + 1 and loaded.hw["t_max"] == 10**30
+    for la, lb in zip(cb.layers, loaded.layers):
+        for a, b in zip(la, lb):
+            assert a.ideal.tobytes() == b.ideal.tobytes()
+            assert a.hybrid.digital.tobytes() == b.hybrid.digital.tobytes()

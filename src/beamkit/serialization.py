@@ -4,14 +4,14 @@ Complex entries are stored as [re, im] pairs of plain floats, which JSON
 round-trips bit-exactly (shortest-round-trip formatting).  Hybrid analog
 matrices are stored as 0-based phase indices so the quantization
 constraint survives the disk exactly.  Each file is one line of JSON
-encoded in one shot by json.dumps, whose C encoder json.dump never runs.
-A codebook is encoded one entry at a time, so its whole document is never
-held, and the entries' texts are joined into the text json.dumps gives
-for the whole; the bytes are the ones json.dump wrote.  Loaders check
+encoded by json.dumps, whose C encoder json.dump never runs: a codeword or
+hybrid in one shot, a codebook one entry at a time (so its whole document
+is never held), the entries' texts joined into the text json.dumps gives
+for the whole.  The bytes are the ones json.dump wrote.  Loaders check
 every field they read and raise ValueError naming the file and the first
 bad field; a non-finite entry is one.  save_codeword refuses non-finite
-entries too, naming the entry, as NaN is not JSON (a HybridCodeword
-cannot hold them).
+entries too, naming the entry, as NaN is not JSON (a HybridCodeword cannot
+hold them).
 """
 
 import json

@@ -123,7 +123,8 @@ def measure(v, w, ch, snr_db, rng):
     y = sqrt(P) w^H H v + w^H eta with eta circular Gaussian of unit
     per-entry variance; P is set by snr_db.  snr_db of +/-inf selects the
     noiseless and pure-noise limits; NaN, or a P past the float range,
-    raises ValueError.
+    raises ValueError, as does a w or v that is not 1-D of length N_r or
+    N_t, naming it.
 
     Bit for bit, with n = N_r: z is one draw of 2n standard normals from
     rng, and eta = (z[:n] + j z[n:]) * sigma / sqrt(2) in complex
@@ -143,10 +144,21 @@ def measure(v, w, ch, snr_db, rng):
     if sigma != 1.0:  # x * (1 + 0j) is x exactly
         eta *= sigma
     eta /= _SQRT2
-    y = math.sqrt(p) * np.dot(np.dot(w_h, h), np.asarray(v, dtype=complex))
-    y += np.dot(w_h, eta)
-    # np.abs, not abs(): the two round differently in the last bit
-    power = float(np.abs(y) ** 2)
+    try:
+        y = math.sqrt(p) * np.dot(np.dot(w_h, h), np.asarray(v, dtype=complex))
+        y += np.dot(w_h, eta)
+        # np.abs, not abs(): the two round differently in the last bit
+        power = float(np.abs(y) ** 2)
+    except (ValueError, TypeError):
+        # a beam that does not fit the channel (numpy's dot, or float() of
+        # more than one power) is named; checked only here, like the
+        # non-finite beams below
+        for name, beam, size, count in (("w", w, "n_r", h.shape[0]),
+                                        ("v", v, "n_t", h.shape[1])):
+            if np.shape(beam) != (count,):
+                raise ValueError(f"{name} must be a 1-D beam of {size} = {count} "
+                                 f"entries, got shape {np.shape(beam)}") from None
+        raise
     if not math.isfinite(power):
         # a non-finite beam, then a non-finite channel, is named first;
         # checked only here, so the per-trial path keeps its one isfinite

@@ -8,11 +8,10 @@ is cheap and the quadratic objective never decreases.
 """
 
 import cmath
-import functools
 
 import numpy as np
 
-from .arrays import _count, _gram, steering_matrix
+from .arrays import _count, steering_matrix
 
 __all__ = [
     "SynthesisError",
@@ -65,12 +64,12 @@ class PhaseOptimizer:
                     magnitudes * np.exp(1j * phases))
 
     @classmethod
-    def _shared(cls, gram, n, k, magnitudes, phases, gains):
-        """The optimizer on gram, the shared Gram of steering_matrix(n, k),
-        with the constants of its rows built once per (n, k).  It updates
-        phases and gains, g for those magnitudes and phases, in place."""
+    def _shared(cls, gram, row_constants, magnitudes, phases, gains):
+        """The optimizer on gram, whose _row_constants are row_constants,
+        built once by the caller.  It updates phases and gains, g for those
+        magnitudes and phases, in place."""
         opt = cls.__new__(cls)
-        opt._start(gram, _shared_row_constants(n, k), magnitudes, phases, gains)
+        opt._start(gram, row_constants, magnitudes, phases, gains)
         return opt
 
     def _start(self, gram, row_constants, magnitudes, phases, gains):
@@ -113,21 +112,15 @@ def _row_constants(gram):
     return np.linalg.norm(gram, axis=1), tuple(gram), tuple(gram.diagonal())
 
 
-@functools.lru_cache(maxsize=4)  # keys are counts SteeringMatrix has checked
-def _shared_row_constants(n, k):
-    """_row_constants of the shared, read-only Gram of (n, k), built once:
-    about 75 us at K = 128 on a 2-core x86-64 machine."""
-    norms, rows, diagonal = _row_constants(_gram(n, k))
-    norms.setflags(write=False)
-    return norms, rows, diagonal
-
-
 def _named(entry):
     return "" if entry is None else f" {entry}"
 
 
 def _target_gains(target, grid, entry=None):
     mags = np.asarray(target(grid), dtype=float)
+    if mags.shape != grid.shape:
+        raise ValueError(f"target{_named(entry)} must give one magnitude per grid "
+                         f"direction, shape {grid.shape}, got shape {mags.shape}")
     bad = np.flatnonzero(~(np.isfinite(mags) & (mags >= 0)))[:1]
     if bad.size:
         raise SynthesisError(f"target{_named(entry)} magnitudes must be finite and "
@@ -156,7 +149,8 @@ def ps_icd(target, n, k, r_max, seed):
     magnitude keeps its phase, so only the others are updated.
     Deterministic for a fixed seed, an integer >= 0.
 
-    target: TargetPattern (or any callable magnitude profile on [-1, 1]).
+    target: TargetPattern (or any callable magnitude profile on [-1, 1]);
+    an output of another shape than the grid's (k,) raises ValueError.
     n: antennas; k: grid size (k >= n); r_max: total update count.
 
     At k == n the grid is orthogonal (A^H A = K I), so the phases do not
@@ -201,10 +195,11 @@ def ps_icd(target, n, k, r_max, seed):
     lengths = [live.size * (r_max // k) + np.count_nonzero(live < r_max % k)
                for live in lives]
     gram = sm.gram()
-    done = _lockstep(gram, _shared_row_constants(n, k)[0], mags, phases, gains, lengths)
+    row_constants = _row_constants(gram)
+    done = _lockstep(gram, row_constants[0], mags, phases, gains, lengths)
     for m, p, g, live, length in zip(mags, phases, gains, lives, lengths):
         if length > done:
-            opt = PhaseOptimizer._shared(gram, n, k, m, p, g)
+            opt = PhaseOptimizer._shared(gram, row_constants, m, p, g)
             for j in np.resize(live, length)[done:].tolist():
                 opt.update(j)
     out = [_assemble(sm.matrix, g, k, e) for e, g in zip(entries, gains)]
@@ -265,7 +260,8 @@ def _lockstep(gram, norms, mags, phases, gains, lengths):
 
 
 def ls_icd(target, n, k):
-    """Least-squares baseline: real target magnitudes, no auxiliary phases."""
+    """Least-squares baseline: real target magnitudes, no auxiliary phases.
+    target is checked as ps_icd checks it."""
     sm = steering_matrix(n, k)
     mags = _target_gains(target, sm.grid)
     return _assemble(sm.matrix, mags.astype(complex), k)

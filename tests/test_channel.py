@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,20 @@ def test_measure_names_a_non_finite_channel(gains, aod):
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=r"^channel matrix entry 0 is not finite: "):
         measure(beam, beam, ch, 10.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("beam, shape", [("w", (7,)), ("w", (8, 1)), ("w", ()),
+                                         ("v", (4,)), ("v", (6, 1))])
+def test_measure_names_a_beam_that_does_not_fit_the_channel(beam, shape):
+    # numpy's "shapes (7,) and (8,6) not aligned" named neither the beam nor
+    # the channel's size
+    ch = draw_channel(6, 8, 2, seed=0)
+    beams = {"v": np.full(6, 0.5, dtype=complex), "w": np.full(8, 0.5, dtype=complex)}
+    beams[beam] = np.full(shape, 0.5, dtype=complex)
+    rule = {"w": "n_r = 8", "v": "n_t = 6"}[beam]
+    with pytest.raises(ValueError, match=rf"^{beam} must be a 1-D beam of {rule} entries, "
+                                         rf"got shape {re.escape(str(shape))}$"):
+        measure(beams["v"], beams["w"], ch, 10.0, np.random.default_rng(0))
 
 
 def test_mismatched_hierarchical_factors_raise():

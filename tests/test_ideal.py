@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ def test_ps_icd_validates_target():
         ps_icd("not a target", 16, 128, 100, seed=0)
 
 
+@pytest.mark.parametrize("output", [np.ones(5), np.ones((1, 32)), np.float64(1.0)])
+def test_a_target_off_the_grid_shape_is_named(output):
+    # numpy's reshape or matmul error named neither the target nor the shapes
+    def bad(grid):
+        return output
+
+    shape = re.escape(str(np.shape(output)))
+    with pytest.raises(ValueError, match=rf"^target must give one magnitude per grid "
+                                         rf"direction, shape \(32,\), got shape {shape}$"):
+        ps_icd(bad, 8, 32, 10, 0)
+    with pytest.raises(ValueError, match=rf"^target must give .* got shape {shape}$"):
+        ls_icd(bad, 8, 32)
+    good = make_target("rect", (-1.0, 0.0))
+    with pytest.raises(ValueError, match=rf"^target 1 must give .* got shape {shape}$"):
+        ps_icd([good, bad, good], 8, 32, 10, [1, 2, 3])
+
+
 def test_stacked_ps_icd_names_its_first_failing_entry(monkeypatch):
     good = make_target("rect", (-1.0, 0.0))
     narrow = make_target("rect", (-0.004, -0.002))  # no grid direction inside
@@ -223,23 +241,3 @@ def test_ps_icd_rejects_negative_update_count():
         ps_icd(target, 8, 16, -3, seed=0)
     ps_icd(target, 8, 16, 0, seed=0)  # zero updates: the seeded start
 
-
-def test_ps_icd_optimizer_shares_its_row_constants_per_size():
-    # ps_icd's optimizer takes the row norms, rows and diagonal of the
-    # shared Gram from one build per (n, k), and updates exactly as one
-    # built by the public constructor does
-    target = make_target("rect", (-0.5, 0.25))
-    sm = steering_matrix(8, 32)
-    mags = target(sm.grid)
-    phases = np.random.default_rng(3).uniform(-np.pi, np.pi, 32)
-    public = PhaseOptimizer(sm.gram(), mags, phases)
-    gains = mags * np.exp(1j * phases)
-    shared = PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases.copy(), gains)
-    assert PhaseOptimizer._shared(sm.gram(), 8, 32, mags, phases, gains)._rows is shared._rows
-    assert shared.gains is gains  # updated in place
-    assert shared._degenerate == public._degenerate
-    assert shared._diagonal == public._diagonal
-    for k in list(range(32)) * 3:
-        assert shared.update(k) == public.update(k)
-    assert shared.gains.tobytes() == public.gains.tobytes()
-    assert shared.phases.tobytes() == public.phases.tobytes()

@@ -329,9 +329,10 @@ def test_ls_fbb_rank_deficient_warns():
     np.testing.assert_allclose(analog @ f, v, atol=1e-10)
 
 
-def test_ls_fbb_skips_the_svd_only_where_bounds_decide(monkeypatch):
-    # a 32 x 4 quantized analog matrix has a diagonally dominant Gram; with
-    # a column duplicated the bounds cannot decide, and cond still does
+def test_ls_fbb_decides_its_fallback_by_one_cond(monkeypatch):
+    # one SVD of the Gram per call: a 32 x 4 quantized analog matrix is
+    # solved by np.linalg.solve bit for bit, and with a column duplicated
+    # ls_fbb warns and takes the pseudo-inverse
     svds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda g: svds.append(g) or cond(g))
@@ -341,11 +342,12 @@ def test_ls_fbb_skips_the_svd_only_where_bounds_decide(monkeypatch):
     gram = analog.conj().T @ analog
     assert ls_fbb(analog, v).tobytes() == \
         np.linalg.solve(gram, analog.conj().T @ v).tobytes()
-    assert svds == [] and cond(gram) < 1e12
+    assert len(svds) == 1 and svds[0].tobytes() == gram.tobytes()
     analog[:, 3] = analog[:, 1]
     with pytest.warns(RuntimeWarning, match="pseudo-inverse") as caught:
-        ls_fbb(analog, v)
-    assert len(svds) == 1 and len(caught) == 1
+        f = ls_fbb(analog, v)
+    assert len(svds) == 2 and len(caught) == 1
+    assert f.tobytes() == (np.linalg.pinv(analog) @ v).tobytes()
 
 
 def test_fs_altmin_residual_trace_non_increasing():

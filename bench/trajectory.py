@@ -24,12 +24,32 @@ OpenBLAS is held to one thread.  The cases:
     python bench/trajectory.py --label change --out BENCH_11.json
     python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
     python bench/trajectory.py --compare BENCH_11.json:parent BENCH_11.json:change
+    python bench/trajectory.py --pair ../parent/src src --rounds 12 \
+        --label parent-change --out BENCH_31.json
 
 A run is stored under its label in the output file's "runs", replacing a
-run of the same label.  --compare exits 1 when any quality field or digest
-of a case in both runs differs, or no case is in both, and otherwise only
-reports time ratios, marking a ratio "unresolved" when the two medians
-differ by no more than the first run's quartile distance.
+run of the same label.  Each run also times perfbench's beamkit-free
+reference kernel (perfbench/run.py, imported without writing bytecode)
+before and after its cases, and stores each case's median time as a
+ratio to the kernel's median ("median_ref"), which cancels the machine's
+slow phases as perfbench's op_ref does.  --compare exits 1 when any
+quality field or digest of a case in both runs differs, or no case is in
+both, and otherwise only reports time ratios, marking a ratio
+"unresolved" when the two medians differ by no more than the first run's
+quartile distance.
+
+--pair A_SRC B_SRC --rounds R runs each case in a fresh process per side
+and round, the sides in the order A B, B A, A B, ... so each side runs
+first in half the rounds, and stores the pair under its label in the
+output file's "pairs".  Per case it reports the median over rounds of the
+paired ratio B/A of the two processes' median_ref and the sign count: B
+lower in k of the n rounds whose ratio is not 1.  A case is resolved
+"lower" (or "higher") only when a one-sided sign test passes: under no
+difference each round is lower with probability 1/2, so the chance of k
+or more lower rounds in n, the binomial tail, must be at most SIGN_ALPHA.
+With SIGN_ALPHA = 0.01, 12 rounds need 11 lower; 10 rounds need 10.  The
+pair exits 1 when any digest or quality field differs between processes.
+--case NAME (repeatable) restricts a run or a pair to the named cases.
 --toy runs every case at toy sizes, for a smoke test.
 """
 
@@ -42,7 +62,9 @@ if __name__ == "__main__":
 import argparse
 import hashlib
 import importlib
+import importlib.util
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -53,6 +75,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 0
+SIGN_ALPHA = 0.01
 
 # case sizes: n antennas, grid k, r_max, bits, fs_row rows, solve targets,
 # codebook hardware; the codebook build uses its own n, k, r_max and hw.
@@ -66,7 +89,7 @@ FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
                     "calls": 1000},
         "channel": {"n_t": 32, "n_r": 16, "paths": 3, "calls": 1000,
                     "k": 128, "r_max": 2000, "hw": {"n_rf": 2, "b": 6}},
-        "repeats": 5, "seconds": 2.0}
+        "repeats": 5, "seconds": 2.0, "ref_calls": 3}
 TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
        "targets": 64,
        "codebook": {"n": 8, "k": 32, "r_max": 100,
@@ -77,7 +100,7 @@ TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
                    "calls": 20},
        "channel": {"n_t": 8, "n_r": 4, "paths": 3, "calls": 20, "k": 32,
                    "r_max": 100, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
-       "repeats": 2, "seconds": 0.0}
+       "repeats": 2, "seconds": 0.0, "ref_calls": 1}
 
 
 def digest(*arrays):
@@ -309,8 +332,31 @@ def _environment(src):
             "seed": SEED}
 
 
-def run(src, toy=False):
-    """One run over every case, beamkit imported from src."""
+def _reference_kernel():
+    """perfbench's reference kernel, loaded from its file without writing
+    bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", REPO / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module.reference_kernel
+
+
+def _time_calls(fn, calls):
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def _import_beamkit(src):
     sys.path.insert(0, str(src))
     try:
         bk = importlib.import_module("beamkit")
@@ -318,16 +364,103 @@ def run(src, toy=False):
         sys.path.pop(0)
     if Path(bk.__file__).resolve().parent.parent != Path(src).resolve():
         raise RuntimeError(f"beamkit already imported from {bk.__file__}")
+    return bk
+
+
+def run(src, toy=False, names=None):
+    """One run over every case (or the cases named), beamkit imported from
+    src, bracketed by timed calls of the reference kernel."""
     size = TOY if toy else FULL
+    selected = [c for c in cases(_import_beamkit(src), size)
+                if names is None or c[0] in names]
+    if names is not None and len(selected) != len(set(names)):
+        raise ValueError(f"no case named {sorted(set(names) - {c[0] for c in selected})}")
+    kernel = _reference_kernel()
+    if not toy:
+        kernel()  # the first call pages in its loops
+    ref_times = _time_calls(kernel, size["ref_calls"])
     record = {"environment": _environment(src), "toy": toy,
               "min_repeats": size["repeats"], "min_seconds": size["seconds"],
               "cases": {}}
-    for name, setup, call, score in cases(bk, size):
+    for name, setup, call, score in selected:
         record["cases"][name] = time_case(setup, call, score,
                                           size["repeats"], size["seconds"])
         print(f"{name}: {record['cases'][name]['median_s']:.4g} s",
               file=sys.stderr)
+    ref_times += _time_calls(kernel, size["ref_calls"])
+    record["ref_times_s"] = ref_times
+    ref = statistics.median(ref_times)
+    for case in record["cases"].values():
+        case["median_ref"] = case["median_s"] / ref
     return record
+
+
+def _sign_tail(k, n):
+    """P(X >= k) for X ~ Binomial(n, 1/2)."""
+    return sum(math.comb(n, i) for i in range(k, n + 1)) / 2**n
+
+
+def sign_summary(ratios):
+    """Median paired ratio, sign counts, one-sided p-values and the
+    resolution ("lower", "higher" or None) of per-round ratios B/A."""
+    lower = sum(r < 1 for r in ratios)
+    higher = sum(r > 1 for r in ratios)
+    n = lower + higher  # a ratio of exactly 1 counts for neither side
+    p_lower, p_higher = _sign_tail(lower, n), _sign_tail(higher, n)
+    resolved = ("lower" if p_lower <= SIGN_ALPHA else
+                "higher" if p_higher <= SIGN_ALPHA else None)
+    return {"median_ratio": statistics.median(ratios), "lower": lower,
+            "higher": higher, "p_lower": p_lower, "p_higher": p_higher,
+            "resolved": resolved}
+
+
+def _worker(src, name, toy):
+    """One case run in a fresh process: its record."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
+           "--case", name] + (["--toy"] if toy else [])
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    return json.loads(out.stdout)
+
+
+def pair(src_a, src_b, rounds, toy=False, names=None):
+    """Paired runs of A and B: for each round and case, one process per
+    side, A first in even rounds and B first in odd ones."""
+    if names is None:  # the case names, from A's cases at these sizes
+        names = [c[0] for c in cases(_import_beamkit(src_a), TOY if toy else FULL)]
+    record = {"a": {"src": str(src_a), "environment": _environment(src_a)},
+              "b": {"src": str(src_b), "environment": _environment(src_b)},
+              "rounds": rounds, "toy": toy, "sign_alpha": SIGN_ALPHA,
+              "cases": {name: {"a": [], "b": []} for name in names}}
+    for r in range(rounds):
+        order = (("a", src_a), ("b", src_b))
+        for name in names:
+            for side, src in order if r % 2 == 0 else order[::-1]:
+                case = _worker(src, name, toy)["cases"][name]
+                del case["times_s"]
+                record["cases"][name][side].append(case)
+        print(f"round {r + 1} of {rounds} done", file=sys.stderr)
+    for case in record["cases"].values():
+        case.update(sign_summary([b["median_ref"] / a["median_ref"]
+                                  for a, b in zip(case["a"], case["b"])]))
+        outputs = {(c["sha256"], json.dumps(c["quality"], sort_keys=True))
+                   for c in case["a"] + case["b"]}
+        case["outputs_equal"] = len(outputs) == 1
+    return record
+
+
+def report_pair(record):
+    """Print one line per case; 1 if any case's outputs differ."""
+    status = 0
+    for name, case in record["cases"].items():
+        n = case["lower"] + case["higher"]
+        note = "" if case["outputs_equal"] else "  DIFFERS"
+        print(f"{name}: B/A x{case['median_ratio']:.3f}, lower in "
+              f"{case['lower']} of {n} (p {case['p_lower']:.3g}), higher in "
+              f"{case['higher']} (p {case['p_higher']:.3g}): "
+              f"{case['resolved'] or 'unresolved'}{note}")
+        status |= not case["outputs_equal"]
+    return status
 
 
 def _load_run(spec):
@@ -377,19 +510,32 @@ def main(argv=None):
     p.add_argument("--toy", action="store_true", help="toy sizes")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"),
                    help="compare two stored runs, PATH or PATH:LABEL")
+    p.add_argument("--pair", nargs=2, metavar=("A_SRC", "B_SRC"),
+                   help="paired runs, one process per case, side and round")
+    p.add_argument("--rounds", type=int, default=12,
+                   help="rounds of a paired run")
+    p.add_argument("--case", action="append", dest="cases", metavar="NAME",
+                   help="run only this case (repeatable)")
     args = p.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    record = run(args.src, toy=args.toy)
+    if args.pair:
+        if args.rounds < 1:
+            p.error("--rounds must be >= 1")
+        record, key = pair(*args.pair, args.rounds, args.toy, args.cases), "pairs"
+        status = report_pair(record)
+    else:
+        record, key = run(args.src, args.toy, args.cases), "runs"
+        status = 0
     if args.out:
         path = Path(args.out)
-        doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
-        doc["runs"][args.label] = record
+        doc = json.loads(path.read_text()) if path.exists() else {}
+        doc.setdefault(key, {})[args.label] = record
         path.write_text(json.dumps(doc, indent=1) + "\n")
-    else:
+    elif not args.pair:
         json.dump(record, sys.stdout, indent=1)
         print()
-    return 0
+    return status
 
 
 if __name__ == "__main__":

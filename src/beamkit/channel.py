@@ -28,11 +28,12 @@ __all__ = [
 ]
 
 
-# the per-component scale of unit-variance circular complex Gaussians, as
-# the complex 0-d array a complex array's division casts sqrt(2) to: the
-# same division, without a scalar cast on every call
-_SQRT2 = np.array(np.sqrt(2), dtype=complex)
-_SQRT2.setflags(write=False)
+# the per-component scale of unit-variance circular complex Gaussians.  A
+# real draw times it is bit for bit the draw's complex array divided by
+# sqrt(2) + 0j: numpy's complex division multiplies by 1 / the real divisor.
+# A 0-d array, so a product skips a scalar cast on every call.
+_RSQRT2 = np.array(1.0 / math.sqrt(2.0))
+_RSQRT2.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +44,8 @@ class Channel:
     path; matrix (n_r, n_t) is the sum of the L path outer products over
     sqrt(L).  The path arrays are read-only copies of the ones given, and
     matrix is read-only.  n_t and n_r are positive integers, stored as
-    Python ints.  Mismatched lengths or L = 0 raise ValueError.
+    Python ints.  Mismatched lengths, L = 0, or a gain or direction that is
+    not finite raise ValueError naming the field.
     """
 
     n_t: int
@@ -65,9 +67,18 @@ class Channel:
             shape = getattr(self, name).shape
             if shape != (l,):
                 raise ValueError(f"{name} must have length {l}, got shape {shape}")
-        # sqrt(n) factors of the steering vectors cancel against the leading scale
-        ar = np.exp(1j * np.pi * (np.arange(self.n_r)[:, None] * self.aoa))
-        at = np.exp(1j * np.pi * (np.arange(self.n_t)[:, None] * self.aod))
+        dirs = np.array((self.aoa, self.aod))
+        # checked before the exponential, which warns on a non-finite angle
+        if not (np.isfinite(dirs).all() and np.isfinite(self.gains).all()):
+            for name, dtype in (("gains", complex), ("aod", float), ("aoa", float)):
+                _finite(name, getattr(self, name), dtype)
+        # both steering tables from one exponential, (2, max(n_r, n_t), L);
+        # each table is a C-contiguous block of it, so the products below
+        # see the layouts of separate tables.  sqrt(n) factors of the
+        # steering vectors cancel against the leading scale.
+        n = np.arange(max(self.n_r, self.n_t))[:, None]
+        steer = np.exp(1j * np.pi * (n * dirs[:, None]))
+        ar, at = steer[0, :self.n_r], steer[1, :self.n_t]
         ar *= self.gains
         matrix = ar @ at.conj().T
         matrix /= math.sqrt(l)  # a reciprocal multiply need not round the same
@@ -84,15 +95,17 @@ def draw_channel(n_t, n_r, l, seed=None):
     """
     l = _count("l", l, 1)
     rng = np.random.default_rng(_count("seed", seed, 0) if np.isscalar(seed) else seed)
-    gains = _normal_pairs(rng, l)
-    gains /= _SQRT2
-    return Channel(n_t, n_r, gains, rng.uniform(-1, 1, l), rng.uniform(-1, 1, l))
+    gains = _normal_pairs(rng, l, _RSQRT2)
+    aod, aoa = rng.uniform(-1, 1, (2, l))  # the stream of two draws of l
+    return Channel(n_t, n_r, gains, aod, aoa)
 
 
-def _normal_pairs(rng, n):
-    """z[:n] + j z[n:] for one draw z of 2n standard normals: the same
-    stream as a draw of n real parts, then one of n imaginary parts."""
+def _normal_pairs(rng, n, scale):
+    """z[:n] s + j z[n:] s for one draw z of 2n standard normals and the
+    real scale s: the same stream as a draw of n real parts, then one of n
+    imaginary parts."""
     z = rng.standard_normal(2 * n)
+    z *= scale
     out = np.empty(n, dtype=complex)
     out.real = z[:n]
     out.imag = z[n:]
@@ -126,12 +139,14 @@ def measure(v, w, ch, snr_db, rng):
     raises ValueError, as does a w or v that is not 1-D of length N_r or
     N_t, naming it.
 
-    Bit for bit, with n = N_r: z is one draw of 2n standard normals from
-    rng, and eta = (z[:n] + j z[n:]) * sigma / sqrt(2) in complex
-    arithmetic, where sigma is 0 at snr_db = +inf and 1 otherwise (a
-    factor of 1 is exact and skipped).  P is 10^(snr_db / 10), 1 at +inf
-    and 0 at -inf.  y = sqrt(P) * ((conj(w) H) v) + conj(w) eta, with the
-    products in that order, and the result is float(np.abs(y) ** 2).  A
+    Bit for bit, with n = N_r: z is one draw rng.standard_normal(2n),
+    the only read of rng, and eta = z[:n] s + j z[n:] s with the real
+    scale s = sigma * (1 / sqrt(2)), where sigma is 0 at snr_db = +inf and 1
+    otherwise; at sigma = 1 that is the complex array z[:n] + j z[n:]
+    divided by sqrt(2), whose complex division multiplies by 1 / sqrt(2).
+    P is 10^(snr_db / 10), 1 at +inf and 0 at -inf.  y = sqrt(P) *
+    ((conj(w) H) v) + conj(w) eta, with the products (numpy's dot) in that
+    order, and the result is float(np.abs(y) ** 2).  A
     result that is not finite raises ValueError naming the first non-finite
     entry of w, of v or of the channel matrix (by flat index), or else
     snr_db: near the top of its range (about 3082 dB) |y|^2 can overflow
@@ -140,19 +155,18 @@ def measure(v, w, ch, snr_db, rng):
     p, sigma = _snr_params(snr_db)
     h = ch.matrix
     w_h = np.asarray(w, dtype=complex).conj()
-    eta = _normal_pairs(rng, h.shape[0])
-    if sigma != 1.0:  # x * (1 + 0j) is x exactly
-        eta *= sigma
-    eta /= _SQRT2
+    eta = _normal_pairs(rng, h.shape[0],
+                        _RSQRT2 if sigma == 1.0 else sigma * _RSQRT2)
     try:
-        y = math.sqrt(p) * np.dot(np.dot(w_h, h), np.asarray(v, dtype=complex))
-        y += np.dot(w_h, eta)
+        # ndarray.dot is np.dot without its dispatcher
+        y = math.sqrt(p) * w_h.dot(h).dot(np.asarray(v, dtype=complex))
+        y += w_h.dot(eta)
         # np.abs, not abs(): the two round differently in the last bit
         power = float(np.abs(y) ** 2)
-    except (ValueError, TypeError):
-        # a beam that does not fit the channel (numpy's dot, or float() of
-        # more than one power) is named; checked only here, like the
-        # non-finite beams below
+    except (ValueError, TypeError, AttributeError):
+        # a beam that does not fit the channel (numpy's dot, a 0-d w whose
+        # conjugate is a scalar without .dot, or float() of more than one
+        # power) is named; checked only here, like the non-finite beams below
         for name, beam, size, count in (("w", w, "n_r", h.shape[0]),
                                         ("v", v, "n_t", h.shape[1])):
             if np.shape(beam) != (count,):
@@ -194,12 +208,21 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     measurement total equals training_test_count(N_t, N_r, M); N_r must
     not exceed N_t.
 
+    The descent's noise is one draw rng.standard_normal(2 N_r T), T that
+    total, taken before the first measurement: measurement j (0-based, in
+    the order above) reads normals [2 N_r j, 2 N_r (j + 1)) of it as its
+    rng.standard_normal(2 N_r).  Normals are drawn in sequence, so rng ends
+    where T calls of measure on rng itself would leave it, and the powers
+    are the same.
+
     Returns (tx_index, rx_index, measurements) with 0-based bottom-layer
     indices.
     """
     _check_dims(tx_cb, rx_cb, ch)
     m = tx_cb.m
     rx_layers = rx_cb.layers
+    total = m * len(tx_cb.layers) + (m * m - m) * len(rx_layers)
+    noise = _Draws(rng.standard_normal(2 * ch.n_r * total))
     ti = ri = 0  # selected entry (0-based) at the current layer
     count = 0
     for s, tx_layer in enumerate(tx_cb.layers):
@@ -212,12 +235,28 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
         for a in range(m * ti, m * ti + m):
             for b, wb in rx_beams:
                 power = measure(tx_layer[a].codeword(use_practical), wb, ch,
-                                snr_db, rng)
+                                snr_db, noise)
                 count += 1
                 if best is None or power > best:
                     best, best_a, best_b = power, a, b
         ti, ri = best_a, best_b
     return ti, ri, count
+
+
+class _Draws:
+    """Consecutive slices of one draw of standard normals, handed out in
+    place of the generator that made it: standard_normal(size) returns the
+    next size normals."""
+
+    __slots__ = ("_z", "_at")
+
+    def __init__(self, z):
+        self._z, self._at = z, 0
+
+    def standard_normal(self, size):
+        at = self._at
+        self._at = at + size
+        return self._z[at:self._at]
 
 
 def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
@@ -235,7 +274,8 @@ def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
 
 @dataclass
 class TrainingConfig:
-    """Monte-Carlo beam-training campaign parameters."""
+    """Monte-Carlo beam-training campaign parameters.  use_practical is a
+    bool (or np.bool_); anything else raises ValueError naming it."""
 
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
@@ -253,6 +293,9 @@ class TrainingConfig:
             raise ValueError(f"snr_db must be a real number in dB, or +/-inf, "
                              f"got {self.snr_db!r}")
         _snr_params(self.snr_db)  # rejects NaN and powers past the float range
+        if not isinstance(self.use_practical, (bool, np.bool_)):
+            raise ValueError(f"use_practical must be a bool, got "
+                             f"{self.use_practical!r}")
 
 
 def success_rate(cfg):
@@ -263,16 +306,23 @@ def success_rate(cfg):
     the result with the noiseless exhaustive optimum.  Returns a dict with
     rate, ci95 (normal-approximation 95% half width), successes, trials,
     and the per-trial records.
+
+    Trial t (0-based) draws its channel from SeedSequence(seed,
+    spawn_key=(t, 0)) and its noise from a default_rng of
+    SeedSequence(seed, spawn_key=(t, 1)): the two children of child t of
+    SeedSequence(seed).spawn(trials).  Its descent reads that noise as
+    hierarchical_search describes.
     """
     tx, rx, practical = cfg.tx_codebook, cfg.rx_codebook, cfg.use_practical
     successes = 0
     records = []
-    for t, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
-        ch_ss, noise_ss = stream.spawn(2)
+    for t in range(cfg.trials):
+        ch_ss = np.random.SeedSequence(cfg.seed, spawn_key=(t, 0))
+        noise_ss = np.random.SeedSequence(cfg.seed, spawn_key=(t, 1))
         ch = draw_channel(tx.n, rx.n, cfg.paths, ch_ss)
-        ti, ri, n_meas = hierarchical_search(
-            tx, rx, ch, cfg.snr_db, np.random.default_rng(noise_ss), practical
-        )
+        noise = np.random.default_rng(noise_ss)
+        ti, ri, n_meas = hierarchical_search(tx, rx, ch, cfg.snr_db, noise,
+                                             practical)
         bt, br = exhaustive_best_pair(tx, rx, ch, practical)
         ok = ti == bt and ri == br
         successes += ok

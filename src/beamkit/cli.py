@@ -2,9 +2,9 @@
 
 Commands: design-ideal, design-practical, build-codebook, simulate,
 pattern, table1.  Exit codes: 0 success, 2 usage error, 3 I/O error,
-4 numerical failure.  The BEAM_SEED environment variable supplies the
-default seed; an optional JSON config file provides per-command defaults
-that explicit flags override.
+4 numerical failure or out of memory.  The BEAM_SEED environment variable
+supplies the default seed; an optional JSON config file provides
+per-command defaults that explicit flags override.
 """
 
 import argparse
@@ -312,6 +312,10 @@ def main(argv=None):
         return EXIT_IO
     except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # numpy's message names the refused allocation
+        print(f"out of memory: {exc}" if str(exc) else "out of memory",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

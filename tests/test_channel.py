@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +259,14 @@ def test_training_config_validation(small_codebooks):
                        match="paths must be >= 1 and an integer, got -1"):
         TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
                        paths=-1)
+    # a str flag used to be accepted, and select the practical codewords
+    for flag in ("yes", 1, None):
+        with pytest.raises(ValueError, match=f"^use_practical must be a bool, got {flag!r}$"):
+            TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
+                           use_practical=flag)
+    for flag in (True, False, np.bool_(True)):
+        assert TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
+                              use_practical=flag).use_practical is flag
 
 
 def test_nan_snr_raises_when_called_directly():
@@ -311,15 +320,31 @@ def test_measure_names_a_non_finite_beam(beam, i, bad):
 @pytest.mark.parametrize("gains, aod", [([np.nan], 0.1), ([1.0, complex(np.inf, 0.0)], 0.1),
                                        ([1.0], np.inf)])
 def test_measure_names_a_non_finite_channel(gains, aod):
-    # a finite beam pair on a channel with a NaN or infinite gain, or an
-    # infinite angle, used to be blamed on snr_db
+    # a non-finite channel is named where it arises: Channel names a NaN or
+    # infinite gain or angle, which it used to build into a NaN matrix, and
+    # measure names a matrix that overflows from finite paths, which it used
+    # to blame on snr_db
     k = len(gains)
-    with np.errstate(invalid="ignore"):
-        ch = Channel(4, 4, gains, [aod] * k, [0.2] * k)
+    field, i = ("aod", 0) if np.isinf(aod) else ("gains", k - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{field} entry {i} is not finite: "):
+            Channel(4, 4, gains, [aod] * k, [0.2] * k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch = Channel(4, 4, [1e308] * 2, [0.1] * 2, [0.2] * 2)
     beam = np.full(4, 0.5, dtype=complex)
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=r"^channel matrix entry 0 is not finite: "):
         measure(beam, beam, ch, 10.0, np.random.default_rng(0))
+
+
+def test_channel_names_a_non_finite_arrival_and_keeps_directions_past_the_unit_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^aoa entry 1 is not finite: -inf$"):
+            Channel(4, 4, [1.0, 1.0], [0.1, 0.2], [0.3, -np.inf])
+        ch = Channel(4, 4, [1.0], [5.0], [-3.0])  # which ranges hold is open
+    assert np.all(np.isfinite(ch.matrix))
 
 
 @pytest.mark.parametrize("beam, shape", [("w", (7,)), ("w", (8, 1)), ("w", ()),

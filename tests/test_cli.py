@@ -597,3 +597,20 @@ def test_exit_code_numerical_failure(tmp_path):
                "--out", str(tmp_path / "v.json"),
                "--pattern-csv", str(tmp_path / "p.csv")])
     assert rc == 4
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 14.6 TiB for an array with shape "
+                                     "(1000000, 1000000) and data type complex128", ""])
+def test_out_of_memory_exits_4_with_one_line(tmp_path, capsys, monkeypatch, message):
+    # design-ideal --n 8 --k 1000000 asks numpy for a 14.6 TiB Gram; the
+    # MemoryError used to end the command with exit 1 and a traceback
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(beamkit.cli, "ps_icd", refuse)
+    rc = main(["design-ideal", "--n", "8", "--out", str(tmp_path / "v.json")])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"out of memory: {message}\n" if message else "out of memory\n")
+    assert not (tmp_path / "v.json").exists()

@@ -25,17 +25,20 @@ from beamkit import (
     HierarchicalCodebook,
     HybridCodeword,
     SynthesisError,
+    TrainingConfig,
     build_codebook,
     draw_channel,
     exhaustive_best_pair,
     fs_altmin,
     fs_row,
+    hierarchical_search,
     ls_icd,
     make_target,
     measure,
     phase_set,
     ps_icd,
     steering_matrix,
+    success_rate,
 )
 from beamkit.ideal import _DEGENERATE_RTOL, PhaseOptimizer, _assemble
 from beamkit.practical import (
@@ -1324,3 +1327,68 @@ def test_exhaustive_best_pair_equals_reference(s_t, s_r, l, seed, zeros,
         want = _reference_best_pair([e.ideal for e in tx.bottom],
                                     [e.ideal for e in rx.bottom], ch.matrix)
         assert exhaustive_best_pair(tx, rx, ch) == want[:2]
+
+
+def _reference_search(tx, rx, h, snr_db, rng):
+    """(tx, rx, count) of the hierarchical descent over the ideal codewords,
+    each measurement drawing its own normals from rng."""
+    m = tx.m
+    ti = ri = count = 0
+    for s, tx_layer in enumerate(tx.layers):
+        if s < len(rx.layers):
+            rx_layer, rx_children = rx.layers[s], range(m * ri, m * ri + m)
+        else:
+            rx_layer, rx_children = rx.layers[-1], [ri]
+        best = None
+        for a in range(m * ti, m * ti + m):
+            for b in rx_children:
+                power = _reference_measure(tx_layer[a].ideal, rx_layer[b].ideal, h,
+                                           snr_db, rng)
+                count += 1
+                if best is None or power > best:
+                    best, selected = power, (a, b)
+        ti, ri = selected
+    return ti, ri, count
+
+
+@_SETTINGS
+@given(s_t=st.integers(1, 5), s_r=st.integers(1, 5), l=st.integers(1, 4),
+       seed=_SEEDS, snr_db=st.floats(-30.0, 30.0), zeros=st.booleans(),
+       layout=_LAYOUTS)
+def test_hierarchical_search_equals_reference_descent(s_t, s_r, l, seed, snr_db,
+                                                      zeros, layout):
+    # one noise draw per descent, read a measurement at a time, gives the
+    # selections and the generator state of one draw per measurement
+    n_t, n_r = 2**max(s_t, s_r), 2**min(s_t, s_r)
+    rng = np.random.default_rng([seed, 4])
+    tx = _flat_codebook(rng, n_t, zeros, layout)
+    rx = _flat_codebook(rng, n_r, zeros, layout)
+    ch = draw_channel(n_t, n_r, l, [seed, 5])
+    for snr in (snr_db, np.inf, -np.inf):
+        got_rng, want_rng = (np.random.default_rng([seed, 6]) for _ in range(2))
+        got = hierarchical_search(tx, rx, ch, snr, got_rng)
+        assert got == _reference_search(tx, rx, ch.matrix, snr, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@_SETTINGS
+@given(seed=_SEEDS, trials=st.integers(1, 12), l=st.integers(1, 3),
+       snr_db=st.sampled_from([-10.0, 0.0, 10.0, np.inf, -np.inf]),
+       zeros=st.booleans())
+def test_success_rate_records_equal_reference(seed, trials, l, snr_db, zeros):
+    # trial t's streams by spawn key are the children of child t of the
+    # master seed's spawn
+    rng = np.random.default_rng([seed, 7])
+    tx, rx = _flat_codebook(rng, 16, zeros, "writable"), _flat_codebook(rng, 8, zeros, "writable")
+    out = success_rate(TrainingConfig(tx, rx, snr_db, trials, seed=seed, paths=l))
+    want = []
+    for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        ch_ss, noise_ss = stream.spawn(2)
+        h = _reference_draw_channel(16, 8, l, ch_ss)[3]
+        ti, ri, count = _reference_search(tx, rx, h, snr_db, np.random.default_rng(noise_ss))
+        bt, br, _ = _reference_best_pair([e.ideal for e in tx.bottom],
+                                         [e.ideal for e in rx.bottom], h)
+        want.append({"trial": t, "selected": [ti, ri], "best": [bt, br],
+                     "success": ti == bt and ri == br, "measurements": count})
+    assert out["records"] == want
+    assert out["successes"] == sum(r["success"] for r in want)

@@ -1,4 +1,4 @@
-"""Smoke test of bench/trajectory.py at toy sizes (under 2 s)."""
+"""Smoke tests of bench/trajectory.py at toy sizes (each under 2 s)."""
 
 import copy
 import importlib.util
@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 SCRIPT = REPO / "bench" / "trajectory.py"
@@ -33,8 +35,10 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     assert {name.split("/")[0] for name in run["cases"]} == {
         "build_codebook", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
         "success_rate", "measure", "channel"}
+    assert len(run["ref_times_s"]) == 2  # one reference call before, one after
     for case in run["cases"].values():
         assert case["median_s"] > 0 and len(case["times_s"]) >= 2
+        assert case["median_ref"] == case["median_s"] / np.median(run["ref_times_s"])
         assert case["quality"] and len(case["sha256"]) == 64
     for half in ("practical", "ideal"):
         successes = run["cases"][f"success_rate/{half}/n8/trials20"]["quality"]
@@ -81,3 +85,47 @@ def test_compare_marks_moves_within_the_first_runs_spread(tmp_path, capsys):
         "x: 1 s -> 0.7 s (x0.700)",
     ]
 
+
+
+def test_toy_pair_runs_each_case_in_fresh_processes(tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    name = "measure/nt8/nr4/calls20"
+    src = str(REPO / "src")
+    run = subprocess.run([sys.executable, str(SCRIPT), "--toy", "--pair", src, src,
+                          "--rounds", "1", "--case", name, "--label", "aa",
+                          "--out", str(out)],
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=""))
+    case = json.loads(out.read_text())["pairs"]["aa"]["cases"][name]
+    assert [len(case[side]) for side in "ab"] == [1, 1]
+    assert case["outputs_equal"] and case["resolved"] is None
+    assert case["median_ratio"] == case["b"][0]["median_ref"] / case["a"][0]["median_ref"]
+    assert run.stdout.startswith(f"{name}: B/A x")
+    assert run.stdout.rstrip().endswith(": unresolved")
+
+    # a digest that moves between processes fails the pair
+    trajectory = _module()
+    record = json.loads(out.read_text())["pairs"]["aa"]
+    record["cases"][name]["outputs_equal"] = False
+    assert trajectory.report_pair(record) == 1
+    assert capsys.readouterr().out.rstrip().endswith("DIFFERS")
+
+
+def test_sign_test_resolves_only_past_its_stated_tail():
+    trajectory = _module()
+    assert trajectory.SIGN_ALPHA == 0.01
+
+    def summary(lower, higher, ties=0):
+        return trajectory.sign_summary([0.9] * lower + [1.1] * higher + [1.0] * ties)
+
+    assert summary(11, 1)["resolved"] == "lower"  # P(X >= 11 of 12) = 13/4096
+    assert summary(11, 1)["p_lower"] == 13 / 4096
+    assert summary(10, 2)["resolved"] is None  # 79/4096 > 0.01
+    assert summary(10, 0)["resolved"] == "lower"
+    assert summary(9, 1)["resolved"] is None
+    assert summary(1, 11)["resolved"] == "higher"
+    assert summary(6, 6)["resolved"] is None
+    # ties count for neither side
+    tied = summary(10, 0, ties=2)
+    assert (tied["lower"], tied["higher"], tied["resolved"]) == (10, 0, "lower")
+    assert summary(5, 5)["median_ratio"] == 1.0

@@ -418,8 +418,7 @@ def _worker(src, name, toy):
     """One case run in a fresh process: its record."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--src", str(src),
            "--case", name] + (["--toy"] if toy else [])
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 

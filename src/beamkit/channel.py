@@ -74,9 +74,10 @@ class Channel:
                 _finite(name, getattr(self, name), dtype)
         # both steering tables from one exponential, (2, max(n_r, n_t), L);
         # each table is a C-contiguous block of it, so the products below
-        # see the layouts of separate tables.  sqrt(n) factors of the
-        # steering vectors cancel against the leading scale.
-        n = np.arange(max(self.n_r, self.n_t))[:, None]
+        # see the layouts of separate tables.  The antenna indices are exact
+        # floats, so the phase product needs no cast.  sqrt(n) factors of
+        # the steering vectors cancel against the leading scale.
+        n = np.arange(float(max(self.n_r, self.n_t)))[:, None]
         steer = np.exp(1j * np.pi * (n * dirs[:, None]))
         ar, at = steer[0, :self.n_r], steer[1, :self.n_t]
         ar *= self.gains

@@ -24,6 +24,9 @@ bit, or changes its dtype, shows up by name.  The runs are:
 - exhaustive_best_pair over 20 channels per half at N_t/N_r = 32/16,
   32/8 and 16/16;
 - the same 100-trial success_rate record sets at N_t/N_r = 32/8 and 16/16;
+- 30-trial success_rate record sets per half at N_t/N_r = 32/16 with the
+  seeds 2^70 + 3 and 2^130 + 5, which take more than one 32-bit word and
+  more words than SeedSequence's pool of four;
 - the matrix of every channel drawn above (seeds [11, c] and [17, c]), at
   N_t/N_r = 32/16, 32/8 and 16/16;
 - the save_codebook file bytes of every codebook built above;
@@ -91,6 +94,8 @@ SWEEP_SEEDS = (1, 2)
 SWEEP_HW = {"n_rf": 4, "b": 6, "t_max": 2}
 TIE_ROWS = 16
 CAMPAIGN_SNRS = (0.0, np.inf)
+LONG_SEEDS = {"2^70+3": 2**70 + 3, "2^130+5": 2**130 + 5}
+LONG_SEED_TRIALS = 30
 MEASURE_SNRS = (-10.0, 0.0, np.inf, -np.inf)
 MEASURE_CHANNELS = 2
 BEST_PAIR_CHANNELS = 20
@@ -192,10 +197,10 @@ def _tie_outputs():
         yield f"ties/fs_altmin/b{b}/nrf2/digital", h.digital
 
 
-def campaign_configs(tx, rx, practical):
+def campaign_configs(tx, rx, practical, trials=100, seed=7):
     """(snr, TrainingConfig) of each ledger campaign on one pair of codebooks."""
     for snr in CAMPAIGN_SNRS:
-        yield snr, TrainingConfig(tx, rx, snr, 100, seed=7, paths=3,
+        yield snr, TrainingConfig(tx, rx, snr, trials, seed=seed, paths=3,
                                   use_practical=practical)
 
 
@@ -216,8 +221,8 @@ def campaign_links():
     }
 
 
-def _campaign_outputs(label, tx, rx, practical):
-    for snr, cfg in campaign_configs(tx, rx, practical):
+def _campaign_outputs(label, tx, rx, practical, **kwargs):
+    for snr, cfg in campaign_configs(tx, rx, practical, **kwargs):
         out = success_rate(cfg)
         records = np.array([r["selected"] + r["best"]
                             + [r["success"], r["measurements"]]
@@ -347,6 +352,10 @@ def outputs():
     for link in ("32x8", "16x16"):
         for half, args in links[link].items():
             yield from _campaign_outputs(f"campaign/{half}/{link}", *args)
+    for name, seed in LONG_SEEDS.items():
+        for half, args in halves.items():
+            yield from _campaign_outputs(f"campaign/{half}/32x16/seed{name}", *args,
+                                         trials=LONG_SEED_TRIALS, seed=seed)
     yield from _channel_outputs()
     # links["16x16"]["practical"][0] is built from the same inputs as the
     # 32x16 receive codebook, so it is not hashed twice

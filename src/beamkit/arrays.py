@@ -7,6 +7,7 @@ accepted wherever documented.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -29,12 +30,26 @@ def _count(name, value, lo, hi=None):
     raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
 
 
+def _finite(name, a, dtype, labels=None):
+    """a as an array of dtype, under the finiteness rule of public inputs:
+    ValueError naming the first non-finite entry (by flat index, or label)."""
+    a = np.asarray(a, dtype=dtype)
+    if not np.isfinite(a).all():
+        i = np.flatnonzero(~np.isfinite(a))[0]
+        raise ValueError(f"{name} entry {i if labels is None else labels[i]} is not finite: "
+                         f"{a.flat[i]}")
+    return a
+
+
 def steering_vector(n, omega):
     """Unit-norm steering vector of an n-element half-wavelength ULA.
 
-    Entry i (0-based) is (1/sqrt(n)) * exp(j*pi*i*omega).
+    Entry i (0-based) is (1/sqrt(n)) * exp(j*pi*i*omega).  A real omega
+    that is not finite raises ValueError naming it.
     """
     n = _count("n", n, 1)
+    if not math.isfinite(omega):
+        _finite("omega", omega, float)
     return np.exp(1j * np.pi * np.arange(n) * omega) / np.sqrt(n)
 
 
@@ -42,10 +57,14 @@ def beam_gain(v, omega):
     """Complex beam gain of vector v in direction(s) omega.
 
     Equals sqrt(n) * a(n, omega)^H v = sum_i v_i exp(-j*pi*i*omega).
-    Returns a complex array of omega's shape (0-d for a scalar omega).
+    Returns a complex array of omega's shape (0-d for a scalar omega).  A
+    non-finite entry of v or omega raises ValueError naming it.
     """
-    v = np.asarray(v, dtype=complex)
-    om = np.asarray(omega, dtype=float)
+    return _beam_gain(_finite("v", v, complex), _finite("omega", omega, float))
+
+
+def _beam_gain(v, om):
+    """beam_gain of a finite complex v and finite float array om, unchecked."""
     g = np.exp(-1j * np.pi * np.outer(om, np.arange(v.size))) @ v
     return g.reshape(om.shape)
 
@@ -55,11 +74,13 @@ def main_lobe_mse(v, target):
 
     Sampled on 1000 uniform points strictly interior to the coverage
     interval.  For a rect target this is the mean of (|G| - C_v)^2, the main
-    lobe variation metric.
+    lobe variation metric.  A non-finite entry of v raises ValueError
+    naming it.
     """
+    v = _finite("v", v, complex)
     lo, hi = target.coverage
     grid = np.linspace(lo, hi, 1002)[1:-1]
-    mag = np.abs(beam_gain(v, grid))
+    mag = np.abs(_beam_gain(v, grid))
     return float(np.mean((mag - target(grid)) ** 2))
 
 

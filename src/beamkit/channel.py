@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import _count
+from .arrays import _count, _finite
 from .codebook import HierarchicalCodebook
-from .practical import _finite
 
 __all__ = [
     "Channel",
@@ -27,6 +26,18 @@ __all__ = [
     "success_rate",
 ]
 
+
+# numpy's SeedSequence hashing (numpy/random/bit_generator.pyx): the pool
+# size, the hashmix and generate_state constants, the mix multipliers and
+# the xorshift, all on uint32 words
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+# trials whose seed words success_rate computes at once, 64 B of words each
+_SEED_BLOCK = 4096
 
 # the per-component scale of unit-variance circular complex Gaussians.  A
 # real draw times it is bit for bit the draw's complex array divided by
@@ -44,8 +55,10 @@ class Channel:
     path; matrix (n_r, n_t) is the sum of the L path outer products over
     sqrt(L).  The path arrays are read-only copies of the ones given, and
     matrix is read-only.  n_t and n_r are positive integers, stored as
-    Python ints.  Mismatched lengths, L = 0, or a gain or direction that is
-    not finite raise ValueError naming the field.
+    Python ints.  Mismatched lengths, L = 0, a gain or direction that is
+    not finite, or finite paths whose matrix is not (say, gains near the
+    float range's top, whose sum overflows) raise ValueError naming the
+    field or the channel matrix.
     """
 
     n_t: int
@@ -72,19 +85,44 @@ class Channel:
         if not (np.isfinite(dirs).all() and np.isfinite(self.gains).all()):
             for name, dtype in (("gains", complex), ("aod", float), ("aoa", float)):
                 _finite(name, getattr(self, name), dtype)
-        # both steering tables from one exponential, (2, max(n_r, n_t), L);
-        # each table is a C-contiguous block of it, so the products below
-        # see the layouts of separate tables.  The antenna indices are exact
-        # floats, so the phase product needs no cast.  sqrt(n) factors of
-        # the steering vectors cancel against the leading scale.
-        n = np.arange(float(max(self.n_r, self.n_t)))[:, None]
-        steer = np.exp(1j * np.pi * (n * dirs[:, None]))
-        ar, at = steer[0, :self.n_r], steer[1, :self.n_t]
-        ar *= self.gains
-        matrix = ar @ at.conj().T
-        matrix /= math.sqrt(l)  # a reciprocal multiply need not round the same
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = _path_matrix(self.n_t, self.n_r, self.gains, dirs)
+        object.__setattr__(self, "matrix", _finite("channel matrix", matrix, complex))
+
+
+def _path_matrix(n_t, n_r, gains, dirs):
+    """The read-only (n_r, n_t) sum over the L paths of g_l a_r,l a_t,l^H
+    (steering vectors without their 1/sqrt(n)) over sqrt(L), for gains (L,)
+    complex and dirs (2, L) float holding the arrival, then the departure
+    directions."""
+    # both steering tables from one exponential, (2, max(n_r, n_t), L);
+    # each table is a C-contiguous block of it, so the product below sees
+    # the layouts of separate tables.  The antenna indices are exact
+    # floats, so the phase product needs no cast.
+    n = np.arange(float(max(n_r, n_t)))[:, None]
+    steer = np.exp(1j * np.pi * (n * dirs[:, None]))
+    ar, at = steer[0, :n_r], steer[1, :n_t]
+    ar *= gains
+    matrix = ar @ at.conj().T
+    matrix /= math.sqrt(gains.size)  # a reciprocal multiply need not round the same
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _channel(n_t, n_r, gains, dirs):
+    """Channel(n_t, n_r, gains, dirs[1], dirs[0]) without its copies and
+    path checks, for fresh arrays that are finite by construction and whose
+    matrix cannot overflow: gains (L,) complex and dirs (2, L) float of
+    directions in [-1, 1], as _path_matrix takes them, L >= 1.  n_t and n_r
+    are still checked.  The channel keeps gains and dirs, made read-only."""
+    n_t, n_r = _count("n_t", n_t, 1), _count("n_r", n_r, 1)
+    gains.setflags(write=False)
+    dirs.setflags(write=False)
+    ch = object.__new__(Channel)
+    for name, value in (("n_t", n_t), ("n_r", n_r), ("gains", gains), ("aod", dirs[1]),
+                        ("aoa", dirs[0]), ("matrix", _path_matrix(n_t, n_r, gains, dirs))):
+        object.__setattr__(ch, name, value)
+    return ch
 
 
 def draw_channel(n_t, n_r, l, seed=None):
@@ -97,8 +135,9 @@ def draw_channel(n_t, n_r, l, seed=None):
     l = _count("l", l, 1)
     rng = np.random.default_rng(_count("seed", seed, 0) if np.isscalar(seed) else seed)
     gains = _normal_pairs(rng, l, _RSQRT2)
-    aod, aoa = rng.uniform(-1, 1, (2, l))  # the stream of two draws of l
-    return Channel(n_t, n_r, gains, aod, aoa)
+    # the stream of two draws of l; rows reversed, arrival first
+    dirs = rng.uniform(-1, 1, (2, l))[::-1]
+    return _channel(n_t, n_r, gains, dirs)
 
 
 def _normal_pairs(rng, n, scale):
@@ -273,10 +312,113 @@ def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):
     return ti, ri
 
 
+def _hashmix(value, before, after):
+    """numpy's SeedSequence hashmix of uint32 words under the hash constant
+    before, which it advances to after.  value and the constants are Python
+    ints below 2^32 or uint32 arrays, broadcast elementwise; exact mod 2^32."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """numpy's SeedSequence mix of uint32 words, as _hashmix takes them."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _hash_steps(hash_const, mult, count):
+    """The hash constants before and after each of count steps from
+    hash_const, each step multiplying by mult: two (count,) uint32 arrays."""
+    steps = [hash_const]
+    for _ in range(count):
+        steps.append(steps[-1] * mult & _MASK32)
+    steps = np.array(steps, dtype=np.uint32)
+    return steps[:-1], steps[1:]
+
+
+def _seed_pool(seed):
+    """The part of SeedSequence(seed, spawn_key=key)'s mixing that a
+    two-word key does not touch, for an int seed >= 0: (the pool, as four
+    Python ints, and the hashmix constant reached) after the seed's words.
+
+    Those are seed's 32-bit words, least significant first, padded with
+    zeros to the pool size, as numpy pads them when a spawn key follows
+    (numpy 1.19, gh-16539).  The first four are hashed into the pool and
+    every pool word is mixed into every other; each further word is then
+    mixed into each pool word.
+    """
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    hash_const = _INIT_A
+
+    def hashed(value):
+        nonlocal hash_const
+        before, hash_const = hash_const, hash_const * _MULT_A & _MASK32
+        return _hashmix(value, before, hash_const)
+
+    pool = [hashed(w) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashed(pool[src]))
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashed(w))
+    return pool, hash_const
+
+
+def _trial_words(pool, t):
+    """(2, t.size, 4) uint64 array whose row [j, i] is the C-contiguous
+    SeedSequence(seed, spawn_key=(t[i], j)).generate_state(4, np.uint64),
+    for pool = _seed_pool(seed) and t a 1-D uint32 array.
+
+    The key's words t[i], then j, are each mixed into each pool word, and
+    generate_state hashes the pool words 0 1 2 3 0 1 2 3 into eight uint32
+    words, which pair up little-endian into four uint64 words.
+    """
+    words, hash_const = pool
+    before, after = _hash_steps(hash_const, _MULT_A, 2 * _POOL)
+    by_t = _mix(np.array(words, dtype=np.uint32),
+                _hashmix(t[:, None], before[:_POOL], after[:_POOL]))
+    j = np.array([[0], [1]], dtype=np.uint32)
+    by_j = _mix(by_t, _hashmix(j, before[_POOL:], after[_POOL:])[:, None])
+    state = _hashmix(np.tile(by_j, 2), *_hash_steps(_INIT_B, _MULT_B, 2 * _POOL))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _Words(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one precomputed PCG64 seed: generate_state(4,
+    np.uint64) returns words, a C-contiguous (4,) uint64 array, as the
+    SeedSequence it stands for would give them.  Any other request raises
+    ValueError."""
+
+    def __init__(self, words):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, not {n_words} of {np.dtype(dtype)}")
+        return self._words
+
+
+def _trial_generators(seed, trials):
+    """Trial t's channel and noise generators for t = 0 .. trials - 1
+    (trials <= 2^32): those np.random.default_rng makes of
+    SeedSequence(seed, spawn_key=(t, 0)) and (t, 1), seeded from words
+    computed _SEED_BLOCK trials at a time."""
+    pool = _seed_pool(seed)
+    for start in range(0, trials, _SEED_BLOCK):
+        t = np.arange(start, min(start + _SEED_BLOCK, trials)).astype(np.uint32)
+        for ch_words, noise_words in zip(*_trial_words(pool, t)):
+            yield (np.random.Generator(np.random.PCG64(_Words(ch_words))),
+                   np.random.Generator(np.random.PCG64(_Words(noise_words))))
+
+
 @dataclass
 class TrainingConfig:
-    """Monte-Carlo beam-training campaign parameters.  use_practical is a
-    bool (or np.bool_); anything else raises ValueError naming it."""
+    """Monte-Carlo beam-training campaign parameters.  trials is in
+    [1, 2^32].  use_practical is a bool (or np.bool_); anything else raises
+    ValueError naming it."""
 
     tx_codebook: HierarchicalCodebook
     rx_codebook: HierarchicalCodebook
@@ -287,7 +429,9 @@ class TrainingConfig:
     use_practical: bool = False
 
     def __post_init__(self):
-        self.trials = _count("trials", self.trials, 1)
+        # a trial index fits the one 32-bit spawn-key word _trial_words
+        # takes; 2^32 trials' records alone would hold about 1.7 TB
+        self.trials = _count("trials", self.trials, 1, 2**32)
         self.seed = _count("seed", self.seed, 0)
         self.paths = _count("paths", self.paths, 1)
         if not isinstance(self.snr_db, numbers.Real) or isinstance(self.snr_db, bool):
@@ -308,20 +452,18 @@ def success_rate(cfg):
     rate, ci95 (normal-approximation 95% half width), successes, trials,
     and the per-trial records.
 
-    Trial t (0-based) draws its channel from SeedSequence(seed,
-    spawn_key=(t, 0)) and its noise from a default_rng of
-    SeedSequence(seed, spawn_key=(t, 1)): the two children of child t of
-    SeedSequence(seed).spawn(trials).  Its descent reads that noise as
-    hierarchical_search describes.
+    Trial t (0-based, trials at most 2^32) draws its channel and its noise
+    from the default_rng of SeedSequence(seed, spawn_key=(t, 0)) and of
+    (t, 1): the two children of child t of SeedSequence(seed).spawn(trials).
+    Each generator's PCG64 is seeded from the words those SeedSequences'
+    generate_state(4, np.uint64) give, computed for a block of trials at a
+    time.  Its descent reads that noise as hierarchical_search describes.
     """
     tx, rx, practical = cfg.tx_codebook, cfg.rx_codebook, cfg.use_practical
     successes = 0
     records = []
-    for t in range(cfg.trials):
-        ch_ss = np.random.SeedSequence(cfg.seed, spawn_key=(t, 0))
-        noise_ss = np.random.SeedSequence(cfg.seed, spawn_key=(t, 1))
-        ch = draw_channel(tx.n, rx.n, cfg.paths, ch_ss)
-        noise = np.random.default_rng(noise_ss)
+    for t, (ch_rng, noise) in enumerate(_trial_generators(cfg.seed, cfg.trials)):
+        ch = draw_channel(tx.n, rx.n, cfg.paths, ch_rng)
         ti, ri, n_meas = hierarchical_search(tx, rx, ch, cfg.snr_db, noise,
                                              practical)
         bt, br = exhaustive_best_pair(tx, rx, ch, practical)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import _count
+from .arrays import _count, _finite
 from .ideal import SynthesisError, _named
 
 __all__ = [
@@ -145,17 +145,6 @@ def wrap_phase(theta):
     rounds up to 2 pi: less than about 4.4e-16 below an odd multiple of pi,
     as np.nextafter(-pi, -4) is.  _quantize_index maps +pi to the last phase."""
     return (np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _finite(name, a, dtype, labels=None):
-    """a as an array of dtype, under the finiteness rule of public inputs:
-    ValueError naming the first non-finite entry (by flat index, or label)."""
-    a = np.asarray(a, dtype=dtype)
-    if not np.isfinite(a).all():
-        i = np.flatnonzero(~np.isfinite(a))[0]
-        raise ValueError(f"{name} entry {i if labels is None else labels[i]} is not finite: "
-                         f"{a.flat[i]}")
-    return a
 
 
 def _check_indices(name, idx, bits, shape_ok, shape):
@@ -789,9 +778,10 @@ def _alternate(v, n_rf, pset, t_max, seeds, trace, entries):
 
 
 def deviation(v, vp):
-    """l2 deviation between an ideal codeword and a realized one."""
-    v = np.asarray(v, dtype=complex)
-    vp = np.asarray(vp, dtype=complex)
+    """l2 deviation between an ideal codeword and a realized one.  A
+    non-finite entry of either raises ValueError naming it."""
+    v = _finite("v", v, complex)
+    vp = _finite("vp", vp, complex)
     if v.shape != vp.shape:
         raise ValueError(f"length mismatch: {v.shape} vs {vp.shape}")
     return float(np.linalg.norm(v - vp))

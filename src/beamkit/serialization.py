@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .arrays import _count
+from .arrays import _count, _finite
 from .codebook import CodebookEntry, HierarchicalCodebook
-from .practical import HybridCodeword, _finite
+from .practical import HybridCodeword
 
 __all__ = [
     "save_codeword",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ def test_steering_vector_entries():
 def test_steering_vector_validates():
     with pytest.raises(ValueError):
         steering_vector(0, 0.0)
+
+
+def test_non_finite_inputs_are_named():
+    # each returned NaN without an error
+    v = np.ones(4, dtype=complex)
+    target = make_target("rect", (-1.0, 0.0))
+    cases = [(lambda: steering_vector(8, np.nan), "omega entry 0 is not finite: nan"),
+             (lambda: steering_vector(8, -np.inf), "omega entry 0 is not finite: -inf"),
+             (lambda: beam_gain(np.r_[v, np.nan], 0.1), "v entry 4 is not finite: (nan+0j)"),
+             (lambda: beam_gain(v, [0.1, np.inf]), "omega entry 1 is not finite: inf"),
+             (lambda: main_lobe_mse(np.r_[np.nan, v], target),
+              "v entry 0 is not finite: (nan+0j)")]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_beam_gain_matches_direct_sum():

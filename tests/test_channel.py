@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import beamkit.channel
 from beamkit import (
     Channel,
     TrainingConfig,
@@ -37,7 +38,9 @@ def test_channel_is_immutable():
     assert ch.gains[0] == 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         ch.aod = [0.7]
-    for array in (ch.matrix, ch.gains, ch.aod, ch.aoa):
+    drawn = draw_channel(4, 2, 2, seed=0)  # built by the unchecked form
+    for array in (ch.matrix, ch.gains, ch.aod, ch.aoa,
+                  drawn.matrix, drawn.gains, drawn.aod, drawn.aoa):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 
@@ -267,6 +270,23 @@ def test_training_config_validation(small_codebooks):
     for flag in (True, False, np.bool_(True)):
         assert TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=5,
                               use_practical=flag).use_practical is flag
+    # a trial index must fit one 32-bit spawn-key word
+    assert TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0,
+                          trials=2**32).trials == 2**32
+    with pytest.raises(ValueError, match=r"^trials must be in \[1, 4294967296\] and an "
+                                         r"integer, got 4294967297$"):
+        TrainingConfig(tx_codebook=tx, rx_codebook=rx, snr_db=0.0, trials=2**32 + 1)
+
+
+def test_trial_seed_words_serve_only_their_own_request():
+    words = beamkit.channel._trial_words(beamkit.channel._seed_pool(3),
+                                         np.arange(2, dtype=np.uint32))
+    row = words[1, 0]
+    seeded = beamkit.channel._Words(row)
+    assert seeded.generate_state(4, np.uint64) is row
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32), (1, np.uint32)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            seeded.generate_state(n_words, dtype)
 
 
 def test_nan_snr_raises_when_called_directly():
@@ -330,12 +350,25 @@ def test_measure_names_a_non_finite_channel(gains, aod):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{field} entry {i} is not finite: "):
             Channel(4, 4, gains, [aod] * k, [0.2] * k)
+    # Channel names an overflowing matrix too, so this one is built through
+    # draw_channel's unchecked form
     with np.errstate(over="ignore", invalid="ignore"):
-        ch = Channel(4, 4, [1e308] * 2, [0.1] * 2, [0.2] * 2)
+        ch = beamkit.channel._channel(4, 4, np.full(2, 1e308 + 0j),
+                                      np.array([[0.2] * 2, [0.1] * 2]))
     beam = np.full(4, 0.5, dtype=complex)
     with np.errstate(invalid="ignore"), \
             pytest.raises(ValueError, match=r"^channel matrix entry 0 is not finite: "):
         measure(beam, beam, ch, 10.0, np.random.default_rng(0))
+
+
+def test_channel_names_a_matrix_that_overflows_from_finite_paths():
+    # it returned inf entries with numpy's "overflow encountered in matmul"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^channel matrix entry 0 is not finite: "):
+            Channel(4, 4, [1e308] * 2, [0.1] * 2, [0.2] * 2)
+        with pytest.raises(ValueError, match=r"^channel matrix entry 1 is not finite: "):
+            Channel(4, 4, [1.0], [1e308], [0.2])  # a phase past the float range
 
 
 def test_channel_names_a_non_finite_arrival_and_keeps_directions_past_the_unit_range():

@@ -502,6 +502,11 @@ def test_deviation():
     assert deviation(a, b) == pytest.approx(np.sqrt(2.0))
     with pytest.raises(ValueError):
         deviation(a, np.ones(3, dtype=complex))
+    # a NaN codeword gave a NaN deviation
+    with pytest.raises(ValueError, match=r"^v entry 1 is not finite: \(nan\+0j\)$"):
+        deviation(np.array([1.0, np.nan]), b)
+    with pytest.raises(ValueError, match=r"^vp entry 0 is not finite: \(inf\+0j\)$"):
+        deviation(a, np.array([np.inf, 1.0]))
 
 
 _BAD_CODEWORDS = {

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import beamkit.channel
 import beamkit.practical
 from beamkit import (
     Channel,
@@ -1392,3 +1393,25 @@ def test_success_rate_records_equal_reference(seed, trials, l, snr_db, zeros):
                      "success": ti == bt and ri == br, "measurements": count})
     assert out["records"] == want
     assert out["successes"] == sum(r["success"] for r in want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128, 2**200 + 1])
+def test_trial_seed_words_equal_seed_sequence(seed):
+    # the bulk words are numpy's SeedSequence(seed, spawn_key=(t, j)) words
+    # for seeds of one to seven 32-bit words, so a change to its hashing (as
+    # in numpy 1.19, gh-16539) fails here instead of moving every stream
+    channel = beamkit.channel
+    block = channel._SEED_BLOCK
+    t = np.array([0, 1, 2**16, 2**32 - 1, block - 1, block, block + 1], dtype=np.uint32)
+    got = channel._trial_words(channel._seed_pool(seed), t)
+    want = np.array([[np.random.SeedSequence(seed, spawn_key=(int(i), j))
+                      .generate_state(4, np.uint64) for i in t] for j in (0, 1)])
+    assert got.dtype == np.uint64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # success_rate's generators across a block boundary are default_rng's
+    gens = itertools.islice(channel._trial_generators(seed, block + 2), block - 1, None)
+    for i, pair in enumerate(gens, block - 1):
+        for j, rng in enumerate(pair):
+            ss = np.random.SeedSequence(seed, spawn_key=(i, j))
+            assert rng.bit_generator.state == np.random.default_rng(ss).bit_generator.state
+    assert i == block + 1

@@ -44,8 +44,8 @@ def _finite(name, a, dtype, labels=None):
 def steering_vector(n, omega):
     """Unit-norm steering vector of an n-element half-wavelength ULA.
 
-    Entry i (0-based) is (1/sqrt(n)) * exp(j*pi*i*omega).  A real omega
-    that is not finite raises ValueError naming it.
+    Entry i (0-based) is (1/sqrt(n)) * exp(j*pi*i*omega).  omega is a real
+    scalar; a NaN or infinite one raises ValueError naming it.
     """
     n = _count("n", n, 1)
     if not math.isfinite(omega):

@@ -19,7 +19,11 @@ OpenBLAS is held to one thread.  The cases:
   0 dB, cycling over the pairs of bottom-layer steering beams;
 - 1000 seeded draw_channel and exhaustive_best_pair calls at N_t = 32,
   N_r = 16, 3 paths, on the practical bottom layers of the campaign's
-  codebooks, one spawned seed per call as in success_rate.
+  codebooks, one spawned seed per call as in success_rate;
+- 1000 seeded hierarchical_search calls on the same practical codebooks,
+  at 0 dB, over channels drawn in set-up: call t descends trial t's
+  channel with a noise generator of its own, both seeded from trial t's
+  spawned seeds as in success_rate.
 
     python bench/trajectory.py --label change --out BENCH_11.json
     python bench/trajectory.py --src ../parent/src --label parent --out BENCH_11.json
@@ -89,6 +93,9 @@ FULL = {"n": 32, "k": 128, "r_max": 2000, "bits": 6, "t_max": 50,
                     "calls": 1000},
         "channel": {"n_t": 32, "n_r": 16, "paths": 3, "calls": 1000,
                     "k": 128, "r_max": 2000, "hw": {"n_rf": 2, "b": 6}},
+        "descent": {"n_t": 32, "n_r": 16, "paths": 3, "snr_db": 0.0,
+                    "calls": 1000, "k": 128, "r_max": 2000,
+                    "hw": {"n_rf": 2, "b": 6}},
         "repeats": 5, "seconds": 2.0, "ref_calls": 3}
 TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
        "targets": 64,
@@ -100,6 +107,8 @@ TOY = {"n": 8, "k": 32, "r_max": 100, "bits": 4, "t_max": 5,
                    "calls": 20},
        "channel": {"n_t": 8, "n_r": 4, "paths": 3, "calls": 20, "k": 32,
                    "r_max": 100, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
+       "descent": {"n_t": 8, "n_r": 4, "paths": 3, "snr_db": 0.0, "calls": 20,
+                   "k": 32, "r_max": 100, "hw": {"n_rf": 2, "b": 4, "t_max": 5}},
        "repeats": 2, "seconds": 0.0, "ref_calls": 1}
 
 
@@ -244,11 +253,14 @@ def cases(bk, size):
         return (f"measure/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
                 call, score)
 
+    def practical_codebooks(c):
+        return tuple(bk.build_codebook(n, k=c["k"], r_max=c["r_max"],
+                                       seed=SEED + i, hw=c["hw"])
+                     for i, n in enumerate((c["n_t"], c["n_r"])))
+
     def channel_case():
         def setup():
-            tx, rx = (bk.build_codebook(n, k=c["k"], r_max=c["r_max"],
-                                        seed=SEED + i, hw=c["hw"])
-                      for i, n in enumerate((c["n_t"], c["n_r"])))
+            tx, rx = practical_codebooks(c)
             return tx, rx, np.random.SeedSequence(SEED).spawn(c["calls"])
 
         def call(args):
@@ -269,9 +281,36 @@ def cases(bk, size):
         return (f"channel/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
                 call, score)
 
+    def descent_case():
+        def setup():
+            tx, rx = practical_codebooks(c)
+            channels, noise = [], []
+            for trial in np.random.SeedSequence(SEED).spawn(c["calls"]):
+                ch_seed, noise_seed = trial.spawn(2)
+                channels.append(bk.draw_channel(c["n_t"], c["n_r"], c["paths"],
+                                                ch_seed))
+                noise.append(noise_seed)
+            return tx, rx, channels, noise
+
+        def call(args):
+            tx, rx, channels, noise = args
+            return [bk.hierarchical_search(tx, rx, ch, c["snr_db"],
+                                           np.random.default_rng(ss), True)
+                    for ch, ss in zip(channels, noise)]
+
+        def score(selections):
+            return ({"pairs_distinct": len({s[:2] for s in selections}),
+                     "measurements": sum(s[2] for s in selections)},
+                    digest(np.array(selections, dtype=np.int64)))
+
+        c = size["descent"]
+        return (f"descent/nt{c['n_t']}/nr{c['n_r']}/calls{c['calls']}", setup,
+                call, score)
+
     return [codebook_case(), *(altmin_case(n_rf) for n_rf in (2, 3, 4)),
             row_case(), solve_case(), icd_case(), campaign_case(True),
-            campaign_case(False), measure_case(), channel_case()]
+            campaign_case(False), measure_case(), channel_case(),
+            descent_case()]
 
 
 def time_case(setup, call, score, repeats, seconds):

@@ -45,6 +45,9 @@ _SEED_BLOCK = 4096
 # A 0-d array, so a product skips a scalar cast on every call.
 _RSQRT2 = np.array(1.0 / math.sqrt(2.0))
 _RSQRT2.setflags(write=False)
+# that scale at snr_db = +inf, where the noise std is 0: 0 * _RSQRT2
+_NOISELESS = np.array(0.0)
+_NOISELESS.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,17 +156,19 @@ def _normal_pairs(rng, n, scale):
 
 
 def _snr_params(snr_db):
-    """(transmit power, noise std) with unit noise variance as the knob.
-    NaN, an int past the float range, and a finite snr_db whose power
-    overflows (above about 3082 dB) raise ValueError."""
+    """(transmit power P, noise scale s) with unit noise variance as the
+    knob: s is the real per-component scale sigma * (1 / sqrt(2)) of the
+    noise std sigma, _NOISELESS at +inf and _RSQRT2 otherwise.  NaN, an int
+    past the float range, and a finite snr_db whose power overflows (above
+    about 3082 dB) raise ValueError."""
     try:
         if math.isnan(snr_db):
             raise ValueError("snr_db must not be NaN")
         if snr_db == np.inf:
-            return 1.0, 0.0
+            return 1.0, _NOISELESS
         if snr_db == -np.inf:
-            return 0.0, 1.0
-        return 10.0 ** (snr_db / 10.0), 1.0
+            return 0.0, _RSQRT2
+        return 10.0 ** (snr_db / 10.0), _RSQRT2
     except OverflowError:
         raise ValueError("snr_db must be a float-range number of dB up to about "
                          "3082, past which the power 10^(snr_db / 10) overflows; "
@@ -184,6 +189,10 @@ def measure(v, w, ch, snr_db, rng):
     scale s = sigma * (1 / sqrt(2)), where sigma is 0 at snr_db = +inf and 1
     otherwise; at sigma = 1 that is the complex array z[:n] + j z[n:]
     divided by sqrt(2), whose complex division multiplies by 1 / sqrt(2).
+    Inside hierarchical_search, rng is the descent's noise block instead,
+    and eta is its next row: row j holds measurement j's normals, real half
+    then imaginary half, scaled by s, the same eta bit for bit; a block made
+    for another N_r or s raises ValueError.
     P is 10^(snr_db / 10), 1 at +inf and 0 at -inf.  y = sqrt(P) *
     ((conj(w) H) v) + conj(w) eta, with the products (numpy's dot) in that
     order, and the result is float(np.abs(y) ** 2).  A
@@ -192,11 +201,13 @@ def measure(v, w, ch, snr_db, rng):
     snr_db: near the top of its range (about 3082 dB) |y|^2 can overflow
     where P does not.
     """
-    p, sigma = _snr_params(snr_db)
+    p, scale = _snr_params(snr_db)
     h = ch.matrix
     w_h = np.asarray(w, dtype=complex).conj()
-    eta = _normal_pairs(rng, h.shape[0],
-                        _RSQRT2 if sigma == 1.0 else sigma * _RSQRT2)
+    if type(rng) is _NoiseRows:
+        eta = rng.row(h.shape[0], scale)
+    else:
+        eta = _normal_pairs(rng, h.shape[0], scale)
     try:
         # ndarray.dot is np.dot without its dispatcher
         y = math.sqrt(p) * w_h.dot(h).dot(np.asarray(v, dtype=complex))
@@ -249,20 +260,25 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     not exceed N_t.
 
     The descent's noise is one draw rng.standard_normal(2 N_r T), T that
-    total, taken before the first measurement: measurement j (0-based, in
-    the order above) reads normals [2 N_r j, 2 N_r (j + 1)) of it as its
+    total, taken after snr_db is checked and before the first measurement.
+    It is laid out once as a (T, N_r) complex block whose row j holds
+    measurement j's (0-based, in the order above) normals
+    [2 N_r j, 2 N_r (j + 1)), real half then imaginary half, scaled by
+    measure's noise scale; measure reads row j as the eta it would make of
     rng.standard_normal(2 N_r).  Normals are drawn in sequence, so rng ends
     where T calls of measure on rng itself would leave it, and the powers
-    are the same.
+    are the same.  A NaN or overflowing snr_db raises ValueError with rng
+    untouched.
 
     Returns (tx_index, rx_index, measurements) with 0-based bottom-layer
     indices.
     """
     _check_dims(tx_cb, rx_cb, ch)
+    scale = _snr_params(snr_db)[1]
     m = tx_cb.m
     rx_layers = rx_cb.layers
     total = m * len(tx_cb.layers) + (m * m - m) * len(rx_layers)
-    noise = _Draws(rng.standard_normal(2 * ch.n_r * total))
+    noise = _NoiseRows(rng.standard_normal(2 * ch.n_r * total), ch.n_r, scale)
     ti = ri = 0  # selected entry (0-based) at the current layer
     count = 0
     for s, tx_layer in enumerate(tx_cb.layers):
@@ -283,20 +299,32 @@ def hierarchical_search(tx_cb, rx_cb, ch, snr_db, rng, use_practical=False):
     return ti, ri, count
 
 
-class _Draws:
-    """Consecutive slices of one draw of standard normals, handed out in
-    place of the generator that made it: standard_normal(size) returns the
-    next size normals."""
+class _NoiseRows:
+    """The noise of a descent's measurements, made in one pass from one
+    draw z of 2 n T standard normals and the real scale s: a (T, n) complex
+    block whose row j is z[2nj : 2nj + n] s + j z[2nj + n : 2n(j + 1)] s,
+    the eta _normal_pairs(rng, n, s) makes of measurement j's normals.
+    row(n, s) hands out the next row, in place; a request of another n or
+    s, or past the last row, raises and hands out none."""
 
-    __slots__ = ("_z", "_at")
+    __slots__ = ("_rows", "_n", "_scale", "_at")
 
-    def __init__(self, z):
-        self._z, self._at = z, 0
+    def __init__(self, z, n, scale):
+        rows = np.empty((z.size // (2 * n), n), dtype=complex)
+        # the interleaved (T, n, 2) float view of rows, filled by one
+        # product with the (T, 2, n) draw's halves transposed into place
+        np.multiply(z.reshape(-1, 2, n).transpose(0, 2, 1), scale,
+                    out=rows.view(float).reshape(-1, n, 2))
+        self._rows, self._n, self._scale, self._at = rows, n, scale, 0
 
-    def standard_normal(self, size):
-        at = self._at
-        self._at = at + size
-        return self._z[at:self._at]
+    def row(self, n, scale):
+        # measure passes the module's scale constants, so `is` decides
+        if n != self._n or scale is not self._scale and scale != self._scale:
+            raise ValueError(f"holds rows of {self._n} entries at noise scale "
+                             f"{self._scale}, not {n} at {scale}")
+        row = self._rows[self._at]
+        self._at += 1
+        return row
 
 
 def exhaustive_best_pair(tx_cb, rx_cb, ch, use_practical=False):

@@ -302,6 +302,21 @@ def test_nan_snr_raises_when_called_directly():
         hierarchical_search(tx, rx, ch, np.nan, rng)
 
 
+@pytest.mark.parametrize("snr_db, message", [(np.nan, "NaN"), (4000.0, "overflows"),
+                                             (10**400, "overflows")],
+                         ids=["nan", "4000dB", "int10e400"])
+def test_descent_rejects_its_snr_before_drawing_noise(snr_db, message):
+    # it drew the whole descent's noise first and raised at its first measure
+    tx = build_codebook(8, k=64, r_max=100, seed=0)
+    rx = build_codebook(4, k=64, r_max=100, seed=1)
+    ch = draw_channel(8, 4, 1, seed=1)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        hierarchical_search(tx, rx, ch, snr_db, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_measure_rejects_a_received_power_past_the_float_range():
     # P = 10^308.2 is finite, but |y|^2 of a strong beam pair is not: such a
     # power read inf and tied the descent's comparisons; now it raises

@@ -1372,6 +1372,40 @@ def test_hierarchical_search_equals_reference_descent(s_t, s_r, l, seed, snr_db,
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+class _OneDraw:
+    """A stand-in generator whose one standard_normal call returns a copy
+    of z."""
+
+    def __init__(self, z):
+        self._z = z
+
+    def standard_normal(self, size):
+        assert size == self._z.size
+        return self._z.copy()
+
+
+@_SETTINGS
+@given(n_r=st.integers(1, 64), t=st.integers(0, 40), seed=_SEEDS,
+       snr_db=st.one_of(st.floats(-30.0, 30.0), st.sampled_from([np.inf, -np.inf])))
+def test_noise_rows_equal_normal_pairs_of_each_slice(n_r, t, seed, snr_db):
+    # row j is _normal_pairs of measurement j's slice of the descent's draw,
+    # bit for bit (the signed zeros of the scale 0 at +inf too), and a
+    # request that does not fit the block hands out no row
+    channel = beamkit.channel
+    scale = channel._snr_params(snr_db)[1]
+    other = channel._RSQRT2 if scale is channel._NOISELESS else channel._NOISELESS
+    z = np.random.default_rng(seed).standard_normal(2 * n_r * t)
+    rows = channel._NoiseRows(z.copy(), n_r, scale)
+    for j, zj in enumerate(z.reshape(t, 2 * n_r)):
+        for bad_n, bad_scale in ((n_r + 1, scale), (n_r - 1, scale), (n_r, other)):
+            with pytest.raises(ValueError, match=f"holds rows of {n_r} entries"):
+                rows.row(bad_n, bad_scale)
+        got = rows.row(n_r, scale.copy() if j % 2 else scale)  # an equal scale fits
+        _assert_same_bits([got], [channel._normal_pairs(_OneDraw(zj), n_r, scale)])
+    with pytest.raises(IndexError):
+        rows.row(n_r, scale)
+
+
 @_SETTINGS
 @given(seed=_SEEDS, trials=st.integers(1, 12), l=st.integers(1, 3),
        snr_db=st.sampled_from([-10.0, 0.0, 10.0, np.inf, -np.inf]),

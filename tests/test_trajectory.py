@@ -34,7 +34,7 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
     assert run["toy"] and run["environment"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {name.split("/")[0] for name in run["cases"]} == {
         "build_codebook", "fs_altmin", "fs_row", "solve_two_rf", "ps_icd",
-        "success_rate", "measure", "channel"}
+        "success_rate", "measure", "channel", "descent"}
     assert len(run["ref_times_s"]) == 2  # one reference call before, one after
     for case in run["cases"].values():
         assert case["median_s"] > 0 and len(case["times_s"]) >= 2
@@ -45,6 +45,8 @@ def test_toy_run_records_times_quality_and_digests(tmp_path, capsys):
         assert 0 <= successes["successes"] <= 20
     assert run["cases"]["measure/nt8/nr4/calls20"]["quality"]["power_mean"] > 0
     assert run["cases"]["channel/nt8/nr4/calls20"]["quality"]["pairs_distinct"] > 1
+    descent = run["cases"]["descent/nt8/nr4/calls20"]["quality"]
+    assert descent["pairs_distinct"] > 1 and descent["measurements"] == 20 * 10
 
     # the same code gives the same outputs; a moved result fails the compare
     trajectory = _module()
